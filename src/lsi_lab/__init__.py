@@ -5,10 +5,11 @@ the entropy functional), ``mollify`` (log-space evaluation of the
 convolved density and its tails), ``bg`` (Bobkov-Goetze brackets,
 blow-up scans, unboundedness detection, Herbst bound), ``rmt`` (the
 random-matrix concentration laboratory), ``highdim`` (curvature
-certificates for atom clouds in R^n), ``cli`` (the ``lsi`` binary).
+certificates for atom clouds in R^n), ``cli`` (the ``lsi`` binary; not
+imported here, so ``python -m lsi_lab.cli`` runs it cleanly).
 """
 
-from . import bg, cli, highdim, measure, mollify, rmt  # noqa: F401
+from . import bg, highdim, measure, mollify, rmt  # noqa: F401
 from .bg import BGReport, BlowupScan, blowup_scan, compute_bg, herbst_bound
 from .highdim import (
     HessianCertificate,

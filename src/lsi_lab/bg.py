@@ -14,10 +14,18 @@ delta/2, so a finite scan window plus that tail value captures the sup.
 The supremum search is a dense scan (2048 points per side over a window
 of width (b - a) + 30 sqrt(delta)) followed by golden-section refinement
 of the best local maxima, compared against the tail value at the window
-edge.  All tail masses and reciprocal integrals come from the ``mollify``
-log-space machinery; measures with density pieces get a cubic-spline
-surrogate of log p over the window (validated against exact evaluations)
-so the scan stays affordable.
+edge.  The integrals of 1/p over the 2048 scan cells of a side are one
+batched composite quadrature (``quadrature.log_cell_integrals``: every
+refinement level of a chunk of cells is one vectorized log p call), and
+the integral from each grid point to the median is their running
+``np.logaddexp.accumulate``.  The refinement stops at the search
+tolerance or at 4 ulps of |x|, whichever is wider, and after a fixed
+number of steps in any case.  A measure far from the origin is scanned
+as its translate next to the origin, so translation changes nothing but
+the reported positions.  Tail
+masses come from the ``mollify`` log-space machinery; measures with
+density pieces get a cubic-spline surrogate of log p over the window
+(validated against exact evaluations) so the scan stays affordable.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -33,8 +41,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import log_ndtr, logsumexp
 
-from .errors import NoGap, NonPositiveConstant, ValidationError, WrongSide
-from .measure import Measure1D, support_components
+from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationError, WrongSide
+from .measure import Measure1D, support_components, translate
 from .mollify import (
     MollifiedDensity,
     log_density,
@@ -43,11 +51,12 @@ from .mollify import (
     support_gap_midpoints,
     tail_mass,
 )
-from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
+from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_cell_integrals
 
 _SCAN_POINTS = 2048
 _REFINE_CANDIDATES = 5
 _SEARCH_TOL = 1e-10
+_REFINE_MAX_ITERS = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -109,19 +118,21 @@ def _tail_grid(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
     return np.array([tail_mass(d, float(x), side) for x in xs])
 
 
-def _step_log_integral(neg_log_p: Callable, a: float, b: float,
-                       gap_mids: Sequence[float]) -> float:
-    seeds = [g for g in gap_mids if a < g < b]
-    return log_adaptive_quad(neg_log_p, a, b, rel_tol=1e-10, seed_points=seeds or None)
-
-
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
                 xtol: float) -> tuple[float, float]:
+    """Golden-section maximum of ``f`` on ``[lo, hi]``.
+
+    Stops once the bracket is ``xtol`` wide, or 4 ulps of its larger end
+    when that is wider (far from the origin float spacing exceeds
+    ``xtol``), and after ``_REFINE_MAX_ITERS`` steps in any case.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     e = a + _GOLDEN * (b - a)
     fc, fe = f(c), f(e)
-    while b - a > xtol:
+    for _ in range(_REFINE_MAX_ITERS):
+        if b - a <= max(xtol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+            break
         if fc >= fe:
             b, e, fe = e, c, fc
             c = b - _GOLDEN * (b - a)
@@ -203,31 +214,18 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
     gap_mids = support_gap_midpoints(d.base)
     neg_log_p = lambda t: -logp_fn(t)
 
-    if side == "left":
-        xs = np.linspace(m - window, m, _SCAN_POINTS + 1)[:-1]
-    else:
-        xs = np.linspace(m, m + window, _SCAN_POINTS + 1)[1:]
+    def log_integrals(edges) -> np.ndarray:
+        return log_cell_integrals(neg_log_p, edges, rel_tol=1e-10, seed_points=gap_mids)
 
     # cumulative log integral of 1/p from each grid point to the median
-    steps = np.empty(len(xs))
     if side == "left":
-        for i in range(len(xs) - 1):
-            steps[i] = _step_log_integral(neg_log_p, xs[i], xs[i + 1], gap_mids)
-        steps[-1] = _step_log_integral(neg_log_p, xs[-1], m, gap_mids)
-        prefix = np.empty(len(xs))
-        acc = NEG_INF
-        for i in range(len(xs) - 1, -1, -1):
-            acc = np.logaddexp(acc, steps[i])
-            prefix[i] = acc
+        edges = np.linspace(m - window, m, _SCAN_POINTS + 1)
+        xs = edges[:-1]
+        prefix = np.logaddexp.accumulate(log_integrals(edges)[::-1])[::-1]
     else:
-        steps[0] = _step_log_integral(neg_log_p, m, xs[0], gap_mids)
-        for i in range(1, len(xs)):
-            steps[i] = _step_log_integral(neg_log_p, xs[i - 1], xs[i], gap_mids)
-        prefix = np.empty(len(xs))
-        acc = NEG_INF
-        for i in range(len(xs)):
-            acc = np.logaddexp(acc, steps[i])
-            prefix[i] = acc
+        edges = np.linspace(m, m + window, _SCAN_POINTS + 1)
+        xs = edges[1:]
+        prefix = np.logaddexp.accumulate(log_integrals(edges))
 
     tails = _tail_grid(d, xs, side)
     with np.errstate(invalid="ignore"):
@@ -247,17 +245,15 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
         if side == "left":
             j = int(np.searchsorted(xs, x, side="right"))
             if j >= len(xs):
-                rec = _step_log_integral(neg_log_p, x, m, gap_mids)
+                rec = log_integrals([x, m])[0]
             else:
-                rec = np.logaddexp(_step_log_integral(neg_log_p, x, xs[j], gap_mids),
-                                   prefix[j])
+                rec = np.logaddexp(log_integrals([x, xs[j]])[0], prefix[j])
         else:
             j = int(np.searchsorted(xs, x, side="left")) - 1
             if j < 0:
-                rec = _step_log_integral(neg_log_p, m, x, gap_mids)
+                rec = log_integrals([m, x])[0]
             else:
-                rec = np.logaddexp(prefix[j],
-                                   _step_log_integral(neg_log_p, xs[j], x, gap_mids))
+                rec = np.logaddexp(prefix[j], log_integrals([xs[j], x])[0])
         return t + math.log(-t) + float(rec)
 
     best: list[tuple[float, float]] = []
@@ -286,10 +282,23 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
 
     edge = xs[0] if side == "left" else xs[-1]
     d_tail = (d.delta ** 2 / (edge - m) ** 2) * (-float(logp_fn(edge)))
-    interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
+    try:
+        interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
+    except OverflowError:
+        name = "D0" if side == "left" else "D1"
+        raise NumericalOverflow(f"{name} = exp({interior_val!r}) exceeds the float range"
+                                f" at delta={d.delta!r}") from None
     if d_tail > interior_D:
         return d_tail, float(edge), True
     return interior_D, float(interior_x), False
+
+
+def _origin_shift(a: float, b: float, window: float) -> float:
+    """The multiple of the power of two at or above ``window`` nearest the
+    centre of the support ``[a, b]``: 0 unless the support lies more than
+    about half a window from the origin."""
+    scale = math.ldexp(1.0, math.frexp(window)[1])
+    return scale * round(0.5 * (a + b) / scale)
 
 
 def compute_bg(d: MollifiedDensity) -> BGReport:
@@ -299,10 +308,18 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     maximum and (ii) the analytic tail value delta^2/x^2 * (-log p) at
     the window edge (the integrand's x -> infinity equivalent, limit
     delta/2).  The report notes which branch won.
+
+    A measure far from the origin is bracketed as its translate next to
+    the origin, and the positions are moved back: at |x| = 1e8 float
+    spacing alone puts the median 1e-8 off, and the integrals of 1/p
+    would resolve nothing finer than their rounding noise.
     """
-    m = median(d)
     a, b = d.support()
     window = (b - a) + 30.0 * d.sigma
+    shift = _origin_shift(a, b, window)
+    if shift != 0.0:
+        d = MollifiedDensity(translate(d.base, -shift), d.delta, d.quadrature_tol)
+    m = median(d)
     logp_fn = _fast_log_density(d, m - window - 1.0, m + window + 1.0)
     D0, x0, tail0 = _side_supremum(d, m, window, "left", logp_fn)
     D1, x1, tail1 = _side_supremum(d, m, window, "right", logp_fn)
@@ -311,15 +328,15 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         delta=d.delta,
         D0=D0,
         D1=D1,
-        x_star_0=x0,
-        x_star_1=x1,
+        x_star_0=x0 + shift,
+        x_star_1=x1 + shift,
         c_lower=total / 150.0,
         c_upper=468.0 * total,
         tail_limit_estimate=d.delta / 2.0,
-        search_window=(m - window, m + window),
+        search_window=(m - window + shift, m + window + shift),
         quadrature_tol=d.quadrature_tol,
         search_tol=_SEARCH_TOL,
-        median=m,
+        median=m + shift,
         d0_from_tail=tail0,
         d1_from_tail=tail1,
     )

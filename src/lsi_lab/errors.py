@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all lsi_lab modules.
 
 Everything user-input-related derives from ValidationError so the CLI can
-map it to exit code 2 in one place.
+map it to exit code 2 in one place.  Numerical failures derive from
+ArithmeticError, which the CLI maps to the same exit code.
 """
 
 
@@ -54,6 +55,10 @@ class NoGap(ValidationError):
 
 class NonPositiveConstant(ValidationError):
     """A constant that must be positive is not."""
+
+
+class NumericalOverflow(LsiLabError, ArithmeticError):
+    """A result exceeds the float range (the small-delta blow-up regime)."""
 
 
 # -- rmt ----------------------------------------------------------------

@@ -28,6 +28,9 @@ from scipy.special import logsumexp
 
 from .errors import NonPositiveDelta, ValidationError
 
+# largest probe set ProbeSpec.generate will allocate (grid plus random points)
+MAX_PROBES = 1_000_000
+
 
 @dataclass(frozen=True)
 class MeasureND:
@@ -145,6 +148,14 @@ class ProbeSpec:
     seed: int = 0
 
     def generate(self, m: MeasureND, delta: float) -> np.ndarray:
+        grid, rand = self.grid_points_per_axis, self.random_points
+        if grid < 1 or rand < 0:
+            raise ValidationError(f"probe counts need grid >= 1 and random >= 0,"
+                                  f" got grid={grid}, random={rand}")
+        total = grid ** m.dimension + rand
+        if total > MAX_PROBES:
+            raise ValidationError(f"{grid}^{m.dimension} grid + {rand} random probes ="
+                                  f" {total} exceeds the limit of {MAX_PROBES}")
         half = m.radius + 6.0 * math.sqrt(delta)
         lo = m.center - half
         hi = m.center + half

@@ -186,6 +186,22 @@ def measure_from_json(text: str) -> Measure1D:
     return build_measure(json.loads(text))
 
 
+def translate(m: Measure1D, shift: float) -> Measure1D:
+    """``m`` moved by ``shift``; piece polynomials are re-expanded in the new variable."""
+    back = np.polynomial.Polynomial([-shift, 1.0])
+    pieces = tuple(
+        Piece(p.lo + shift, p.hi + shift,
+              tuple(float(c) for c in np.polynomial.Polynomial(p.coeffs)(back).coef))
+        for p in m.pieces
+    )
+    return Measure1D(
+        atoms=tuple((x + shift, w) for x, w in m.atoms),
+        pieces=pieces,
+        support_lo=m.support_lo + shift,
+        support_hi=m.support_hi + shift,
+    )
+
+
 # -- convenience constructors -------------------------------------------
 
 def point_mass(x: float = 0.0) -> Measure1D:

@@ -23,6 +23,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 NEG_INF = float("-inf")
 
+# panels this far (in log) below the largest one of their integral cannot
+# move the total at double precision; they are accepted without refinement
+_FLOOR_GAP = 46.0
+# bisections after which log_cell_integrals accepts a panel as it stands
+_MAX_DEPTH = 60
+# cells per batch in log_cell_integrals
+_CHUNK_CELLS = 256
+
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     mid = 0.5 * (a + b)
@@ -100,13 +108,10 @@ def log_adaptive_quad(
 
     parts: list[float] = []
     stack = [(a, b, _panel_log(log_f, a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
-    # panels this far (in log) below the largest one seen cannot move the
-    # total at double precision; accept them without refinement
-    floor_gap = 46.0
     best = max((w for _, _, w, _ in stack), default=NEG_INF)
     while stack:
         a, b, whole, depth = stack.pop()
-        if whole <= best - floor_gap:
+        if whole <= best - _FLOOR_GAP:
             if whole > NEG_INF:
                 parts.append(float(whole))
             continue
@@ -127,6 +132,97 @@ def log_adaptive_quad(
     if not parts:
         return NEG_INF
     return float(logsumexp(parts))
+
+
+def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """``_panel_log`` for every panel ``[a[i], b[i]]``, with one ``log_f`` call."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    vals = np.asarray(log_f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    m = vals.max(axis=1)
+    live = (m > NEG_INF) & (half > 0.0)
+    shift = np.where(live, m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(half * (np.exp(vals - shift[:, None]) @ _GL_WEIGHTS))
+    return np.where(live, out, NEG_INF)
+
+
+def _log_cells_chunk(log_f, edges: np.ndarray, seeds: np.ndarray,
+                     rel_tol: float) -> np.ndarray:
+    n = len(edges) - 1
+    cuts = np.unique(np.concatenate([edges, seeds[(seeds > edges[0]) & (seeds < edges[-1])]]))
+    a, b = cuts[:-1], cuts[1:]
+    cell = np.minimum(np.searchsorted(edges, a, side="right") - 1, n - 1)
+    whole = _log_panels(log_f, a, b)
+    best = np.full(n, NEG_INF)
+    np.maximum.at(best, cell, whole)
+    done_cell, done_val = [], []
+    depth = 0
+    while a.size:
+        low = whole <= best[cell] - _FLOOR_GAP
+        done_cell.append(cell[low])
+        done_val.append(whole[low])
+        keep = ~low
+        a, b, cell, whole = a[keep], b[keep], cell[keep], whole[keep]
+        mid = 0.5 * (a + b)
+        halves = _log_panels(log_f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[:a.size], halves[a.size:]
+        refined = np.logaddexp(left, right)
+        np.maximum.at(best, cell, refined)
+        # a panel a few ulps wide cannot be bisected any further
+        with np.errstate(invalid="ignore"):
+            done = ((abs(refined - whole) <= rel_tol) | (depth >= _MAX_DEPTH)
+                    | (b - a <= 4.0 * np.spacing(np.abs(mid))))
+        done_cell.append(cell[done])
+        done_val.append(refined[done])
+        split = ~done & (refined > NEG_INF)
+        a = np.concatenate([a[split], mid[split]])
+        b = np.concatenate([mid[split], b[split]])
+        cell = np.concatenate([cell[split], cell[split]])
+        whole = np.concatenate([left[split], right[split]])
+        depth += 1
+    cells = np.concatenate(done_cell)
+    vals = np.concatenate(done_val)
+    top = np.full(n, NEG_INF)
+    np.maximum.at(top, cells, vals)
+    live = top > NEG_INF
+    shift = np.where(live, top, 0.0)
+    with np.errstate(divide="ignore"):
+        total = shift + np.log(np.bincount(cells, weights=np.exp(vals - shift[cells]),
+                                           minlength=n))
+    return np.where(live, total, NEG_INF)
+
+
+def log_cell_integrals(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
+    rel_tol: float = 1e-10,
+    seed_points: Sequence[float] | None = None,
+) -> np.ndarray:
+    """``log(integral of exp(log_f))`` over every cell ``[edges[i], edges[i+1]]``.
+
+    The batched form of ``log_adaptive_quad``, with the same acceptance
+    rule per panel: all live panels of a refinement level are evaluated
+    with one ``log_f`` call, and panels whose whole and half-panel
+    estimates disagree by more than ``rel_tol`` (in log) are bisected, at
+    most ``_MAX_DEPTH`` times.  Cells containing a ``seed_point`` are
+    split there first.  A panel whose width is within a few ulps of its
+    midpoint is accepted as it stands, so the work stays bounded far from
+    the origin, where float spacing limits what bisection can resolve.
+    Cells are processed ``_CHUNK_CELLS`` at a time, which keeps peak
+    memory flat.  ``edges`` must be nondecreasing; an empty cell gives
+    ``-inf``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    seeds = np.asarray(seed_points if seed_points is not None else [], dtype=float)
+    n = len(edges) - 1
+    out = np.empty(max(n, 0))
+    for start in range(0, n, _CHUNK_CELLS):
+        stop = min(start + _CHUNK_CELLS, n)
+        out[start:stop] = _log_cells_chunk(log_f, edges[start:stop + 1], seeds, rel_tol)
+    return out
 
 
 def geometric_seeds(center: float, scale: float, lo: float, hi: float) -> list[float]:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from lsi_lab import errors
+from lsi_lab import bg, errors
 from lsi_lab.bg import (
     bg_integrand,
     blowup_scan,
@@ -146,6 +146,101 @@ def test_tail_limit_sanity_at_window_edges():
         for edge, side in ((r.search_window[0], "left"), (r.search_window[1], "right")):
             val = math.exp(bg_integrand(d, r.median, edge, side))
             assert delta / 4.0 <= val <= delta
+
+
+def test_overflow_is_a_typed_error_naming_side_and_delta():
+    # log D0 is about 989 at delta = 5e-4, beyond exp's float range (709.78)
+    with pytest.raises(errors.NumericalOverflow,
+                       match=r"D0 = exp\(.*\) exceeds the float range at delta=0.0005"):
+        compute_bg(MollifiedDensity(two_point(), 5e-4))
+    assert issubclass(errors.NumericalOverflow, ArithmeticError)
+    assert not issubclass(errors.NumericalOverflow, errors.ValidationError)
+
+
+# ---------------------------------------------------------------------------
+# invariances and inputs far from the origin
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shift", [1e6, -1e8])
+def test_point_mass_far_from_origin_returns(shift):
+    base = compute_bg(MollifiedDensity(point_mass(0.0), 1.0))
+    r = compute_bg(MollifiedDensity(point_mass(shift), 1.0))
+    assert r.D0 == pytest.approx(base.D0, rel=1e-8)
+    assert r.D1 == pytest.approx(base.D1, rel=1e-8)
+    assert r.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
+    assert r.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
+
+
+def test_refinement_stops_at_float_spacing():
+    # the bracket is 1e-9 wide at 1e6, where float spacing is 1.16e-10, so
+    # the 1e-10 search tolerance alone could never be met
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - 1e6) ** 2
+
+    x, _ = bg._golden_max(f, 1e6 - 5e-10, 1e6 + 5e-10, 1e-10)
+    assert len(calls) <= bg._REFINE_MAX_ITERS + 2
+    assert abs(x - 1e6) <= 5e-10
+
+
+def test_refinement_iteration_cap(monkeypatch):
+    monkeypatch.setattr(bg, "_REFINE_MAX_ITERS", 5)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -x * x
+
+    bg._golden_max(f, -1.0, 1.0, 1e-10)
+    assert len(calls) == 5 + 2
+
+
+def atom_measure(atoms):
+    total = sum(w for _, w in atoms)
+    return build_measure({"atoms": [{"x": x, "w": w / total} for x, w in atoms]})
+
+
+# atoms on a 1/64 grid, so translating them by an integer up to 1e8 is exact
+ATOMS = st.lists(st.tuples(st.integers(-128, 128).map(lambda k: k / 64.0), st.integers(1, 4)),
+                 min_size=1, max_size=3, unique_by=lambda a: a[0])
+DELTAS = st.floats(0.25, 2.0)
+
+
+@given(atoms=ATOMS, delta=DELTAS, shift=st.integers(-10 ** 8, 10 ** 8))
+@settings(max_examples=10, deadline=None)
+def test_translation_invariance(atoms, delta, shift):
+    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
+    moved = compute_bg(MollifiedDensity(atom_measure([(x + shift, w) for x, w in atoms]), delta))
+    assert moved.D0 == pytest.approx(base.D0, rel=1e-8)
+    assert moved.D1 == pytest.approx(base.D1, rel=1e-8)
+    assert moved.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
+    assert moved.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
+
+
+@given(atoms=ATOMS, delta=DELTAS)
+@settings(max_examples=10, deadline=None)
+def test_reflection_swaps_sides(atoms, delta):
+    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
+    refl = compute_bg(MollifiedDensity(atom_measure([(-x, w) for x, w in atoms]), delta))
+    assert refl.D0 == pytest.approx(base.D1, rel=1e-8)
+    assert refl.D1 == pytest.approx(base.D0, rel=1e-8)
+    assert refl.x_star_0 == pytest.approx(-base.x_star_1, abs=1e-4)
+    assert refl.x_star_1 == pytest.approx(-base.x_star_0, abs=1e-4)
+
+
+@given(atoms=ATOMS, delta=DELTAS, lam=st.floats(0.1, 10.0))
+@settings(max_examples=10, deadline=None)
+def test_scaling_law(atoms, delta, lam):
+    # D(lambda mu, lambda^2 delta) = lambda^2 D(mu, delta), and x* scales by lambda
+    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
+    scaled = compute_bg(MollifiedDensity(atom_measure([(lam * x, w) for x, w in atoms]),
+                                         lam * lam * delta))
+    assert scaled.D0 == pytest.approx(lam * lam * base.D0, rel=1e-8)
+    assert scaled.D1 == pytest.approx(lam * lam * base.D1, rel=1e-8)
+    assert scaled.x_star_0 == pytest.approx(lam * base.x_star_0, abs=1e-4 * max(1.0, lam))
+    assert scaled.x_star_1 == pytest.approx(lam * base.x_star_1, abs=1e-4 * max(1.0, lam))
 
 
 # ---------------------------------------------------------------------------

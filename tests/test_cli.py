@@ -80,6 +80,16 @@ def test_estimate_output_file_atomic(two_point_file, tmp_path, capsys):
     assert not leftovers
 
 
+def test_estimate_overflow_exit_2_names_side_and_delta(two_point_file, capsys):
+    # exp(gap^2 / 8 delta) leaves the float range for the two-point measure here
+    code, out, err = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.0005"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: D0 = exp(" in err
+    assert "exceeds the float range at delta=0.0005" in err
+
+
 def test_estimate_byte_stable(two_point_file, capsys):
     _, out1, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)
     _, out2, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)
@@ -178,6 +188,25 @@ def test_bakry_nonpositive_delta_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--grid", "-1"), ("--grid", "0"), ("--random", "-5")])
+def test_bakry_bad_probe_count_exit_2(tmp_path, capsys, flag, value):
+    p = tmp_path / "cloud.json"
+    p.write_text(CLOUD_2D)
+    code, _, err = run_cli(["bakry", "--measure", str(p), "--delta", "4.4", flag, value], capsys)
+    assert code == 2
+    assert "grid >= 1 and random >= 0" in err
+
+
+def test_bakry_oversized_probe_grid_exit_2(tmp_path, capsys):
+    p = tmp_path / "cloud12.json"
+    p.write_text(json.dumps({"atoms": [{"point": [1.0] + [0.0] * 11, "w": 0.5},
+                                       {"point": [-1.0] + [0.0] * 11, "w": 0.5}]}))
+    code, _, err = run_cli(["bakry", "--measure", str(p), "--delta", "4.4", "--grid", "7"],
+                           capsys)
+    assert code == 2
+    assert "exceeds the limit" in err
+
+
 def test_bakry_two_atom_threshold(tmp_path, capsys):
     p = tmp_path / "cloud.json"
     p.write_text(CLOUD_2D)
@@ -228,3 +257,11 @@ def test_console_script_runs(two_point_file, source_env):
         capture_output=True, text=True, env=source_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("delta,D0,D1")
+
+
+def test_cli_module_runs_without_runtime_warning(source_env):
+    proc = subprocess.run([sys.executable, "-m", "lsi_lab.cli"],
+                          capture_output=True, text=True, env=source_env)
+    assert proc.returncode == 2, proc.stderr
+    assert "usage: lsi" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

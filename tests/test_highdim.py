@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsi_lab import errors
+from lsi_lab import errors, highdim
 from lsi_lab.bg import compute_bg
 from lsi_lab.highdim import (
     ProbeSpec,
@@ -222,6 +222,27 @@ def test_certificate_probe_grid_contains_midpoint():
     cert = bakry_emery_certificate(two_atoms_2d(), 0.05,
                                    ProbeSpec(grid_points_per_axis=7, random_points=0))
     assert cert.min_eigenvalue == pytest.approx((0.05 - 1.0) / 0.05 ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("grid,random", [(0, 10), (-1, 10), (3, -5)])
+def test_probe_spec_rejects_negative_counts(grid, random):
+    with pytest.raises(errors.ValidationError, match="grid >= 1 and random >= 0"):
+        ProbeSpec(grid_points_per_axis=grid, random_points=random).generate(two_atoms_2d(), 1.0)
+
+
+def test_probe_spec_rejects_oversized_grid_before_allocating():
+    # 7^12 grid points would be about 1.4e10 probes
+    cloud_12d = build_measure_nd([[1.0] + [0.0] * 11, [-1.0] + [0.0] * 11], [0.5, 0.5])
+    with pytest.raises(errors.ValidationError, match="exceeds the limit"):
+        ProbeSpec(grid_points_per_axis=7, random_points=0).generate(cloud_12d, 1.0)
+
+
+def test_probe_spec_limit_counts_grid_and_random(monkeypatch):
+    monkeypatch.setattr(highdim, "MAX_PROBES", 10)
+    pts = ProbeSpec(grid_points_per_axis=2, random_points=6).generate(two_atoms_2d(), 1.0)
+    assert pts.shape == (10, 2)
+    with pytest.raises(errors.ValidationError, match="exceeds the limit"):
+        ProbeSpec(grid_points_per_axis=2, random_points=7).generate(two_atoms_2d(), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lsi_lab.measure import (
     point_mass,
     quantile,
     support_components,
+    translate,
     two_point,
     uniform,
 )
@@ -140,6 +141,19 @@ def test_support_components_and_gap_mass():
     assert support_components(m) == [(0.0, 1.0), (2.0, 3.0)]
     assert mass_in_open_interval(m, 1.0, 2.0) == 0.0
     assert mass_in_open_interval(m, 0.5, 2.5) == pytest.approx(0.5)
+
+
+def test_translate_moves_atoms_and_pieces():
+    m = build_measure({"atoms": [{"x": -1.0, "w": 0.25}],
+                       "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.25, 1.0]}]})
+    moved = translate(m, 64.0)
+    assert moved.atoms == ((63.0, 0.25),)
+    assert (moved.support_lo, moved.support_hi) == (63.0, 65.0)
+    (piece,) = moved.pieces
+    assert (piece.lo, piece.hi) == (64.0, 65.0)
+    xs = np.linspace(-2.0, 2.0, 41)
+    np.testing.assert_allclose(piece.density(xs + 64.0), m.pieces[0].density(xs), atol=1e-12)
+    np.testing.assert_allclose(cdf(moved, xs + 64.0), cdf(m, xs), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
