@@ -22,10 +22,9 @@ the integral from each grid point to the median is their running
 tolerance or at 4 ulps of |x|, whichever is wider, and after a fixed
 number of steps in any case.  A measure far from the origin is scanned
 as its translate next to the origin, so translation changes nothing but
-the reported positions.  Tail
-masses come from the ``mollify`` log-space machinery; measures with
-density pieces get a cubic-spline surrogate of log p over the window
-(validated against exact evaluations) so the scan stays affordable.
+the reported positions.  Log densities and tail masses are the closed
+forms of ``mollify``, vectorized over the grid; the cells' tolerance is
+the report's ``quadrature_tol``.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -38,8 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr
 
 from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationError, WrongSide
 from .measure import Measure1D, support_components, translate
@@ -58,64 +56,8 @@ _REFINE_CANDIDATES = 5
 _SEARCH_TOL = 1e-10
 _REFINE_MAX_ITERS = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# fast log-density evaluators used by the scan
-# ---------------------------------------------------------------------------
-
-def _fast_log_density(d: MollifiedDensity, lo: float, hi: float) -> Callable:
-    """Vectorized log p over [lo, hi].
-
-    Atom-only measures evaluate in closed form.  Measures with pieces get
-    a cubic spline of log p on a grid resolving both curvature scales of
-    log p (sqrt(delta) in the bulk, delta at support gaps), validated
-    against exact values at off-grid points.
-    """
-    base = d.base
-    norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
-    if not base.pieces:
-        locs = base.atom_locations
-        logw = np.log(np.maximum(base.atom_weights, 1e-300))
-
-        def fn(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = logsumexp(logw[None, :] - (xs[:, None] - locs[None, :]) ** 2
-                            / (2.0 * d.delta), axis=1) - norm_const
-            return float(out[0]) if np.ndim(x) == 0 else out
-
-        return fn
-
-    h = min(d.sigma, d.delta) / 10.0
-    n = max(64, int(math.ceil((hi - lo) / h)) + 1)
-    grid = np.linspace(lo, hi, n)
-    vals = log_density(d, grid)
-    spline = CubicSpline(grid, vals)
-    # validate at off-grid points; densify once if the surrogate is off
-    probes = grid[:-1:97] + 0.5 * (grid[1] - grid[0])
-    if probes.size and float(np.max(np.abs(spline(probes) - log_density(d, probes)))) > 1e-7:
-        grid = np.linspace(lo, hi, 4 * n)
-        spline = CubicSpline(grid, log_density(d, grid))
-
-    def fn(x):
-        xs = np.asarray(x, dtype=float)
-        out = spline(np.clip(xs, lo, hi))
-        return float(out) if np.ndim(x) == 0 else out
-
-    return fn
-
-
-def _tail_grid(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
-    """log tail masses on a grid: closed form for atoms, scalar loop for pieces."""
-    base = d.base
-    sgn = 1.0 if side == "left" else -1.0
-    if not base.pieces:
-        locs = base.atom_locations
-        logw = np.log(np.maximum(base.atom_weights, 1e-300))
-        out = logsumexp(logw[None, :] + log_ndtr(sgn * (xs[:, None] - locs[None, :])
-                                                 / d.sigma), axis=1)
-        return np.minimum(out, 0.0)
-    return np.array([tail_mass(d, float(x), side) for x in xs])
+# tolerance (in log) of the scan cells' integrals of 1/p, which governs the bracket
+_CELL_TOL = 1e-10
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -208,14 +150,14 @@ def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     return tail + math.log(-tail) + recip
 
 
-def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
-                   logp_fn: Callable) -> tuple[float, float, bool]:
+def _side_supremum(d: MollifiedDensity, m: float, window: float,
+                   side: str) -> tuple[float, float, bool]:
     """(sup value, argmax, tail_branch_won) for one side of the median."""
     gap_mids = support_gap_midpoints(d.base)
-    neg_log_p = lambda t: -logp_fn(t)
+    neg_log_p = lambda t: -log_density(d, t)
 
     def log_integrals(edges) -> np.ndarray:
-        return log_cell_integrals(neg_log_p, edges, rel_tol=1e-10, seed_points=gap_mids)
+        return log_cell_integrals(neg_log_p, edges, rel_tol=_CELL_TOL, seed_points=gap_mids)
 
     # cumulative log integral of 1/p from each grid point to the median
     if side == "left":
@@ -227,7 +169,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
         xs = edges[1:]
         prefix = np.logaddexp.accumulate(log_integrals(edges))
 
-    tails = _tail_grid(d, xs, side)
+    tails = tail_mass(d, xs, side)
     with np.errstate(invalid="ignore"):
         values = tails + np.log(-tails) + prefix
     values = np.where(np.isfinite(values), values, NEG_INF)
@@ -241,7 +183,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
     cand = cand[np.argsort(v[cand])[::-1][:_REFINE_CANDIDATES]]
 
     def objective(x: float) -> float:
-        t = tail_mass(d, float(x), side)
+        t = tail_mass(d, x, side)
         if side == "left":
             j = int(np.searchsorted(xs, x, side="right"))
             if j >= len(xs):
@@ -281,7 +223,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float, side: str,
         )
 
     edge = xs[0] if side == "left" else xs[-1]
-    d_tail = (d.delta ** 2 / (edge - m) ** 2) * (-float(logp_fn(edge)))
+    d_tail = (d.delta ** 2 / (edge - m) ** 2) * (-log_density(d, edge))
     try:
         interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
     except OverflowError:
@@ -312,18 +254,23 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     A measure far from the origin is bracketed as its translate next to
     the origin, and the positions are moved back: at |x| = 1e8 float
     spacing alone puts the median 1e-8 off, and the integrals of 1/p
-    would resolve nothing finer than their rounding noise.
+    would resolve nothing finer than their rounding noise.  D0, D1 or
+    c_upper beyond the float range raises ``NumericalOverflow``.
     """
     a, b = d.support()
     window = (b - a) + 30.0 * d.sigma
     shift = _origin_shift(a, b, window)
     if shift != 0.0:
-        d = MollifiedDensity(translate(d.base, -shift), d.delta, d.quadrature_tol)
+        d = MollifiedDensity(translate(d.base, -shift), d.delta)
     m = median(d)
-    logp_fn = _fast_log_density(d, m - window - 1.0, m + window + 1.0)
-    D0, x0, tail0 = _side_supremum(d, m, window, "left", logp_fn)
-    D1, x1, tail1 = _side_supremum(d, m, window, "right", logp_fn)
+    D0, x0, tail0 = _side_supremum(d, m, window, "left")
+    D1, x1, tail1 = _side_supremum(d, m, window, "right")
     total = D0 + D1
+    if not math.isfinite(468.0 * total):
+        big, small = max(D0, D1), min(D0, D1)
+        log_c = math.log(468.0) + math.log(big) + math.log1p(small / big)
+        raise NumericalOverflow(f"c_upper = exp({log_c!r}) exceeds the float range"
+                                f" at delta={d.delta!r}")
     return BGReport(
         delta=d.delta,
         D0=D0,
@@ -334,7 +281,7 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         c_upper=468.0 * total,
         tail_limit_estimate=d.delta / 2.0,
         search_window=(m - window + shift, m + window + shift),
-        quadrature_tol=d.quadrature_tol,
+        quadrature_tol=_CELL_TOL,
         search_tol=_SEARCH_TOL,
         median=m + shift,
         d0_from_tail=tail0,

@@ -44,13 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="log-Sobolev bracket for a mollified measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     common(p)
 
     p = sub.add_parser("scan", help="blow-up scan over a decreasing delta grid")
     p.add_argument("--measure", required=True)
     p.add_argument("--deltas", required=True, help="comma separated, decreasing")
-    p.add_argument("--tol", type=float, default=1e-12)
     common(p, fmt_default="csv")
 
     p = sub.add_parser("rmt", help="random-matrix concentration experiment")
@@ -73,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xs", required=True,
                    help="comma separated probe points (use --xs=-50,-100 for negatives)")
     p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     common(p)
 
     return parser
@@ -100,7 +97,7 @@ def _dump_json(obj) -> str:
 
 def _cmd_estimate(args) -> str:
     measure = build_measure(_read_json(args.measure))
-    density = mollify.MollifiedDensity(measure, args.delta, quadrature_tol=args.tol)
+    density = mollify.MollifiedDensity(measure, args.delta)
     report = bg.compute_bg(density)
     if args.format == "csv":
         return bg.BGReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
@@ -153,7 +150,7 @@ def _cmd_bakry(args) -> str:
 
 def _cmd_asymptotics(args) -> str:
     measure = build_measure(_read_json(args.measure))
-    density = mollify.MollifiedDensity(measure, args.delta, quadrature_tol=args.tol)
+    density = mollify.MollifiedDensity(measure, args.delta)
     xs = _parse_floats(args.xs)
     if not xs:
         raise ValidationError("need at least one probe point")

@@ -7,10 +7,17 @@ variance delta, the mollified density is
 
 Everything here is carried in log space: by x ~ a - 40 sqrt(delta) the
 reciprocal 1/p already exceeds exp((x-a)^2 / 2 delta) and double
-precision is long gone.  Atom contributions use the closed-form Gaussian
-density and CDF; piece contributions use adaptive quadrature with the
-panel maximum factored out, seeded around the kernel peak so the
-boundary layer (width about delta / |x - support|) is never missed.
+precision is long gone.  ``log_density``, ``tail_mass`` and
+``log_density_ratio_grad`` take a scalar or an array of points.
+
+Atoms contribute closed-form Gaussian densities and CDFs.  A polynomial
+piece, split at c = clip(x, lo, hi) and integrated by parts, is a sum
+over the ends e of its two parts of exp(-z^2/2) sqrt(delta) times
+sum_k (+-sqrt(delta))^k q^(k)(e) h_k(z), z = |e - x| / sqrt(delta), with
+h_k = Hh_k / phi the scaled repeated integrals of the normal tail.  Where
+the kernel is wider than a quarter of the piece those terms would cancel,
+and a fixed 20-point Gauss-Legendre rule on the piece is exact instead.
+Tail masses integrate by parts once more, onto the mass below t.
 
 The asymptotic report bundles the three tail quotients
 
@@ -28,13 +35,20 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import erfcx, log_ndtr, logsumexp
 
 from .errors import InsideSupport, NonPositiveDelta, ValidationError
 from .measure import Measure1D, support_components
 from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
 
 Side = Literal["left", "right"]
+
+_BLOCK = 4096  # points per kernel evaluation, which bounds the temporaries
+# h_k(z) by its forward recurrence for z up to here, above it backward
+_FORWARD_MAX_Z = 2.5
+_BACKWARD_STEPS = 50
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_WIDE_KERNEL = 4.0  # the rule takes kernels whose boundary layer exceeds width / 4
 
 
 def _check_side(side: str) -> str:
@@ -49,7 +63,6 @@ class MollifiedDensity:
 
     base: Measure1D
     delta: float
-    quadrature_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -63,146 +76,185 @@ class MollifiedDensity:
         return self.base.support_lo, self.base.support_hi
 
 
-def _atom_log_terms(d: MollifiedDensity, x: float) -> np.ndarray:
-    """log of w_k * exp(-(x - t_k)^2 / 2 delta) for every atom (no kernel norm)."""
-    m = d.base
-    if not m.atoms:
-        return np.empty(0)
-    locs, ws = m.atom_locations, m.atom_weights
+def _blockwise(fn, x):
+    """``fn`` over the points of ``x`` in blocks; a float for a scalar ``x``."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.concatenate([fn(flat[i:i + _BLOCK]) for i in range(0, flat.size, _BLOCK)]
+                         or [np.empty(0)])
+    if xs.ndim == 0:
+        return float(out[0])
+    return out.reshape(xs.shape)
+
+
+def _atom_log_weights(m: Measure1D) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        logw = np.where(ws > 0.0, np.log(np.maximum(ws, 1e-300)), NEG_INF)
-    return logw - (x - locs) ** 2 / (2.0 * d.delta)
+        return np.where(m.atom_weights > 0.0, np.log(np.maximum(m.atom_weights, 1e-300)),
+                        NEG_INF)
 
 
-def _piece_seeds(d: MollifiedDensity, x: float, lo: float, hi: float) -> list[float]:
-    peak = min(max(x, lo), hi)
-    layer = d.delta / (abs(x - peak) + d.sigma)
-    return geometric_seeds(peak, max(layer, 1e-12 * (hi - lo)), lo, hi)
+def _atom_log_terms(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
+    """log of w_k * exp(-(x - t_k)^2 / 2 delta), one row per point (no kernel norm)."""
+    m = d.base
+    return (_atom_log_weights(m)[None, :]
+            - (xs[:, None] - m.atom_locations[None, :]) ** 2 / (2.0 * d.delta))
 
 
-def _piece_log_integral(d: MollifiedDensity, piece, x: float) -> float:
-    """log of integral of rho(t) exp(-(x-t)^2 / 2 delta) dt over the piece."""
+def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
+    """h_0 .. h_(n-1) at every z >= 0, stacked on a new first axis.
 
-    def log_f(t):
-        rho = np.maximum(np.asarray(piece.density(t), dtype=float), 0.0)
-        with np.errstate(divide="ignore"):
-            return np.where(rho > 0.0, np.log(np.maximum(rho, 1e-300)), NEG_INF) - (
-                (x - t) ** 2 / (2.0 * d.delta)
-            )
+    k h_k = h_(k-2) - z h_(k-1), h_(-1) = 1 (Abramowitz & Stegun 26.2.40)
+    loses digits forward as z grows; there the ratios h_k / h_(k-1) come
+    from it backward instead, started at its fixed point k r^2 + z r = 1.
+    """
+    h = np.empty((n,) + z.shape)
+    h[0] = math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0))
+    if n == 1:
+        return h
+    fwd = z <= _FORWARD_MAX_Z
+    zf, zb = z[fwd], z[~fwd]
+    prev, cur = np.ones_like(zf), h[0][fwd]
+    for k in range(1, n):
+        prev, cur = cur, (prev - zf * cur) / k
+        h[k][fwd] = cur
+    top = n - 1 + _BACKWARD_STEPS
+    ratio = (np.sqrt(zb * zb + 4.0 * top) - zb) / (2.0 * top)
+    back = h[:, ~fwd]
+    for k in range(top, 0, -1):
+        if k < n:
+            back[k] = ratio
+        ratio = 1.0 / (zb + k * ratio)
+    h[:, ~fwd] = np.cumprod(back, axis=0)
+    return h
 
-    return log_adaptive_quad(
-        log_f, piece.lo, piece.hi,
-        rel_tol=d.quadrature_tol,
-        seed_points=_piece_seeds(d, x, piece.lo, piece.hi),
-    )
+
+def _expanded(coeffs, point: float) -> np.ndarray:
+    """sum c_k t^k as the coefficients of its powers of (t - point)."""
+    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0])).trim().coef
 
 
-def _log_kernel_mass(d: MollifiedDensity, x: float) -> float:
-    """log of integral of exp(-(x-t)^2 / 2 delta) d mu(t)."""
-    terms = list(_atom_log_terms(d, x))
-    terms.extend(_piece_log_integral(d, p, x) for p in d.base.pieces)
-    return float(logsumexp(terms))
+def _endpoint_terms(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
+                    xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log terms, one row per point, of the integral over [lo, hi] of
+    q(t) exp(-(x-t)^2 / 2 delta), q(t) = sum c_k (t - lo)^k, by parts: the
+    ends c, lo of the part left of x, then c, hi of the part right of x."""
+    c = np.clip(xs, lo, hi)
+    ends = np.stack([c, np.full_like(xs, lo), np.full_like(xs, hi)])
+    z = np.abs(ends - xs) / d.sigma
+    h = _scaled_tail_integrals(z, len(coeffs))
+    vals, der = [], coeffs
+    for _ in coeffs:
+        vals.append(np.polynomial.polynomial.polyval(ends - lo, der))
+        der = np.polynomial.polynomial.polyder(der)
+    sums = np.stack([sum((direction * d.sigma) ** k * vals[k][end] * h[k][end]
+                         for k in range(len(coeffs)))
+                     for end, direction in ((0, -1.0), (1, -1.0), (0, 1.0), (2, 1.0))],
+                    axis=1) * np.array([1.0, -1.0, 1.0, -1.0])
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(sums)) + math.log(d.sigma) - 0.5 * z[[0, 1, 0, 2]].T ** 2
+    log_abs[c <= lo, :2] = NEG_INF
+    log_abs[c >= hi, 2:] = NEG_INF
+    return log_abs, np.sign(sums)
+
+
+def _node_terms(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same integral's Gauss-Legendre terms, one row per point."""
+    half = 0.5 * (hi - lo)
+    t = 0.5 * (lo + hi) + half * _GL_NODES
+    q = np.polynomial.polynomial.polyval(t - lo, coeffs)
+    with np.errstate(divide="ignore"):
+        log_abs = (np.log(half * _GL_WEIGHTS * np.abs(q))
+                   - (xs[:, None] - t) ** 2 / (2.0 * d.delta))
+    return log_abs, np.broadcast_to(np.sign(q), log_abs.shape)
+
+
+def _log_kernel_integral(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
+                         xs: np.ndarray) -> np.ndarray:
+    """log of the integral over [lo, hi] of q(t) exp(-(x-t)^2 / 2 delta), for
+    q(t) = sum c_k (t - lo)^k >= 0 on [lo, hi]; -inf if rounding leaves it <= 0.
+
+    Terms by parts cancel to a relative error of about eps (layer / width)^degree
+    with layer = delta / (|x - c| + sqrt(delta)), the kernel's boundary layer;
+    the rule takes the points where that error is not negligible.
+    """
+    use_rule = (hi - lo) * (np.abs(xs - np.clip(xs, lo, hi)) + d.sigma) < _WIDE_KERNEL * d.delta
+    out = np.empty_like(xs)
+    for rows, terms in ((~use_rule, _endpoint_terms), (use_rule, _node_terms)):
+        if rows.any():
+            log_terms, signs = terms(d, coeffs, lo, hi, xs[rows])
+            val, sign = logsumexp(log_terms, b=signs, axis=1, return_sign=True)
+            out[rows] = np.where(sign > 0.0, val, NEG_INF)
+    return out
+
+
+def _log_unnormalized_density(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
+    """log of integral of exp(-(x-t)^2 / 2 delta) d mu(t), per point."""
+    cols = [_atom_log_terms(d, xs)]
+    cols.extend(_log_kernel_integral(d, _expanded(p.coeffs, p.lo), p.lo, p.hi, xs)[:, None]
+                for p in d.base.pieces)
+    return logsumexp(np.concatenate(cols, axis=1), axis=1)
 
 
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
     """log p(x).  Finite for every finite x since the Gaussian kernel is positive."""
     norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_log_kernel_mass(d, float(xi)) for xi in xs]) - norm_const
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _blockwise(lambda xs: _log_unnormalized_density(d, xs) - norm_const, x)
 
 
-def log_density_ratio_grad(d: MollifiedDensity, x: float) -> float:
+def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
+    m = d.base
+    with np.errstate(divide="ignore"):
+        logs = [_atom_log_terms(d, xs) + np.log(np.abs(m.atom_locations))]
+    signs = [np.broadcast_to(np.sign(m.atom_locations), logs[0].shape)]
+    for p in m.pieces:
+        # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
+        q = _expanded(p.coeffs, p.lo)
+        above_lo = _log_kernel_integral(d, np.polynomial.polynomial.polymulx(q), p.lo, p.hi, xs)
+        with np.errstate(divide="ignore"):
+            at_lo = np.log(abs(p.lo)) + _log_kernel_integral(d, q, p.lo, p.hi, xs)
+        logs.append(np.stack([above_lo, at_lo], axis=1))
+        signs.append(np.broadcast_to([1.0, np.sign(p.lo)], logs[-1].shape))
+    log_num, sign = logsumexp(np.concatenate(logs, axis=1), b=np.concatenate(signs, axis=1),
+                              axis=1, return_sign=True)
+    tilted_mean = sign * np.exp(log_num - _log_unnormalized_density(d, xs))
+    return (tilted_mean - xs) / d.delta
+
+
+def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
     """Score p'(x)/p(x), computed as (tilted mean - x) / delta.
 
     With nu_x the Gaussian-tilted base measure, p'(x)/p(x) equals
     (E_{nu_x}[t] - x) / delta; numerator and denominator share one
     log-sum-exp normalization so nothing overflows.
     """
-    x = float(x)
-    den_terms: list[float] = list(_atom_log_terms(d, x))
-    num_terms: list[float] = []
-    num_signs: list[float] = []
+    return _blockwise(lambda xs: _score(d, xs), x)
+
+
+def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
     m = d.base
-    for loc, w in m.atoms:
-        if w <= 0.0:
-            continue
-        base = math.log(w) - (x - loc) ** 2 / (2.0 * d.delta)
-        if loc != 0.0:
-            num_terms.append(base + math.log(abs(loc)))
-            num_signs.append(math.copysign(1.0, loc))
-    for p in m.pieces:
-        den_terms.append(_piece_log_integral(d, p, x))
-        # first moment, split at 0 so the integrand keeps one sign
-        for lo, hi, sign in ((p.lo, min(p.hi, 0.0), -1.0), (max(p.lo, 0.0), p.hi, 1.0)):
-            if lo >= hi:
-                continue
-
-            def log_f(t, p=p):
-                rho = np.maximum(np.asarray(p.density(t), dtype=float), 0.0)
-                val = rho * np.abs(t)
-                with np.errstate(divide="ignore"):
-                    return np.where(val > 0.0, np.log(np.maximum(val, 1e-300)), NEG_INF) - (
-                        (x - t) ** 2 / (2.0 * d.delta)
-                    )
-
-            part = log_adaptive_quad(
-                log_f, lo, hi,
-                rel_tol=d.quadrature_tol,
-                seed_points=_piece_seeds(d, x, lo, hi),
-            )
-            if part > NEG_INF:
-                num_terms.append(part)
-                num_signs.append(sign)
-    log_den = float(logsumexp(den_terms))
-    if not num_terms:
-        tilted_mean = 0.0
-    else:
-        log_num, sign = logsumexp(np.array(num_terms), b=np.array(num_signs),
-                                  return_sign=True)
-        tilted_mean = float(sign) * math.exp(float(log_num) - log_den)
-    return (tilted_mean - x) / d.delta
-
-
-def tail_mass(d: MollifiedDensity, x: float, side: Side) -> float:
-    """log F(x) (left) or log(1 - F(x)) (right) of the mollified measure.
-
-    Atoms contribute exact Gaussian CDF terms through log_ndtr; pieces
-    are integrated adaptively in log space.
-    """
-    _check_side(side)
-    x = float(x)
     sgn = 1.0 if side == "left" else -1.0
-    terms: list[float] = []
-    m = d.base
-    for loc, w in m.atoms:
-        if w > 0.0:
-            terms.append(math.log(w) + float(log_ndtr(sgn * (x - loc) / d.sigma)))
+    cols = [_atom_log_weights(m)[None, :]
+            + log_ndtr(sgn * (xs[:, None] - m.atom_locations[None, :]) / d.sigma)]
     for p in m.pieces:
+        # by parts: the piece's mass at its far end, plus the kernel integral
+        # of its mass below t (the right tail: the left tail of the piece
+        # reflected, at -x)
+        lo, hi, coeffs, x = (p.lo, p.hi, p.coeffs, xs) if side == "left" else (
+            -p.hi, -p.lo, np.multiply(p.coeffs, (-1.0) ** np.arange(len(p.coeffs))), -xs)
+        below = np.polynomial.polynomial.polyint(_expanded(coeffs, lo))
+        with np.errstate(divide="ignore"):
+            cols.append(np.log(np.polynomial.polynomial.polyval(hi - lo, below))
+                        + log_ndtr((x - hi) / d.sigma)[:, None])
+        cols.append(_log_kernel_integral(d, below, lo, hi, x)[:, None]
+                    - 0.5 * math.log(2.0 * math.pi * d.delta))
+    return np.minimum(logsumexp(np.concatenate(cols, axis=1), axis=1), 0.0)
 
-        def log_f(t, p=p):
-            rho = np.maximum(np.asarray(p.density(t), dtype=float), 0.0)
-            with np.errstate(divide="ignore"):
-                return np.where(rho > 0.0, np.log(np.maximum(rho, 1e-300)), NEG_INF) + (
-                    log_ndtr(sgn * (x - t) / d.sigma)
-                )
 
-        # integrand decays toward the far piece end; seed around the near end
-        near = p.lo if side == "left" else p.hi
-        layer = d.delta / (abs(x - near) + d.sigma)
-        part = log_adaptive_quad(
-            log_f, p.lo, p.hi,
-            rel_tol=max(d.quadrature_tol, 1e-13),
-            seed_points=geometric_seeds(near, max(layer, 1e-12 * (p.hi - p.lo)),
-                                        p.lo, p.hi),
-        )
-        if part > NEG_INF:
-            terms.append(part)
-    if not terms:
-        return NEG_INF
-    return min(float(logsumexp(terms)), 0.0)
+def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:
+    """log F(x) (left) or log(1 - F(x)) (right) of the mollified measure."""
+    _check_side(side)
+    return _blockwise(lambda xs: _log_tail(d, xs, side), x)
 
 
 def median(d: MollifiedDensity) -> float:

@@ -157,6 +157,14 @@ def test_overflow_is_a_typed_error_naming_side_and_delta():
     assert not issubclass(errors.NumericalOverflow, errors.ValidationError)
 
 
+def test_c_upper_overflow_is_a_typed_error():
+    # D0 = D1 = 4.4e305 are finite here, but 468 (D0 + D1) is not
+    with pytest.raises(errors.NumericalOverflow,
+                       match=r"c_upper = exp\(7\d\d\.\d+\) exceeds the float range"
+                             r" at delta=0.0007"):
+        compute_bg(MollifiedDensity(two_point(), 7e-4))
+
+
 # ---------------------------------------------------------------------------
 # invariances and inputs far from the origin
 # ---------------------------------------------------------------------------
@@ -241,6 +249,96 @@ def test_scaling_law(atoms, delta, lam):
     assert scaled.D1 == pytest.approx(lam * lam * base.D1, rel=1e-8)
     assert scaled.x_star_0 == pytest.approx(lam * base.x_star_0, abs=1e-4 * max(1.0, lam))
     assert scaled.x_star_1 == pytest.approx(lam * base.x_star_1, abs=1e-4 * max(1.0, lam))
+
+
+def piece_measure(atoms, piece):
+    """Atoms plus one degree-1 piece, from dyadic inputs: moved by an integer
+    up to 1e4 or reflected, the coefficients stay exact, so the mass that
+    ``build_measure`` checks to 1e-9 stays exactly 1."""
+    (lo, width, mass, tilt) = piece
+    slope = 2.0 * mass * tilt / width ** 2
+    coeffs = [mass * (1.0 - tilt) / width - slope * lo, slope]
+    rest = 1.0 - mass
+    return build_measure({
+        "atoms": [{"x": x, "w": rest * share} for x, share in atoms],
+        "pieces": [{"lo": lo, "hi": lo + width, "coeffs": coeffs}],
+    })
+
+
+# (lo, width, mass, tilt): density (mass / width) (1 + tilt (2 (t - lo) / width - 1))
+PIECES = st.tuples(st.integers(-128, 128).map(lambda k: k / 64.0),
+                   st.sampled_from([0.5, 1.0, 2.0]),
+                   st.sampled_from([0.25, 0.5, 0.75]),
+                   st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+PIECE_ATOMS = st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.75)]).flatmap(
+    lambda shares: st.lists(st.integers(-128, 128).map(lambda k: k / 64.0),
+                            min_size=len(shares), max_size=len(shares), unique=True)
+    .map(lambda xs: list(zip(xs, shares))))
+
+
+def moved(atoms, piece, shift=0, sign=1.0):
+    """The inputs of ``piece_measure`` mapped through t -> sign t + shift."""
+    lo, width, mass, tilt = piece
+    lo = lo + shift if sign > 0 else shift - lo - width
+    return [(sign * x + shift, w) for x, w in atoms], (lo, width, mass, sign * tilt)
+
+
+@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS, shift=st.integers(-10 ** 4, 10 ** 4))
+@settings(max_examples=10, deadline=None)
+def test_translation_invariance_with_piece(atoms, piece, delta, shift):
+    base = compute_bg(MollifiedDensity(piece_measure(atoms, piece), delta))
+    other = compute_bg(MollifiedDensity(piece_measure(*moved(atoms, piece, shift)), delta))
+    assert other.D0 == pytest.approx(base.D0, rel=1e-8)
+    assert other.D1 == pytest.approx(base.D1, rel=1e-8)
+    assert other.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
+    assert other.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
+
+
+@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS)
+@settings(max_examples=10, deadline=None)
+def test_reflection_swaps_sides_with_piece(atoms, piece, delta):
+    base = compute_bg(MollifiedDensity(piece_measure(atoms, piece), delta))
+    refl = compute_bg(MollifiedDensity(piece_measure(*moved(atoms, piece, sign=-1.0)), delta))
+    assert refl.D0 == pytest.approx(base.D1, rel=1e-8)
+    assert refl.D1 == pytest.approx(base.D0, rel=1e-8)
+    assert refl.x_star_0 == pytest.approx(-base.x_star_1, abs=1e-4)
+    assert refl.x_star_1 == pytest.approx(-base.x_star_0, abs=1e-4)
+
+
+def scaled_measure(m, lam):
+    return build_measure({
+        "atoms": [{"x": lam * x, "w": w} for x, w in m.atoms],
+        "pieces": [{"lo": lam * p.lo, "hi": lam * p.hi,
+                    "coeffs": [c / lam ** (k + 1) for k, c in enumerate(p.coeffs)]}
+                   for p in m.pieces],
+    })
+
+
+@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS, lam=st.floats(0.1, 10.0))
+@settings(max_examples=10, deadline=None)
+def test_scaling_law_with_piece(atoms, piece, delta, lam):
+    m = piece_measure(atoms, piece)
+    base = compute_bg(MollifiedDensity(m, delta))
+    scaled = compute_bg(MollifiedDensity(scaled_measure(m, lam), lam * lam * delta))
+    assert scaled.D0 == pytest.approx(lam * lam * base.D0, rel=1e-8)
+    assert scaled.D1 == pytest.approx(lam * lam * base.D1, rel=1e-8)
+    assert scaled.x_star_0 == pytest.approx(lam * base.x_star_0, abs=1e-4 * max(1.0, lam))
+    assert scaled.x_star_1 == pytest.approx(lam * base.x_star_1, abs=1e-4 * max(1.0, lam))
+
+
+def test_scaled_and_shifted_piece_measure():
+    # the atom + degree-1 piece scaled by 0.6 and moved by 84, an input the
+    # spline surrogate's nested quadrature did not finish in minutes
+    base = compute_bg(MollifiedDensity(build_measure({
+        "atoms": [{"x": -1.0, "w": 0.25}],
+        "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}), 0.5))
+    other = compute_bg(MollifiedDensity(build_measure({
+        "atoms": [{"x": 83.4, "w": 0.25}],
+        "pieces": [{"lo": 84.0, "hi": 84.6, "coeffs": [-350.0, 4.166666666666667]}]}), 0.18))
+    assert other.D0 == pytest.approx(0.36 * base.D0, rel=1e-8)
+    assert other.D1 == pytest.approx(0.36 * base.D1, rel=1e-8)
+    assert other.x_star_0 - 84.0 == pytest.approx(0.6 * base.x_star_0, abs=1e-4)
+    assert other.x_star_1 - 84.0 == pytest.approx(0.6 * base.x_star_1, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,19 @@ def test_estimate_overflow_exit_2_names_side_and_delta(two_point_file, capsys):
     assert "exceeds the float range at delta=0.0005" in err
 
 
+def test_estimate_c_upper_overflow_exit_2(two_point_file, tmp_path, capsys):
+    # D0 and D1 are finite at this delta, 468 (D0 + D1) is not
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.0007",
+                              "--out", str(out_path)], capsys)
+    assert code == 2
+    assert "error: c_upper = exp(" in err
+    assert "exceeds the float range at delta=0.0007" in err
+    assert "Infinity" not in out + err
+    assert not out_path.exists()
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+
 def test_estimate_byte_stable(two_point_file, capsys):
     _, out1, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)
     _, out2, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)

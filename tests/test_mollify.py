@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
-from lsi_lab import errors
+from lsi_lab import errors, mollify
 from lsi_lab.measure import build_measure, point_mass, two_point, uniform
 from lsi_lab.mollify import (
     MollifiedDensity,
@@ -72,6 +73,108 @@ def test_log_density_positive_everywhere():
     d = MollifiedDensity(two_point(), 0.05)
     xs = np.linspace(-30, 30, 41)
     assert np.all(np.isfinite(log_density(d, xs)))
+
+
+# ---------------------------------------------------------------------------
+# closed-form piece kernel against the dense oracle
+# ---------------------------------------------------------------------------
+
+# (lo, hi, coeffs, log q with no cancellation near the ends)
+KERNEL_PIECES = {
+    "constant": (0.0, 1.0, [1.0], lambda t: np.zeros_like(t)),
+    "linear": (0.0, 1.0, [0.4, 1.2], lambda t: np.log(0.4 + 1.2 * t)),
+    "degree6": (0.0, 1.0, [0.0, 0.0, 0.0, 140.0, -420.0, 420.0, -140.0],
+                lambda t: math.log(140.0) + 3.0 * np.log(t) + 3.0 * np.log1p(-t)),
+    "narrow": (0.0, 1e-3, [1000.0], lambda t: np.full_like(t, math.log(1000.0))),
+}
+
+
+def piece_measure(lo, hi, coeffs):
+    return build_measure({"pieces": [{"lo": lo, "hi": hi, "coeffs": coeffs}]})
+
+
+def log_trapezoid_extrapolated(log_f, a, b, n=100_001):
+    """log_trapezoid at n and 2n - 1 points, Richardson-extrapolated in h^2."""
+    coarse = log_trapezoid(log_f, a, b, n)
+    fine = log_trapezoid(log_f, a, b, 2 * n - 1)
+    return fine + (fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("name", sorted(KERNEL_PIECES))
+def test_piece_kernel_against_dense_oracle(name, delta):
+    lo, hi, coeffs, log_q = KERNEL_PIECES[name]
+    d = MollifiedDensity(piece_measure(lo, hi, coeffs), delta)
+    sd = math.sqrt(delta)
+    for x in (lo - 40.0 * sd, lo - sd, lo + 0.3 * (hi - lo), hi + 0.5 * sd, hi + 40.0 * sd):
+        # the oracle grids cover where the integrand is within e^-60 of its
+        # largest kernel value
+        c = min(max(x, lo), hi)
+        reach = math.sqrt((x - c) ** 2 + 120.0 * delta)
+        a, b = max(lo, x - reach), min(hi, x + reach)
+        with np.errstate(divide="ignore"):
+            want = (
+                log_trapezoid_extrapolated(
+                    lambda t: log_q(t) - (x - t) ** 2 / (2 * delta)
+                    - 0.5 * math.log(2 * math.pi * delta), a, b),
+                log_trapezoid_extrapolated(
+                    lambda t: log_q(t) + log_ndtr((x - t) / sd), lo, b),
+                log_trapezoid_extrapolated(
+                    lambda t: log_q(t) + log_ndtr((t - x) / sd), a, hi),
+            )
+        got = (log_density(d, x), tail_mass(d, x, "left"), tail_mass(d, x, "right"))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (x, got, want)
+
+
+@pytest.mark.parametrize("delta", [0.05, 1.0, 100.0])
+@pytest.mark.parametrize("name", ["linear", "degree6", "narrow"])
+def test_piece_score_matches_finite_difference(name, delta):
+    lo, hi, coeffs, _ = KERNEL_PIECES[name]
+    d = MollifiedDensity(piece_measure(lo, hi, coeffs), delta)
+    sd = math.sqrt(delta)
+    for x in (lo - 10.0 * sd, lo + 0.3 * (hi - lo), hi + 0.5 * sd, hi + 10.0 * sd):
+        h = 1e-4 * sd
+        fd = (log_density(d, x + h) - log_density(d, x - h)) / (2 * h)
+        score = log_density_ratio_grad(d, x)
+        assert abs(score - fd) <= 1e-6 * max(1.0 / sd, abs(score)), (x, score, fd)
+
+
+def test_degree6_far_right_returns():
+    # the expanded polynomial cancels near t = 1; quadrature of its
+    # logarithm used to bisect rounding noise here without returning
+    lo, hi, coeffs, log_q = KERNEL_PIECES["degree6"]
+    delta, x = 0.05, 9.0
+    got = log_density(MollifiedDensity(piece_measure(lo, hi, coeffs), delta), x)
+    with np.errstate(divide="ignore"):
+        want = log_trapezoid_extrapolated(
+            lambda t: log_q(t) - (x - t) ** 2 / (2 * delta)
+            - 0.5 * math.log(2 * math.pi * delta), lo, hi)
+    assert got == pytest.approx(want, abs=1e-10 * abs(want))
+
+
+def test_piece_paths_make_no_adaptive_quadrature_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a piece path called the adaptive quadrature")
+
+    monkeypatch.setattr(mollify, "log_adaptive_quad", forbidden)
+    d = MollifiedDensity(mixed_measure(), 0.3)
+    xs = np.linspace(-6.0, 8.0, 50)
+    for values in (log_density(d, xs), tail_mass(d, xs, "left"), tail_mass(d, xs, "right"),
+                   log_density_ratio_grad(d, xs)):
+        assert np.all(np.isfinite(values))
+
+
+def test_array_evaluation_matches_scalar():
+    d = MollifiedDensity(mixed_measure(), 0.3)
+    xs = np.linspace(-6.0, 8.0, 12).reshape(3, 4)
+    for fn in (lambda x: log_density(d, x), lambda x: tail_mass(d, x, "left"),
+               lambda x: tail_mass(d, x, "right"), lambda x: log_density_ratio_grad(d, x)):
+        grid = fn(xs)
+        assert grid.shape == xs.shape
+        scalars = [fn(float(x)) for x in xs.ravel()]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.array_equal(grid.ravel(), np.array(scalars))
 
 
 # ---------------------------------------------------------------------------
