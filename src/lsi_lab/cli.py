@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmt", help="random-matrix concentration experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("LSI_LAB_THREADS", "1")))
+    p.add_argument("--threads", type=int, help="default $LSI_LAB_THREADS, else 1")
     common(p)
 
     p = sub.add_parser("bakry", help="probe-based curvature certificate")
@@ -123,10 +122,13 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_rmt(args) -> str:
-    if args.threads < 1:
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("LSI_LAB_THREADS", "1"))
+    if threads < 1:
         raise ValidationError("--threads must be >= 1")
     config = rmt.config_from_dict(_read_json(args.config))
-    report = rmt.concentration_experiment(config, workers=args.threads)
+    report = rmt.concentration_experiment(config, workers=threads)
     if args.format == "csv":
         return report.to_csv()
     return _dump_json(report.to_dict())
@@ -198,8 +200,12 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
+# built once: five subparsers cost about as much as a short job's arithmetic
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
         _emit(text, args.out)

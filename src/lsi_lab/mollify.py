@@ -89,8 +89,7 @@ def _blockwise(fn, x):
 
 def _atom_log_weights(m: Measure1D) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.where(m.atom_weights > 0.0, np.log(np.maximum(m.atom_weights, 1e-300)),
-                        NEG_INF)
+        return np.log(m.atom_weights)
 
 
 def _atom_log_terms(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
@@ -188,37 +187,35 @@ def _log_kernel_integral(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi:
     return out
 
 
-def _log_unnormalized_density(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
-    """log of integral of exp(-(x-t)^2 / 2 delta) d mu(t), per point."""
-    cols = [_atom_log_terms(d, xs)]
-    cols.extend(_log_kernel_integral(d, _expanded(p.coeffs, p.lo), p.lo, p.hi, xs)[:, None]
-                for p in d.base.pieces)
-    return logsumexp(np.concatenate(cols, axis=1), axis=1)
+def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
+    """log of integral of exp(-(x-t)^2 / 2 delta) over each atom, then each
+    piece, of mu: one row per point, one column per atom and per piece."""
+    return np.column_stack([_atom_log_terms(d, xs)] + [
+        _log_kernel_integral(d, _expanded(p.coeffs, p.lo), p.lo, p.hi, xs)
+        for p in d.base.pieces])
 
 
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
     """log p(x).  Finite for every finite x since the Gaussian kernel is positive."""
     norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
-    return _blockwise(lambda xs: _log_unnormalized_density(d, xs) - norm_const, x)
+    return _blockwise(lambda xs: logsumexp(_log_masses(d, xs), axis=1) - norm_const, x)
 
 
 def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     m = d.base
+    masses = _log_masses(d, xs)
+    n = len(m.atom_locations)
+    signs = [np.broadcast_to(np.sign(m.atom_locations), (len(xs), n))]
     with np.errstate(divide="ignore"):
-        logs = [_atom_log_terms(d, xs) + np.log(np.abs(m.atom_locations))]
-    signs = [np.broadcast_to(np.sign(m.atom_locations), logs[0].shape)]
-    for p in m.pieces:
-        # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
-        q = _expanded(p.coeffs, p.lo)
-        above_lo = _log_kernel_integral(d, np.polynomial.polynomial.polymulx(q), p.lo, p.hi, xs)
-        with np.errstate(divide="ignore"):
-            at_lo = np.log(abs(p.lo)) + _log_kernel_integral(d, q, p.lo, p.hi, xs)
-        logs.append(np.stack([above_lo, at_lo], axis=1))
-        signs.append(np.broadcast_to([1.0, np.sign(p.lo)], logs[-1].shape))
-    log_num, sign = logsumexp(np.concatenate(logs, axis=1), b=np.concatenate(signs, axis=1),
+        logs = [masses[:, :n] + np.log(np.abs(m.atom_locations))]
+        for p, mass in zip(m.pieces, masses[:, n:].T):
+            # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
+            q = np.polynomial.polynomial.polymulx(_expanded(p.coeffs, p.lo))
+            logs += [_log_kernel_integral(d, q, p.lo, p.hi, xs), mass + np.log(abs(p.lo))]
+            signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
+    log_num, sign = logsumexp(np.column_stack(logs), b=np.column_stack(signs),
                               axis=1, return_sign=True)
-    tilted_mean = sign * np.exp(log_num - _log_unnormalized_density(d, xs))
-    return (tilted_mean - xs) / d.delta
+    return (sign * np.exp(log_num - logsumexp(masses, axis=1)) - xs) / d.delta
 
 
 def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:

@@ -205,53 +205,12 @@ def test_refinement_iteration_cap(monkeypatch):
     assert len(calls) == 5 + 2
 
 
-def atom_measure(atoms):
+def atom_spec(atoms):
     total = sum(w for _, w in atoms)
-    return build_measure({"atoms": [{"x": x, "w": w / total} for x, w in atoms]})
+    return {"atoms": [{"x": x, "w": w / total} for x, w in atoms], "pieces": []}
 
 
-# atoms on a 1/64 grid, so translating them by an integer up to 1e8 is exact
-ATOMS = st.lists(st.tuples(st.integers(-128, 128).map(lambda k: k / 64.0), st.integers(1, 4)),
-                 min_size=1, max_size=3, unique_by=lambda a: a[0])
-DELTAS = st.floats(0.25, 2.0)
-
-
-@given(atoms=ATOMS, delta=DELTAS, shift=st.integers(-10 ** 8, 10 ** 8))
-@settings(max_examples=10, deadline=None)
-def test_translation_invariance(atoms, delta, shift):
-    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
-    moved = compute_bg(MollifiedDensity(atom_measure([(x + shift, w) for x, w in atoms]), delta))
-    assert moved.D0 == pytest.approx(base.D0, rel=1e-8)
-    assert moved.D1 == pytest.approx(base.D1, rel=1e-8)
-    assert moved.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
-    assert moved.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
-
-
-@given(atoms=ATOMS, delta=DELTAS)
-@settings(max_examples=10, deadline=None)
-def test_reflection_swaps_sides(atoms, delta):
-    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
-    refl = compute_bg(MollifiedDensity(atom_measure([(-x, w) for x, w in atoms]), delta))
-    assert refl.D0 == pytest.approx(base.D1, rel=1e-8)
-    assert refl.D1 == pytest.approx(base.D0, rel=1e-8)
-    assert refl.x_star_0 == pytest.approx(-base.x_star_1, abs=1e-4)
-    assert refl.x_star_1 == pytest.approx(-base.x_star_0, abs=1e-4)
-
-
-@given(atoms=ATOMS, delta=DELTAS, lam=st.floats(0.1, 10.0))
-@settings(max_examples=10, deadline=None)
-def test_scaling_law(atoms, delta, lam):
-    # D(lambda mu, lambda^2 delta) = lambda^2 D(mu, delta), and x* scales by lambda
-    base = compute_bg(MollifiedDensity(atom_measure(atoms), delta))
-    scaled = compute_bg(MollifiedDensity(atom_measure([(lam * x, w) for x, w in atoms]),
-                                         lam * lam * delta))
-    assert scaled.D0 == pytest.approx(lam * lam * base.D0, rel=1e-8)
-    assert scaled.D1 == pytest.approx(lam * lam * base.D1, rel=1e-8)
-    assert scaled.x_star_0 == pytest.approx(lam * base.x_star_0, abs=1e-4 * max(1.0, lam))
-    assert scaled.x_star_1 == pytest.approx(lam * base.x_star_1, abs=1e-4 * max(1.0, lam))
-
-
-def piece_measure(atoms, piece):
+def piece_spec(atoms, piece):
     """Atoms plus one degree-1 piece, from dyadic inputs: moved by an integer
     up to 1e4 or reflected, the coefficients stay exact, so the mass that
     ``build_measure`` checks to 1e-9 stays exactly 1."""
@@ -259,67 +218,74 @@ def piece_measure(atoms, piece):
     slope = 2.0 * mass * tilt / width ** 2
     coeffs = [mass * (1.0 - tilt) / width - slope * lo, slope]
     rest = 1.0 - mass
-    return build_measure({
-        "atoms": [{"x": x, "w": rest * share} for x, share in atoms],
-        "pieces": [{"lo": lo, "hi": lo + width, "coeffs": coeffs}],
-    })
+    return {"atoms": [{"x": x, "w": rest * share} for x, share in atoms],
+            "pieces": [{"lo": lo, "hi": lo + width, "coeffs": coeffs}]}
 
 
-# (lo, width, mass, tilt): density (mass / width) (1 + tilt (2 (t - lo) / width - 1))
-PIECES = st.tuples(st.integers(-128, 128).map(lambda k: k / 64.0),
-                   st.sampled_from([0.5, 1.0, 2.0]),
-                   st.sampled_from([0.25, 0.5, 0.75]),
-                   st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
-PIECE_ATOMS = st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.75)]).flatmap(
-    lambda shares: st.lists(st.integers(-128, 128).map(lambda k: k / 64.0),
-                            min_size=len(shares), max_size=len(shares), unique=True)
-    .map(lambda xs: list(zip(xs, shares))))
+def mapped(spec, scale=1.0, shift=0):
+    """The measure of ``spec`` pushed forward by t -> scale t + shift."""
+    def piece(p):
+        c0, c1 = (list(p["coeffs"]) + [0.0])[:2]
+        lo, hi = sorted((scale * p["lo"] + shift, scale * p["hi"] + shift))
+        return {"lo": lo, "hi": hi,
+                "coeffs": [(c0 - c1 * shift / scale) / abs(scale), c1 / (scale * abs(scale))]}
+    return {"atoms": [{"x": scale * a["x"] + shift, "w": a["w"]} for a in spec["atoms"]],
+            "pieces": [piece(p) for p in spec["pieces"]]}
 
 
-def moved(atoms, piece, shift=0, sign=1.0):
-    """The inputs of ``piece_measure`` mapped through t -> sign t + shift."""
-    lo, width, mass, tilt = piece
-    lo = lo + shift if sign > 0 else shift - lo - width
-    return [(sign * x + shift, w) for x, w in atoms], (lo, width, mass, sign * tilt)
+def bracket(spec, delta):
+    return compute_bg(MollifiedDensity(build_measure(spec), delta))
 
 
-@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS, shift=st.integers(-10 ** 4, 10 ** 4))
-@settings(max_examples=10, deadline=None)
-def test_translation_invariance_with_piece(atoms, piece, delta, shift):
-    base = compute_bg(MollifiedDensity(piece_measure(atoms, piece), delta))
-    other = compute_bg(MollifiedDensity(piece_measure(*moved(atoms, piece, shift)), delta))
-    assert other.D0 == pytest.approx(base.D0, rel=1e-8)
-    assert other.D1 == pytest.approx(base.D1, rel=1e-8)
-    assert other.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
-    assert other.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
+GRID = st.integers(-128, 128).map(lambda k: k / 64.0)
+# atoms on a 1/64 grid, so translating them by an integer up to 1e8 is exact
+ATOMS = st.lists(st.tuples(GRID, st.integers(1, 4)), min_size=1, max_size=3,
+                 unique_by=lambda a: a[0]).map(atom_spec)
+# one piece of density (mass / width) (1 + tilt (2 (t - lo) / width - 1)), and
+# atoms sharing the rest of the mass
+WITH_PIECE = st.builds(
+    piece_spec,
+    st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.75)]).flatmap(
+        lambda shares: st.lists(GRID, min_size=len(shares), max_size=len(shares), unique=True)
+        .map(lambda xs: list(zip(xs, shares)))),
+    st.tuples(GRID, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.25, 0.5, 0.75]),
+              st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])))
+MEASURES = st.one_of(ATOMS, WITH_PIECE)
+# a piece far out loses digits in its absolute-coordinate coefficients
+SHIFTED = st.one_of(st.tuples(ATOMS, st.integers(-10 ** 8, 10 ** 8)),
+                    st.tuples(WITH_PIECE, st.integers(-10 ** 4, 10 ** 4)))
+DELTAS = st.floats(0.25, 2.0)
 
 
-@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS)
-@settings(max_examples=10, deadline=None)
-def test_reflection_swaps_sides_with_piece(atoms, piece, delta):
-    base = compute_bg(MollifiedDensity(piece_measure(atoms, piece), delta))
-    refl = compute_bg(MollifiedDensity(piece_measure(*moved(atoms, piece, sign=-1.0)), delta))
+@given(case=SHIFTED, delta=DELTAS)
+@settings(max_examples=20, deadline=None)
+def test_translation_invariance(case, delta):
+    spec, shift = case
+    base = bracket(spec, delta)
+    moved = bracket(mapped(spec, shift=shift), delta)
+    assert moved.D0 == pytest.approx(base.D0, rel=1e-8)
+    assert moved.D1 == pytest.approx(base.D1, rel=1e-8)
+    assert moved.x_star_0 - shift == pytest.approx(base.x_star_0, abs=1e-4)
+    assert moved.x_star_1 - shift == pytest.approx(base.x_star_1, abs=1e-4)
+
+
+@given(spec=MEASURES, delta=DELTAS)
+@settings(max_examples=20, deadline=None)
+def test_reflection_swaps_sides(spec, delta):
+    base = bracket(spec, delta)
+    refl = bracket(mapped(spec, scale=-1.0), delta)
     assert refl.D0 == pytest.approx(base.D1, rel=1e-8)
     assert refl.D1 == pytest.approx(base.D0, rel=1e-8)
     assert refl.x_star_0 == pytest.approx(-base.x_star_1, abs=1e-4)
     assert refl.x_star_1 == pytest.approx(-base.x_star_0, abs=1e-4)
 
 
-def scaled_measure(m, lam):
-    return build_measure({
-        "atoms": [{"x": lam * x, "w": w} for x, w in m.atoms],
-        "pieces": [{"lo": lam * p.lo, "hi": lam * p.hi,
-                    "coeffs": [c / lam ** (k + 1) for k, c in enumerate(p.coeffs)]}
-                   for p in m.pieces],
-    })
-
-
-@given(atoms=PIECE_ATOMS, piece=PIECES, delta=DELTAS, lam=st.floats(0.1, 10.0))
-@settings(max_examples=10, deadline=None)
-def test_scaling_law_with_piece(atoms, piece, delta, lam):
-    m = piece_measure(atoms, piece)
-    base = compute_bg(MollifiedDensity(m, delta))
-    scaled = compute_bg(MollifiedDensity(scaled_measure(m, lam), lam * lam * delta))
+@given(spec=MEASURES, delta=DELTAS, lam=st.floats(0.1, 10.0))
+@settings(max_examples=20, deadline=None)
+def test_scaling_law(spec, delta, lam):
+    # D(lambda mu, lambda^2 delta) = lambda^2 D(mu, delta), and x* scales by lambda
+    base = bracket(spec, delta)
+    scaled = bracket(mapped(spec, scale=lam), lam * lam * delta)
     assert scaled.D0 == pytest.approx(lam * lam * base.D0, rel=1e-8)
     assert scaled.D1 == pytest.approx(lam * lam * base.D1, rel=1e-8)
     assert scaled.x_star_0 == pytest.approx(lam * base.x_star_0, abs=1e-4 * max(1.0, lam))

@@ -168,6 +168,16 @@ def test_rmt_threads_byte_identical(tmp_path, capsys):
     assert out1 == out8
 
 
+def test_rmt_threads_default_read_per_call(tmp_path, capsys, monkeypatch):
+    cfg = rmt_config(tmp_path)
+    _, out1, _ = run_cli(["rmt", "--config", cfg, "--threads", "1"], capsys)
+    monkeypatch.setenv("LSI_LAB_THREADS", "2")
+    assert run_cli(["rmt", "--config", cfg], capsys)[1] == out1
+    monkeypatch.setenv("LSI_LAB_THREADS", "0")
+    code, out, err = run_cli(["rmt", "--config", cfg], capsys)
+    assert code == 2 and out == "" and "--threads must be >= 1" in err
+
+
 def test_rmt_unknown_law_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(["rmt", "--config", rmt_config(tmp_path, law="levy")], capsys)
     assert code == 2
