@@ -11,7 +11,8 @@ One binary, five subcommands:
 Exit codes: 0 success, 1 I/O failure, 2 validation failure.  Output files
 are written to a temporary sibling and renamed, so a nonzero exit never
 leaves a partial file.  Identical invocations produce byte-identical
-output; `--threads` never changes results, only wall time.
+output.  `rmt --threads N` splits each batch's chunks of trials across N
+threads; it never changes the bytes, only wall time.
 """
 from __future__ import annotations
 
@@ -53,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmt", help="random-matrix concentration experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, help="default $LSI_LAB_THREADS, else 1")
+    p.add_argument("--threads", type=int,
+                   help="threads that split each batch's chunks of trials (never changes"
+                        " the output); default $LSI_LAB_THREADS, else 1")
     common(p)
 
     p = sub.add_parser("bakry", help="probe-based curvature certificate")

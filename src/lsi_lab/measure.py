@@ -49,6 +49,11 @@ def _polyval(coeffs: Sequence[float], t):
     return np.polynomial.polynomial.polyval(t, np.asarray(coeffs, dtype=float))
 
 
+def expanded(coeffs: Sequence[float], point: float) -> np.ndarray:
+    """sum c_k t^k as the coefficients of its powers of (t - point)."""
+    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0])).trim().coef
+
+
 @dataclass(frozen=True)
 class Piece:
     """Polynomial density ``sum c_k t^k`` on ``[lo, hi]``."""
@@ -60,13 +65,16 @@ class Piece:
     def density(self, t):
         return _polyval(self.coeffs, t)
 
-    def mass_below(self, x: float) -> float:
-        """Exact integral of the density over ``[lo, min(x, hi)]``."""
-        top = min(x, self.hi)
-        if top <= self.lo:
-            return 0.0
-        anti = np.polynomial.polynomial.polyint(np.asarray(self.coeffs, dtype=float))
-        return float(_polyval(anti, top) - _polyval(anti, self.lo))
+    def mass_below(self, x):
+        """Exact integral of the density over ``[lo, min(x, hi)]``, for a
+        scalar or an array ``x``.
+
+        The antiderivative is taken in powers of ``t - lo``, so a piece far
+        from the origin loses nothing to cancellation.
+        """
+        anti = np.polynomial.polynomial.polyint(expanded(self.coeffs, self.lo))
+        out = _polyval(anti, np.clip(x, self.lo, self.hi) - self.lo)
+        return float(out) if np.ndim(out) == 0 else out
 
     @property
     def mass(self) -> float:
@@ -188,10 +196,8 @@ def measure_from_json(text: str) -> Measure1D:
 
 def translate(m: Measure1D, shift: float) -> Measure1D:
     """``m`` moved by ``shift``; piece polynomials are re-expanded in the new variable."""
-    back = np.polynomial.Polynomial([-shift, 1.0])
     pieces = tuple(
-        Piece(p.lo + shift, p.hi + shift,
-              tuple(float(c) for c in np.polynomial.Polynomial(p.coeffs)(back).coef))
+        Piece(p.lo + shift, p.hi + shift, tuple(float(c) for c in expanded(p.coeffs, -shift)))
         for p in m.pieces
     )
     return Measure1D(
@@ -227,9 +233,7 @@ def cdf(m: Measure1D, x) -> float | np.ndarray:
     for loc, w in m.atoms:
         out = out + w * (xs >= loc)
     for p in m.pieces:
-        anti = np.polynomial.polynomial.polyint(np.asarray(p.coeffs, dtype=float))
-        top = np.clip(xs, p.lo, p.hi)
-        out = out + (_polyval(anti, top) - _polyval(anti, p.lo))
+        out = out + p.mass_below(xs)
     if np.ndim(x) == 0:
         return float(out)
     return out

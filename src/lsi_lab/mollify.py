@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, logsumexp
 
 from .errors import InsideSupport, NonPositiveDelta, ValidationError
-from .measure import Measure1D, support_components
+from .measure import Measure1D, expanded, support_components
 from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
 
 Side = Literal["left", "right"]
@@ -127,11 +127,6 @@ def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _expanded(coeffs, point: float) -> np.ndarray:
-    """sum c_k t^k as the coefficients of its powers of (t - point)."""
-    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0])).trim().coef
-
-
 def _endpoint_terms(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
                     xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed log terms, one row per point, of the integral over [lo, hi] of
@@ -191,7 +186,7 @@ def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     """log of integral of exp(-(x-t)^2 / 2 delta) over each atom, then each
     piece, of mu: one row per point, one column per atom and per piece."""
     return np.column_stack([_atom_log_terms(d, xs)] + [
-        _log_kernel_integral(d, _expanded(p.coeffs, p.lo), p.lo, p.hi, xs)
+        _log_kernel_integral(d, expanded(p.coeffs, p.lo), p.lo, p.hi, xs)
         for p in d.base.pieces])
 
 
@@ -210,7 +205,7 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
         logs = [masses[:, :n] + np.log(np.abs(m.atom_locations))]
         for p, mass in zip(m.pieces, masses[:, n:].T):
             # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
-            q = np.polynomial.polynomial.polymulx(_expanded(p.coeffs, p.lo))
+            q = np.polynomial.polynomial.polymulx(expanded(p.coeffs, p.lo))
             logs += [_log_kernel_integral(d, q, p.lo, p.hi, xs), mass + np.log(abs(p.lo))]
             signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
     log_num, sign = logsumexp(np.column_stack(logs), b=np.column_stack(signs),
@@ -239,7 +234,7 @@ def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
         # reflected, at -x)
         lo, hi, coeffs, x = (p.lo, p.hi, p.coeffs, xs) if side == "left" else (
             -p.hi, -p.lo, np.multiply(p.coeffs, (-1.0) ** np.arange(len(p.coeffs))), -xs)
-        below = np.polynomial.polynomial.polyint(_expanded(coeffs, lo))
+        below = np.polynomial.polynomial.polyint(expanded(coeffs, lo))
         with np.errstate(divide="ignore"):
             cols.append(np.log(np.polynomial.polynomial.polyval(hi - lo, below))
                         + log_ndtr((x - hi) / d.sigma)[:, None])

@@ -17,11 +17,19 @@ per-cell diagnostics of the experiment report:
 
 Randomness is counter-based: every (seed, batch, trial, role) tuple keys
 an independent Philox stream, and each matrix entry consumes exactly one
-uniform from its stream in a fixed order, so results are bit-identical
-regardless of worker count.
+uniform from its stream in a fixed order.
+
+The experiment runs each batch as chunks of consecutive trials.  Every
+trial is still drawn (and mollified) on its own, but a chunk's matrices
+go to LAPACK as one stacked eigen-decomposition, at most ``CHUNK_BYTES``
+of dense matrices at a time.  With several workers, the chunks of a
+batch are split across threads and reassembled in chunk order; each
+matrix's eigenvalues are computed alone either way, so results are
+bit-identical regardless of worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +54,11 @@ from .mollify import MollifiedDensity
 # role tags for stream derivation
 _ROLE_ENTRIES = 1
 _ROLE_GAUSS = 2
+
+# dense matrices per eigen-decomposition call.  Larger chunks save little
+# more time, and with several workers the allocator keeps every thread's
+# chunk, so peak memory grows with this.
+CHUNK_BYTES = 256 * 1024
 
 
 def _uniforms(key: Sequence[int], count: int) -> np.ndarray:
@@ -235,6 +248,24 @@ def f_from_spec(spec) -> FSpec:
 # symmetric matrices
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _dense(n: int, upper: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix of each row-major upper triangle in ``upper``
+    (its last axis)."""
+    rows, cols = _triu(n)
+    out = np.zeros(upper.shape[:-1] + (n, n))
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper
+    return out
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """Symmetric matrix stored as its row-major upper triangle (diagonal included)."""
@@ -253,11 +284,7 @@ class SymmetricMatrix:
         self.upper.setflags(write=False)
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        out[iu] = self.upper
-        out.T[iu] = self.upper
-        return out
+        return _dense(self.n, self.upper)
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "SymmetricMatrix":
@@ -265,7 +292,7 @@ class SymmetricMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("from_dense needs a square matrix")
         n = mat.shape[0]
-        return cls(n, mat[np.triu_indices(n)].copy())
+        return cls(n, mat[_triu(n)])
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
         return SymmetricMatrix(self.n, self.upper * factor)
@@ -295,15 +322,26 @@ def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
     return SymmetricMatrix(y.n, y.upper + math.sqrt(delta) * ndtri(u))
 
 
+def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
+    """Ascending eigenvalues of each row's matrix, from one stacked eigvalsh.
+
+    ``upper`` holds one row-major upper triangle per row.  The trace
+    identity is checked on every matrix as a cheap guard; a failure raises
+    ArithmeticError naming the first bad row through ``where(row)``.
+    """
+    dense = _dense(n, upper)
+    w = np.linalg.eigvalsh(dense)
+    frob = np.linalg.norm(dense, axis=(1, 2))
+    trace = np.trace(dense, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(np.sum(w, axis=1) - trace) > 1e-9 * frob + 1e-12)
+    if bad.size:
+        raise ArithmeticError("eigenvalue sum disagrees with trace" + where(int(bad[0])))
+    return w
+
+
 def spectrum(a: SymmetricMatrix) -> np.ndarray:
     """Eigenvalues, ascending.  Checks the trace identity as a cheap guard."""
-    dense = a.dense()
-    w = np.linalg.eigvalsh(dense)
-    frob = float(np.linalg.norm(dense))
-    trace = float(np.trace(dense))
-    if abs(float(np.sum(w)) - trace) > 1e-9 * frob + 1e-12:
-        raise ArithmeticError("eigenvalue sum disagrees with trace")
-    return w
+    return _spectra(a.n, a.upper[None, :])[0]
 
 
 def empirical_law_integral(eigenvalues: np.ndarray, f: FSpec) -> float:
@@ -349,6 +387,39 @@ def hoffman_wielandt_gap(a: SymmetricMatrix, b: SymmetricMatrix) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
+# chunked trials
+# ---------------------------------------------------------------------------
+
+def _chunks(n: int, delta: float, trials: int) -> list[range]:
+    """Consecutive trials in ranges holding at most CHUNK_BYTES of dense
+    matrices (one n x n matrix per trial, two when delta > 0)."""
+    size = max(1, CHUNK_BYTES // (8 * n * n * (2 if delta > 0.0 else 1)))
+    return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
+
+
+def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
+                     key: tuple[int, ...], trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """(int f dmu_X, int f dmu_X~) for each trial of a chunk; X~ = X when delta = 0.
+
+    Trial t draws Y with ``sample_wigner(n, law, key + (t,))`` and mollifies
+    it with the same key, as a lone trial would, so every bit matches; the
+    chunk's spectra then come from one stacked eigen-decomposition.  The
+    trace guard names n, the batch (the key's last tag) and the trial.
+    """
+    uppers = []
+    for t in trials:
+        y = sample_wigner(n, law, key + (t,))
+        uppers.append(y.upper)
+        if delta > 0.0:
+            uppers.append(mollify_ensemble(y, delta, key + (t,)).upper)
+    per_trial = len(uppers) // len(trials)
+    w = _spectra(n, np.stack(uppers) * (1.0 / math.sqrt(n)),
+                 lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
+    s = np.array([empirical_law_integral(row, f) for row in w]).reshape(-1, per_trial)
+    return s[:, 0], s[:, -1]
+
+
+# ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
@@ -379,15 +450,10 @@ def term3_check(n: int, epsilon: float, f: FSpec, delta: float, trials: int,
     if not (n >= 1 and epsilon > 0.0 and delta >= 0.0 and trials >= 1):
         raise NonPositiveArg("term3_check needs positive arguments")
     law = two_point_law()
-    key = _as_key(seed)
-    gaps = np.empty(trials)
-    root_n = math.sqrt(n)
-    for t in range(trials):
-        y = sample_wigner(n, law, key + (3, t))
-        y_moll = mollify_ensemble(y, delta, key + (3, t))
-        s = empirical_law_integral(spectrum(y.scaled(1.0 / root_n)), f)
-        s_moll = empirical_law_integral(spectrum(y_moll.scaled(1.0 / root_n)), f)
-        gaps[t] = s_moll - s
+    key = _as_key(seed) + (3,)
+    parts = [_chunk_integrals(law, f, n, delta, key, chunk)
+             for chunk in _chunks(n, delta, trials)]
+    gaps = np.concatenate([s_moll - s for s, s_moll in parts])
     gap = abs(float(np.mean(gaps)))
     stderr = float(np.std(gaps, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     bound = f.lip * math.sqrt(delta)
@@ -609,18 +675,19 @@ def _resolve_delta_c(config: ExperimentConfig, n: int,
     return dl, c_cache[dl]
 
 
-def _trial_stats(config: ExperimentConfig, n: int, delta: float, batch: int,
-                 trial: int) -> tuple[float, float]:
-    """(int f dmu_X, int f dmu_X~) for one trial."""
-    key = (config.seed, batch, trial)
-    y = sample_wigner(n, config.law, key)
-    inv_root = 1.0 / math.sqrt(n)
-    s = empirical_law_integral(spectrum(y.scaled(inv_root)), config.f)
-    if delta == 0.0:
-        return s, s
-    y_moll = mollify_ensemble(y, delta, key)
-    s_moll = empirical_law_integral(spectrum(y_moll.scaled(inv_root)), config.f)
-    return s, s_moll
+def _batch_integrals(config: ExperimentConfig, n: int, delta: float, batch: int,
+                     mapper) -> tuple[np.ndarray, np.ndarray]:
+    """(int f dmu_X, int f dmu_X~) for every trial of one batch, chunk by chunk.
+
+    ``mapper`` runs the chunks (``map``, or a thread pool's ``map``); the
+    parts are joined in chunk order.
+    """
+    parts = list(mapper(
+        lambda chunk: _chunk_integrals(config.law, config.f, n, delta,
+                                       (config.seed, batch), chunk),
+        _chunks(n, delta, config.trials)))
+    return (np.concatenate([s for s, _ in parts]),
+            np.concatenate([s_moll for _, s_moll in parts]))
 
 
 def concentration_experiment(config: ExperimentConfig, workers: int = 1) -> ConcentrationReport:
@@ -633,9 +700,18 @@ def concentration_experiment(config: ExperimentConfig, workers: int = 1) -> Conc
 
         empirical_freq <= term1_bound + term2_bound + term3_indicator + 5 stderr.
 
-    Output is bit-identical for any worker count: streams are keyed by
-    (seed, batch, trial) and reductions run over index-ordered arrays.
+    With ``workers`` > 1 one thread pool runs each batch's chunks.  Output
+    is bit-identical for any worker count: streams are keyed by
+    (seed, batch, trial), each matrix is decomposed alone, and reductions
+    run over index-ordered arrays.
     """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _experiment(config, pool.map)
+    return _experiment(config, map)
+
+
+def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
     lip = config.f.lip
     cells: list[Cell] = []
     if config.trials == 0:
@@ -645,26 +721,9 @@ def concentration_experiment(config: ExperimentConfig, workers: int = 1) -> Conc
     for n in config.n_list:
         delta, c_used = _resolve_delta_c(config, n, c_cache)
         trials = config.trials
-
-        def run_batch(batch: int) -> tuple[np.ndarray, np.ndarray]:
-            s = np.empty(trials)
-            s_moll = np.empty(trials)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(
-                        lambda t: _trial_stats(config, n, delta, batch, t),
-                        range(trials)))
-            else:
-                results = [_trial_stats(config, n, delta, batch, t)
-                           for t in range(trials)]
-            for t, (a, b) in enumerate(results):
-                s[t] = a
-                s_moll[t] = b
-            return s, s_moll
-
-        pilot, _ = run_batch(0)
+        pilot, _ = _batch_integrals(config, n, delta, 0, mapper)
         pilot_mean = float(np.mean(pilot))
-        s, s_moll = run_batch(1)
+        s, s_moll = _batch_integrals(config, n, delta, 1, mapper)
         diffs = s_moll - s
         term3_gap = abs(float(np.mean(diffs)))
         term3_stderr = (float(np.std(diffs, ddof=1) / math.sqrt(trials))

@@ -156,6 +156,25 @@ def test_translate_moves_atoms_and_pieces():
     np.testing.assert_allclose(cdf(moved, xs + 64.0), cdf(m, xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("lo, coeffs, left", [
+    (1e4, [0.4 - 1.2e4, 1.2], 0.4),
+    (1e5, [0.3 - 1.4e5, 1.4], 0.3),
+])
+def test_unit_piece_far_from_origin(lo, coeffs, left):
+    # density left + 2 (1 - left) (t - lo) on [lo, lo + 1], written in powers
+    # of t: its antiderivative in t is about 1e8 there, so the masses must be
+    # taken in powers of t - lo.  Rounding c0 alone moves the density by
+    # up to 3e-11 at 1e5.
+    m = build_measure({"pieces": [{"lo": lo, "hi": lo + 1.0, "coeffs": coeffs}]})
+    (piece,) = m.pieces
+    assert piece.mass == pytest.approx(1.0, abs=1e-10)
+    half = 0.5 * left + 0.25 * (1.0 - left)
+    assert cdf(m, lo + 0.5) == pytest.approx(half, abs=1e-9)
+    assert mass_in_open_interval(m, lo, lo + 0.5) == pytest.approx(half, abs=1e-9)
+    assert piece.mass_below(lo - 1.0) == 0.0
+    assert cdf(m, lo + 2.0) == pytest.approx(1.0, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from lsi_lab import errors
+from lsi_lab import cli, errors, rmt
 from lsi_lab.measure import build_measure
 from lsi_lab.rmt import (
     ConcentrationReport,
@@ -493,3 +494,177 @@ def test_wigner_semicircle_ks():
     dist = max(float(np.max(np.abs(emp - theory))),
                float(np.max(np.abs(emp - 1.0 / n - theory))))
     assert dist <= 0.08
+
+
+# ---------------------------------------------------------------------------
+# chunked experiment against the per-trial loop
+# ---------------------------------------------------------------------------
+
+def _trial_stats(config, n, delta, batch, trial):
+    """(int f dmu_X, int f dmu_X~) for one trial: the per-trial reference."""
+    key = (config.seed, batch, trial)
+    y = sample_wigner(n, config.law, key)
+    inv_root = 1.0 / math.sqrt(n)
+    s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), config.f)
+    if delta == 0.0:
+        return s, s
+    y_moll = mollify_ensemble(y, delta, key)
+    s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()),
+                                    config.f)
+    return s, s_moll
+
+
+def _loop_batch(config, n, delta, batch, mapper):
+    """rmt._batch_integrals as a loop of _trial_stats; ``mapper`` is ignored."""
+    stats = [_trial_stats(config, n, delta, batch, t) for t in range(config.trials)]
+    return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
+
+
+def _loop_report(config, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(rmt, "_batch_integrals", _loop_batch)
+        return concentration_experiment(config).to_dict()
+
+
+def _chunk_size(n, delta):
+    return len(rmt._chunks(n, delta, 10_000)[0])
+
+
+_ATOMS = build_measure({"atoms": [{"x": -1.5, "w": 0.3}, {"x": 0.5, "w": 0.7}]})
+_LAWS = {
+    "gaussian": gaussian_law(0.5, 2.0),
+    "two_point": two_point_law(-1.0, 1.0, 0.4),
+    "uniform": uniform_law(-1.0, 2.0),
+    "atom_mixture": atom_mixture_law(_ATOMS),
+}
+_N = 24
+
+
+def _trial_counts(delta):
+    k = _chunk_size(_N, delta)
+    assert 2 < k < 200
+    return (1, k - 1, k, k + 1, 2 * k + 1)
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_batch_integrals_equal_trial_loop(law, delta):
+    for trials in _trial_counts(delta):
+        cfg = ExperimentConfig(_LAWS[law], FSpec("arctan"), (_N,), (0.3,), trials, seed=19)
+        want = _loop_batch(cfg, _N, delta, 1, map)
+        for workers in (1, 3):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                got = rmt._batch_integrals(cfg, _N, delta, 1, pool.map)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _experiment_config(law, delta, trials):
+    if delta == 0.0:
+        mode = {"delta_mode": "none"}
+    elif law == "gaussian":
+        mode = {"delta_mode": "fixed", "delta_value": delta}
+    else:
+        # c(delta) from a table: the trials do not depend on it
+        mode = {"delta_mode": "schedule", "c_table": ((delta, 1.0),)}
+    return ExperimentConfig(_LAWS[law], FSpec("abs"), (1, _N), (0.05, 0.3), trials,
+                            seed=23, **mode)
+
+
+@pytest.mark.parametrize("law, delta", [
+    ("gaussian", 0.0), ("gaussian", 0.25), ("two_point", 0.25), ("uniform", 0.25),
+    ("atom_mixture", 0.25)])
+def test_experiment_equals_trial_loop(law, delta, monkeypatch):
+    for trials in _trial_counts(delta):
+        cfg = _experiment_config(law, delta, trials)
+        want = _loop_report(cfg, monkeypatch)
+        for workers in (1, 3):
+            assert concentration_experiment(cfg, workers=workers).to_dict() == want
+
+
+def _loop_term3(n, epsilon, f, delta, trials, seed):
+    """term3_check as a per-trial loop: the reference for the chunked one."""
+    law = two_point_law()
+    gaps = np.empty(trials)
+    inv_root = 1.0 / math.sqrt(n)
+    for t in range(trials):
+        y = sample_wigner(n, law, (seed, 3, t))
+        y_moll = mollify_ensemble(y, delta, (seed, 3, t))
+        s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), f)
+        s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()), f)
+        gaps[t] = s_moll - s
+    gap = abs(float(np.mean(gaps)))
+    stderr = float(np.std(gaps, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return gap, stderr, gap > f.lip * math.sqrt(delta) + 3.0 * stderr
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.09])
+def test_term3_check_equals_trial_loop(delta):
+    n = 16
+    for trials in _trial_counts(delta) + (2,):
+        for seed in range(3):
+            gap, _, raises = _loop_term3(n, 0.3, FSpec("arctan"), delta, trials, seed)
+            assert not raises
+            assert term3_check(n, 0.3, FSpec("arctan"), delta, trials, seed) == (gap, 0.3 / 3)
+
+
+def test_term3_check_raises_exactly_where_the_loop_does():
+    # n = 1, one trial: the gap is sqrt(delta) |g| against the bound
+    # sqrt(delta), so about a third of the seeds raise
+    outcomes = set()
+    for seed in range(12):
+        gap, stderr, raises = _loop_term3(1, 0.3, FSpec("identity"), 0.04, 1, seed)
+        outcomes.add(raises)
+        if raises:
+            with pytest.raises(ArithmeticError, match=f"term-3 gap {gap:.6g} exceeds"):
+                term3_check(1, 0.3, FSpec("identity"), 0.04, 1, seed)
+        else:
+            assert term3_check(1, 0.3, FSpec("identity"), 0.04, 1, seed)[0] == gap
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 100])
+def test_spectrum_equals_eigvalsh(n):
+    a = sample_wigner(n, gaussian_law(0, 1), 77)
+    assert np.array_equal(spectrum(a), np.linalg.eigvalsh(a.dense()))
+
+
+def _corrupting_eigvalsh(monkeypatch, call, row):
+    """np.linalg.eigvalsh that shifts one row's eigenvalues on its call-th call."""
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def eigvalsh(a):
+        w = real(a)
+        calls.append(len(w))
+        if len(calls) == call:
+            w[row] += 1.0
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return calls
+
+
+def test_trace_guard_names_the_trial(monkeypatch):
+    delta = 0.25
+    k = _chunk_size(_N, delta)
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (_N,), (0.3,),
+                           trials=3 * k, seed=4, delta_mode="fixed", delta_value=delta)
+    # the second chunk of batch 0 holds trials k .. 2k-1, two matrices each;
+    # row 5 is trial k + 2's mollified matrix
+    calls = _corrupting_eigvalsh(monkeypatch, call=2, row=5)
+    with pytest.raises(ArithmeticError,
+                       match=rf"trace at n={_N}, batch 0, trial {k + 2}$"):
+        concentration_experiment(cfg)
+    assert calls == [2 * k, 2 * k]
+
+
+def test_rmt_trace_guard_exit_2_writes_nothing(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"law": "gaussian", "f": "identity", "n": [_N],
+                                  "eps": [0.3], "trials": 200, "seed": 1}))
+    out = tmp_path / "report.json"
+    _corrupting_eigvalsh(monkeypatch, call=3, row=1)
+    assert cli.main(["rmt", "--config", str(config), "--threads", "2",
+                     "--out", str(out)]) == 2
+    assert "eigenvalue sum disagrees with trace" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
