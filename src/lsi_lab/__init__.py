@@ -50,7 +50,6 @@ from .rmt import (
     EntryLaw,
     ExperimentConfig,
     FSpec,
-    SpectralSample,
     SymmetricMatrix,
     concentration_experiment,
     cutoff,

@@ -10,7 +10,9 @@ where nu_x reweights the atoms by the Gaussian kernel at x.  This is the
 covariance form of the second-derivative displays for p; it is
 algebraically identical and numerically stabler (the cancellations are
 absorbed by centering), and it is cross-checked against finite
-differences of log p in the tests.
+differences of log p in the tests.  The tilted weights and log p share
+one max-shifted log-sum-exp in numpy: the largest atom weight is exactly
+1, so probes far from the cloud stay finite.
 
 A uniform eigenvalue bound Hess(-log p) >= (1/c) I certifies a
 log-Sobolev inequality with constant c.  Certificates here are probe
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NonPositiveDelta, ValidationError
 
@@ -101,13 +102,21 @@ def _log_weights_at(m: MeasureND, delta: float, x: np.ndarray) -> np.ndarray:
     return logw - sq / (2.0 * delta)
 
 
+def _shifted(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(logw - top), top) with top = max logw: the largest weight is
+    exactly 1, so the sum neither overflows nor underflows to 0."""
+    top = float(np.max(logw))
+    return np.exp(logw - top), top
+
+
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
     """log p(x) for p = mu * gamma_delta, by log-sum-exp over the atoms."""
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
     norm_const = 0.5 * m.dimension * math.log(2.0 * math.pi * delta)
-    return float(logsumexp(_log_weights_at(m, delta, x))) - norm_const
+    w, top = _shifted(_log_weights_at(m, delta, x))
+    return top + math.log(float(np.sum(w))) - norm_const
 
 
 def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
@@ -115,8 +124,8 @@ def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    logw = _log_weights_at(m, delta, x)
-    w = np.exp(logw - logsumexp(logw))
+    w, _ = _shifted(_log_weights_at(m, delta, x))
+    w /= np.sum(w)
     mean = w @ m.points
     centered = m.points - mean
     cov = (centered * w[:, None]).T @ centered

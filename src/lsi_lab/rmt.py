@@ -20,12 +20,16 @@ an independent Philox stream, and each matrix entry consumes exactly one
 uniform from its stream in a fixed order.
 
 The experiment runs each batch as chunks of consecutive trials.  Every
-trial is still drawn (and mollified) on its own, but a chunk's matrices
-go to LAPACK as one stacked eigen-decomposition, at most ``CHUNK_BYTES``
-of dense matrices at a time.  With several workers, the chunks of a
-batch are split across threads and reassembled in chunk order; each
-matrix's eigenvalues are computed alone either way, so results are
-bit-identical regardless of worker count.
+trial keeps its own streams, but a chunk's draws are taken into one
+block: the block is mapped to uniforms and through the entry law once,
+and the Gaussian block of the mollifier goes through one ``ndtri``.  The
+chunk's matrices then go to LAPACK as one stacked eigen-decomposition of
+their lower triangles, at most ``CHUNK_BYTES`` of dense matrices at a
+time.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
+the same block sampler.  With several workers, the chunks of a batch are
+split across threads and reassembled in chunk order; each matrix's
+eigenvalues are computed alone either way, so results are bit-identical
+regardless of worker count.
 """
 from __future__ import annotations
 
@@ -61,16 +65,33 @@ _ROLE_GAUSS = 2
 CHUNK_BYTES = 256 * 1024
 
 
-def _uniforms(key: Sequence[int], count: int) -> np.ndarray:
-    """`count` uniforms on (0,1) from the Philox stream keyed by `key`.
+def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int) -> np.ndarray:
+    """The first `count` 53-bit draws of the Philox stream keyed by
+    ``key + (role,)``, one row per key.
 
-    Each value is the midpoint (k + 1/2) / 2^53 of a 53-bit draw, so the
-    transforms applied downstream (ndtri, log1p) never see 0 or 1 and a
-    two-point split at 1/2 is exactly unbiased.
+    ``random_raw() >> 11`` is the draw ``Generator.integers(0, 2**53)``
+    makes from the same stream: at a power-of-two range Lemire's method
+    keeps the top 53 bits and never rejects.
     """
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
-    k = gen.integers(0, 1 << 53, size=count, dtype=np.int64)
-    return (k.astype(np.float64) + 0.5) * 2.0 ** -53
+    out = np.empty((len(keys), count), dtype=np.uint64)
+    for row, key in zip(out, keys):
+        row[:] = np.random.Philox(np.random.SeedSequence(list(key) + [role])).random_raw(count)
+    return out >> np.uint64(11)
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _unit(k: np.ndarray) -> np.ndarray:
+    """Uniforms on (0,1) from 53-bit draws ``k``: (k + 1/2) / 2^53 in doubles.
+
+    Below 2^52 that is the exact midpoint of the draw's cell, so a
+    two-point split at 1/2 is exactly unbiased.  From 2^52 on, k + 1/2 is
+    not a double and rounds to an even neighbour; the top draw would round
+    to 1.0 and is clamped to the largest double below 1, so the
+    transforms applied downstream (ndtri, log1p) never see 0 or 1.
+    """
+    return np.minimum((k.astype(np.float64) + 0.5) * 2.0 ** -53, _BELOW_ONE)
 
 
 def _as_key(seed) -> tuple[int, ...]:
@@ -298,18 +319,30 @@ class SymmetricMatrix:
         return SymmetricMatrix(self.n, self.upper * factor)
 
 
+def _entries(n: int, law: EntryLaw, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Upper triangles of Y, one row per key, with i.i.d. entries from ``law``."""
+    u = _unit(_draws(keys, _ROLE_ENTRIES, n * (n + 1) // 2))
+    return np.asarray(law.transform(u.ravel()), dtype=float).reshape(u.shape)
+
+
+def _mollified(upper: np.ndarray, delta: float, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Each row of ``upper`` plus sqrt(delta) times a standard Gaussian
+    triangle drawn from its key's Gaussian stream."""
+    g = ndtri(_unit(_draws(keys, _ROLE_GAUSS, upper.shape[-1])))
+    return upper + math.sqrt(delta) * g
+
+
 def sample_wigner(n: int, law: EntryLaw, seed) -> SymmetricMatrix:
     """Symmetric matrix with i.i.d. upper-triangle entries (diagonal included).
 
     Entry (i, j) with i <= j consumes exactly the k-th uniform of the
     stream keyed by (seed..., role), k the row-major upper-triangle rank,
-    so the draw is reproducible entry by entry.
+    so the draw is reproducible entry by entry.  A one-row call of the
+    block sampler the experiment uses.
     """
     if n < 1:
         raise ValidationError("matrix size must be >= 1")
-    count = n * (n + 1) // 2
-    u = _uniforms(_as_key(seed) + (_ROLE_ENTRIES,), count)
-    return SymmetricMatrix(n, np.asarray(law.transform(u), dtype=float))
+    return SymmetricMatrix(n, _entries(n, law, [_as_key(seed)])[0])
 
 
 def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
@@ -318,21 +351,25 @@ def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
         raise NegativeDelta(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return y
-    u = _uniforms(_as_key(seed) + (_ROLE_GAUSS,), y.upper.size)
-    return SymmetricMatrix(y.n, y.upper + math.sqrt(delta) * ndtri(u))
+    return SymmetricMatrix(y.n, _mollified(y.upper[None, :], delta, [_as_key(seed)])[0])
 
 
 def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
     """Ascending eigenvalues of each row's matrix, from one stacked eigvalsh.
 
-    ``upper`` holds one row-major upper triangle per row.  The trace
-    identity is checked on every matrix as a cheap guard; a failure raises
+    ``upper`` holds one row-major upper triangle per row; only the lower
+    triangle that eigvalsh reads (UPLO='L') is filled.  The trace identity
+    is checked on every matrix as a cheap guard, with the trace and the
+    Frobenius norm taken from the triangles; a failure raises
     ArithmeticError naming the first bad row through ``where(row)``.
     """
-    dense = _dense(n, upper)
-    w = np.linalg.eigvalsh(dense)
-    frob = np.linalg.norm(dense, axis=(1, 2))
-    trace = np.trace(dense, axis1=1, axis2=2)
+    rows, cols = _triu(n)
+    lower = np.zeros(upper.shape[:-1] + (n, n))
+    lower[..., cols, rows] = upper
+    w = np.linalg.eigvalsh(lower)
+    diag = upper[..., rows == cols]
+    trace = np.sum(diag, axis=-1)
+    frob = np.sqrt(2.0 * np.sum(upper * upper, axis=-1) - np.sum(diag * diag, axis=-1))
     bad = np.flatnonzero(np.abs(np.sum(w, axis=1) - trace) > 1e-9 * frob + 1e-12)
     if bad.size:
         raise ArithmeticError("eigenvalue sum disagrees with trace" + where(int(bad[0])))
@@ -347,33 +384,6 @@ def spectrum(a: SymmetricMatrix) -> np.ndarray:
 def empirical_law_integral(eigenvalues: np.ndarray, f: FSpec) -> float:
     """(1/n) sum f(lambda_i)."""
     return float(np.mean(f(np.asarray(eigenvalues, dtype=float))))
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """One trial's spectrum of X = Y/sqrt(n) with its f-statistic."""
-
-    eigenvalues: np.ndarray
-    f_integral: float
-    seed: int
-    n: int
-
-    def __post_init__(self):
-        if self.eigenvalues.shape != (self.n,):
-            raise ValidationError("eigenvalue count must equal n")
-        if np.any(np.diff(self.eigenvalues) < 0):
-            raise ValidationError("eigenvalues must be sorted ascending")
-        self.eigenvalues.setflags(write=False)
-
-
-def spectral_sample(n: int, law: EntryLaw, seed: int, f: FSpec,
-                    delta: float = 0.0) -> SpectralSample:
-    """Draw Y, optionally mollify, normalize by sqrt(n), take the spectrum."""
-    y = sample_wigner(n, law, seed)
-    if delta > 0.0:
-        y = mollify_ensemble(y, delta, seed)
-    eigs = spectrum(y.scaled(1.0 / math.sqrt(n)))
-    return SpectralSample(eigs, empirical_law_integral(eigs, f), int(seed), n)
 
 
 def hoffman_wielandt_gap(a: SymmetricMatrix, b: SymmetricMatrix) -> tuple[float, float]:
@@ -397,23 +407,31 @@ def _chunks(n: int, delta: float, trials: int) -> list[range]:
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
+def _chunk_draws(law: EntryLaw, n: int, delta: float, key: tuple[int, ...],
+                 trials: range) -> np.ndarray:
+    """Upper triangles of each trial's Y and, when delta > 0, its Y~ right
+    after it; trial t's streams are keyed by ``key + (t,)``."""
+    keys = [key + (t,) for t in trials]
+    y = _entries(n, law, keys)
+    if delta == 0.0:
+        return y
+    return np.stack([y, _mollified(y, delta, keys)], axis=1).reshape(-1, y.shape[-1])
+
+
 def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
                      key: tuple[int, ...], trials: range) -> tuple[np.ndarray, np.ndarray]:
     """(int f dmu_X, int f dmu_X~) for each trial of a chunk; X~ = X when delta = 0.
 
-    Trial t draws Y with ``sample_wigner(n, law, key + (t,))`` and mollifies
-    it with the same key, as a lone trial would, so every bit matches; the
-    chunk's spectra then come from one stacked eigen-decomposition.  The
-    trace guard names n, the batch (the key's last tag) and the trial.
+    Trial t's matrices are drawn as ``sample_wigner(n, law, key + (t,))``
+    and ``mollify_ensemble`` with the same key would draw them, bit for
+    bit; the chunk's spectra then come from one stacked
+    eigen-decomposition.  The trace guard names n, the batch (the key's
+    last tag) and the trial.
     """
-    uppers = []
-    for t in trials:
-        y = sample_wigner(n, law, key + (t,))
-        uppers.append(y.upper)
-        if delta > 0.0:
-            uppers.append(mollify_ensemble(y, delta, key + (t,)).upper)
-    per_trial = len(uppers) // len(trials)
-    w = _spectra(n, np.stack(uppers) * (1.0 / math.sqrt(n)),
+    upper = _chunk_draws(law, n, delta, key, trials)
+    upper *= 1.0 / math.sqrt(n)
+    per_trial = len(upper) // len(trials)
+    w = _spectra(n, upper,
                  lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
     s = np.array([empirical_law_integral(row, f) for row in w]).reshape(-1, per_trial)
     return s[:, 0], s[:, -1]

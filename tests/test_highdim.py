@@ -117,6 +117,47 @@ def test_two_atom_hessian_at_midpoint():
     assert np.allclose(h, np.diag([0.0, 1.0]), atol=1e-14)
 
 
+def test_hessian_finite_far_from_the_cloud():
+    m = five_atom_cloud_3d()
+    x = m.center + 1e3 * m.radius * np.array([1.0, 0.0, 0.0])
+    assert np.all(highdim._log_weights_at(m, 0.8, x) < -1e5)
+    h = hessian_neg_log_p(m, 0.8, x)
+    assert np.all(np.isfinite(h))
+    assert np.isfinite(log_density_nd(m, 0.8, x))
+
+
+def test_zero_weight_atom_is_ignored():
+    pts = [[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]]
+    with_zero = build_measure_nd(pts, [0.4, 0.6, 0.0], center=[0.0, 0.0], radius=2.0)
+    without = build_measure_nd(pts[:2], [0.4, 0.6], center=[0.0, 0.0], radius=2.0)
+    for x in ([0.0, 0.0], [0.7, -1.1], [-3.0, 2.0]):
+        assert np.array_equal(hessian_neg_log_p(with_zero, 0.6, x),
+                              hessian_neg_log_p(without, 0.6, x))
+        assert log_density_nd(with_zero, 0.6, x) == log_density_nd(without, 0.6, x)
+
+
+def test_max_shift_agrees_with_scipy_logsumexp():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        k, n = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        w = rng.uniform(0.1, 1.0, size=k)
+        m = build_measure_nd(rng.uniform(-1.0, 1.0, size=(k, n)), w / w.sum())
+        delta = float(rng.uniform(0.05, 3.0))
+        x = m.center + rng.uniform(-2.0, 2.0, size=n)
+        logw = highdim._log_weights_at(m, delta, x)
+        tilt = np.exp(logw - logsumexp(logw))
+        centered = m.points - tilt @ m.points
+        cov = (centered * tilt[:, None]).T @ centered
+        want = np.eye(n) / delta - cov / (delta * delta)
+        got = hessian_neg_log_p(m, delta, x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        norm_const = 0.5 * n * math.log(2.0 * math.pi * delta)
+        want_log = float(logsumexp(logw)) - norm_const
+        assert abs(log_density_nd(m, delta, x) - want_log) <= 1e-13 * max(1.0, abs(want_log))
+
+
 def test_hessian_symmetric_exactly():
     m = five_atom_cloud_3d()
     rng = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import kstest
 
 from lsi_lab import cli, errors, rmt
@@ -37,6 +38,27 @@ from lsi_lab.rmt import (
     uniform_law,
 )
 from oracles import charpoly_eigenvalues, semicircle_cdf
+
+
+# ---------------------------------------------------------------------------
+# the frozen draw oracle: one Generator per trial and role, as the library
+# drew before its block sampler
+# ---------------------------------------------------------------------------
+
+def _frozen_uniforms(key, role, count):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key) + [role])))
+    k = gen.integers(0, 1 << 53, size=count, dtype=np.int64)
+    return (k.astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _frozen_wigner(n, law, key):
+    u = _frozen_uniforms(key, 1, n * (n + 1) // 2)
+    return SymmetricMatrix(n, np.asarray(law.transform(u), dtype=float))
+
+
+def _frozen_mollify(y, delta, key):
+    g = ndtri(_frozen_uniforms(key, 2, y.upper.size))
+    return SymmetricMatrix(y.n, y.upper + math.sqrt(delta) * g)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +197,6 @@ def test_spectrum_residual_and_trace_contracts():
 # ---------------------------------------------------------------------------
 # empirical law integrals
 # ---------------------------------------------------------------------------
-
-def test_spectral_sample_fields():
-    from lsi_lab.rmt import spectral_sample
-
-    sample = spectral_sample(12, gaussian_law(0, 1), 5, FSpec("arctan"))
-    assert sample.n == 12 and sample.seed == 5
-    assert sample.eigenvalues.shape == (12,)
-    assert np.all(np.diff(sample.eigenvalues) >= 0)
-    assert sample.f_integral == pytest.approx(
-        float(np.mean(np.arctan(sample.eigenvalues))))
-
 
 def test_identity_integral_is_normalized_trace():
     y = sample_wigner(12, gaussian_law(0, 1), 3)
@@ -503,12 +514,12 @@ def test_wigner_semicircle_ks():
 def _trial_stats(config, n, delta, batch, trial):
     """(int f dmu_X, int f dmu_X~) for one trial: the per-trial reference."""
     key = (config.seed, batch, trial)
-    y = sample_wigner(n, config.law, key)
+    y = _frozen_wigner(n, config.law, key)
     inv_root = 1.0 / math.sqrt(n)
     s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), config.f)
     if delta == 0.0:
         return s, s
-    y_moll = mollify_ensemble(y, delta, key)
+    y_moll = _frozen_mollify(y, delta, key)
     s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()),
                                     config.f)
     return s, s_moll
@@ -587,8 +598,8 @@ def _loop_term3(n, epsilon, f, delta, trials, seed):
     gaps = np.empty(trials)
     inv_root = 1.0 / math.sqrt(n)
     for t in range(trials):
-        y = sample_wigner(n, law, (seed, 3, t))
-        y_moll = mollify_ensemble(y, delta, (seed, 3, t))
+        y = _frozen_wigner(n, law, (seed, 3, t))
+        y_moll = _frozen_mollify(y, delta, (seed, 3, t)) if delta > 0.0 else y
         s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), f)
         s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()), f)
         gaps[t] = s_moll - s
@@ -620,6 +631,48 @@ def test_term3_check_raises_exactly_where_the_loop_does():
         else:
             assert term3_check(1, 0.3, FSpec("identity"), 0.04, 1, seed)[0] == gap
     assert outcomes == {True, False}
+
+
+_ALL_LAWS = {**_LAWS, "exponential": exponential_law(1.5)}
+
+
+@pytest.mark.parametrize("law", sorted(_ALL_LAWS))
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_draws_equal_frozen_oracle(law, n, monkeypatch):
+    # small chunks, so that k - 1, k and k + 1 trials stay cheap at n = 1
+    monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
+    key, delta = (31, 1), 0.3
+    for moll in (0.0, delta):
+        k = len(rmt._chunks(n, moll, 10_000)[0])
+        for trials in sorted({1, k - 1, k, k + 1} - {0}):
+            want = []
+            for t in range(trials):
+                y = _frozen_wigner(n, _ALL_LAWS[law], key + (t,))
+                want.append(y.upper)
+                if moll > 0.0:
+                    want.append(_frozen_mollify(y, moll, key + (t,)).upper)
+            got = np.concatenate([rmt._chunk_draws(_ALL_LAWS[law], n, moll, key, chunk)
+                                  for chunk in rmt._chunks(n, moll, trials)])
+            assert np.array_equal(got, np.stack(want))
+    for t in (0, 5):
+        y = sample_wigner(n, _ALL_LAWS[law], key + (t,))
+        frozen = _frozen_wigner(n, _ALL_LAWS[law], key + (t,))
+        assert np.array_equal(y.upper, frozen.upper)
+        assert np.array_equal(mollify_ensemble(y, delta, key + (t,)).upper,
+                              _frozen_mollify(frozen, delta, key + (t,)).upper)
+
+
+def test_unit_stays_inside_the_open_interval():
+    k = np.array([0, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    u = rmt._unit(k)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert u[-1] == np.nextafter(1.0, 0.0)
+    # every draw below the top one keeps the value it always had
+    old = (k.astype(np.float64) + 0.5) * 2.0 ** -53
+    assert np.array_equal(u[:-1], old[:-1]) and old[-1] == 1.0
+    assert u[0] == 2.0 ** -54 and u[1] == 0.5 - 2.0 ** -54
+    assert np.all(np.isfinite(gaussian_law(0, 1).transform(u)))
+    assert np.all(np.isfinite(exponential_law(1.0).transform(u)))
 
 
 @pytest.mark.parametrize("n", [1, 100])
