@@ -102,11 +102,17 @@ def _log_weights_at(m: MeasureND, delta: float, x: np.ndarray) -> np.ndarray:
     return logw - sq / (2.0 * delta)
 
 
-def _shifted(logw: np.ndarray) -> tuple[np.ndarray, float]:
-    """(exp(logw - top), top) with top = max logw: the largest weight is
-    exactly 1, so the sum neither overflows nor underflows to 0."""
+def _tilted(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(logw - lse), lse) with lse = log sum exp(logw), by a max shift:
+    the largest shifted weight is exactly 1, so the sum neither overflows
+    nor underflows to 0."""
     top = float(np.max(logw))
-    return np.exp(logw - top), top
+    if top == -math.inf:  # every squared distance overflowed
+        return np.full_like(logw, math.nan), top
+    w = np.exp(logw - top)
+    total = float(np.sum(w))
+    w /= total
+    return w, top + math.log(total)
 
 
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
@@ -115,8 +121,7 @@ def log_density_nd(m: MeasureND, delta: float, x) -> float:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
     norm_const = 0.5 * m.dimension * math.log(2.0 * math.pi * delta)
-    w, top = _shifted(_log_weights_at(m, delta, x))
-    return top + math.log(float(np.sum(w))) - norm_const
+    return _tilted(_log_weights_at(m, delta, x))[1] - norm_const
 
 
 def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
@@ -124,8 +129,7 @@ def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    w, _ = _shifted(_log_weights_at(m, delta, x))
-    w /= np.sum(w)
+    w, _ = _tilted(_log_weights_at(m, delta, x))
     mean = w @ m.points
     centered = m.points - mean
     cov = (centered * w[:, None]).T @ centered

@@ -126,6 +126,11 @@ def test_hessian_finite_far_from_the_cloud():
     assert np.isfinite(log_density_nd(m, 0.8, x))
 
 
+def test_log_density_where_every_distance_overflows():
+    with np.errstate(over="ignore"):
+        assert log_density_nd(two_atoms_2d(), 1.0, [1e200, 0.0]) == -math.inf
+
+
 def test_zero_weight_atom_is_ignored():
     pts = [[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]]
     with_zero = build_measure_nd(pts, [0.4, 0.6, 0.0], center=[0.0, 0.0], radius=2.0)
