@@ -43,6 +43,7 @@ from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationErr
 from .measure import Measure1D, support_components, translate
 from .mollify import (
     MollifiedDensity,
+    half_crossing,
     log_density,
     median,
     reciprocal_integral,
@@ -383,6 +384,8 @@ class ClosedFormDensity:
     The right tail must be eventually monotone decreasing (true for the
     exponential convolution, the Gaussian, and the super-Gaussian used
     here); tail integrals extend until the log pdf has dropped 160 units.
+    The median is ``half_crossing`` on 1/2 minus the right tail, within
+    ``median_bracket``.
     """
 
     name: str
@@ -402,17 +405,8 @@ class ClosedFormDensity:
                                  x, x + span, rel_tol=1e-10, seed_points=seeds)
 
     def median(self) -> float:
-        lo, hi = self.median_bracket
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            rt = math.exp(self.log_right_tail(mid))
-            if abs(rt - 0.5) <= 1e-12:
-                return mid
-            if rt > 0.5:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return half_crossing(lambda x: 0.5 - math.exp(self.log_right_tail(x)),
+                             *self.median_bracket)
 
     def log_reciprocal_integral(self, m: float, x: float) -> float:
         lo, hi = (m, x) if m <= x else (x, m)
@@ -426,12 +420,13 @@ class ClosedFormDensity:
 def exponential_convolution_density() -> ClosedFormDensity:
     """Standard exponential convolved with a unit Gaussian.
 
-    p(x) = exp(-x + 1/2) Phi(x + 1); the right tail stays exponential,
+    p(x) = exp(-x + 1/2) Phi(x - 1), which integrates to 1 and has right
+    tail Phi(-x) + exp(-x + 1/2) Phi(x - 1).  The tail stays exponential,
     hence not sub-Gaussian, so no LSI holds.
     """
     return ClosedFormDensity(
         "exponential_gaussian",
-        lambda x: -np.asarray(x, dtype=float) + 0.5 + log_ndtr(np.asarray(x, dtype=float) + 1.0),
+        lambda x: -np.asarray(x, dtype=float) + 0.5 + log_ndtr(np.asarray(x, dtype=float) - 1.0),
     )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, logsumexp
@@ -249,27 +249,36 @@ def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:
     return _blockwise(lambda xs: _log_tail(d, xs, side), x)
 
 
-def median(d: MollifiedDensity) -> float:
-    """The unique m with F(m) = 1/2, found by bisection on the left tail.
+def half_crossing(excess: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisection for the point in [lo, hi] where a nondecreasing excess F - 1/2 crosses 0.
 
-    The bracket [a - 20 sqrt(delta), b + 20 sqrt(delta)] holds all but
-    ~1e-88 of the mass, so it always straddles the median.
+    Stops at a midpoint where |excess| <= 1e-13, or once the midpoint
+    equals an end of the bracket, i.e. the bracket is one ulp wide.
     """
-    a, b = d.support()
-    lo, hi = a - 20.0 * d.sigma, b + 20.0 * d.sigma
-    target = math.log(0.5)
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        t = tail_mass(d, mid, "left")
-        if abs(math.exp(t) - 0.5) <= 1e-13:
+        if not lo < mid < hi:  # one ulp wide (or not a bracket at all)
             return mid
-        if t < target:
+        e = excess(mid)
+        if abs(e) <= 1e-13:
+            return mid
+        if e < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+
+
+def median(d: MollifiedDensity) -> float:
+    """The unique m with F(m) = 1/2, by ``half_crossing`` on the left tail.
+
+    The bracket [a - 20 sqrt(delta), b + 20 sqrt(delta)] holds all but
+    ~1e-88 of the mass, so it always straddles the median.  The bisection
+    can run down to one ulp, so the median is as sharp far from the
+    origin as near it.
+    """
+    a, b = d.support()
+    return half_crossing(lambda x: math.exp(tail_mass(d, x, "left")) - 0.5,
+                         a - 20.0 * d.sigma, b + 20.0 * d.sigma)
 
 
 def reciprocal_integral(d: MollifiedDensity, x: float, m: float) -> float:

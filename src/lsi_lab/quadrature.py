@@ -6,18 +6,19 @@ whole-panel estimate agrees with the sum of its two half-panel estimates
 agreement of the two levels certifies convergence for analytic
 integrands).
 
-The log-space variant computes ``log(integral of exp(log_f))`` with each
+There is one log-space engine, ``log_cell_integrals``: it computes
+``log(integral of exp(log_f))`` over many cells at once, with each
 panel's maximum factored out before exponentiating, so integrands whose
 logarithm spans thousands of units (reciprocal mollified densities grow
-like exp((x-a)^2 / 2 delta)) never overflow.
+like exp((x-a)^2 / 2 delta)) never overflow.  ``log_adaptive_quad`` is
+its one-cell case.  ``adaptive_quad`` integrates signed integrands in
+linear space.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -26,7 +27,7 @@ NEG_INF = float("-inf")
 # panels this far (in log) below the largest one of their integral cannot
 # move the total at double precision; they are accepted without refinement
 _FLOOR_GAP = 46.0
-# bisections after which log_cell_integrals accepts a panel as it stands
+# bisections after which a panel is accepted as it stands
 _MAX_DEPTH = 60
 # cells per batch in log_cell_integrals
 _CHUNK_CELLS = 256
@@ -44,7 +45,6 @@ def adaptive_quad(
     lo: float,
     hi: float,
     rel_tol: float = 1e-12,
-    max_depth: int = 60,
 ) -> float:
     """Integral of ``f`` over ``[lo, hi]`` by adaptive panel bisection.
 
@@ -53,7 +53,7 @@ def adaptive_quad(
     if lo == hi:
         return 0.0
     if lo > hi:
-        return -adaptive_quad(f, hi, lo, rel_tol, max_depth)
+        return -adaptive_quad(f, hi, lo, rel_tol)
     total = 0.0
     stack = [(lo, hi, _panel(f, lo, hi), 0)]
     while stack:
@@ -62,7 +62,7 @@ def adaptive_quad(
         left = _panel(f, a, mid)
         right = _panel(f, mid, b)
         refined = left + right
-        if depth >= max_depth or abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300):
+        if depth >= _MAX_DEPTH or abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300):
             total += refined
         else:
             stack.append((a, mid, left, depth + 1))
@@ -70,73 +70,30 @@ def adaptive_quad(
     return total
 
 
-def _panel_log(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.asarray(log_f(mid + half * _GL_NODES), dtype=float)
-    m = float(np.max(vals))
-    if m == NEG_INF or half == 0.0:
-        return NEG_INF
-    return m + math.log(half * float(np.dot(_GL_WEIGHTS, np.exp(vals - m))))
-
-
 def log_adaptive_quad(
     log_f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     rel_tol: float = 1e-10,
-    max_depth: int = 60,
     seed_points: Sequence[float] | None = None,
 ) -> float:
     """``log(integral of exp(log_f))`` over ``[lo, hi]``, never overflowing.
 
-    A log-space discrepancy of ``rel_tol`` between refinement levels is
-    (to first order) a relative error of ``rel_tol`` on the integral.
-    ``seed_points`` force an initial partition; they guard against the
-    classic adaptive-quadrature failure where a spike narrower than the
-    first panel's node spacing goes unseen.
+    The one-cell case of ``log_cell_integrals``.  A log-space discrepancy
+    of ``rel_tol`` between refinement levels is (to first order) a
+    relative error of ``rel_tol`` on the integral.  ``seed_points`` force
+    an initial partition; they guard against the classic
+    adaptive-quadrature failure where a spike narrower than the first
+    panel's node spacing goes unseen.
     """
-    if lo == hi:
-        return NEG_INF
     if lo > hi:
         raise ValueError("log_adaptive_quad requires lo <= hi")
-
-    cuts = [lo, hi]
-    if seed_points is not None:
-        cuts.extend(p for p in seed_points if lo < p < hi)
-    cuts = sorted(set(cuts))
-
-    parts: list[float] = []
-    stack = [(a, b, _panel_log(log_f, a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
-    best = max((w for _, _, w, _ in stack), default=NEG_INF)
-    while stack:
-        a, b, whole, depth = stack.pop()
-        if whole <= best - _FLOOR_GAP:
-            if whole > NEG_INF:
-                parts.append(float(whole))
-            continue
-        mid = 0.5 * (a + b)
-        left = _panel_log(log_f, a, mid)
-        right = _panel_log(log_f, mid, b)
-        refined = np.logaddexp(left, right)
-        if refined == NEG_INF:
-            continue
-        best = max(best, float(refined))
-        if depth >= max_depth or (
-            whole > NEG_INF and abs(refined - whole) <= rel_tol
-        ):
-            parts.append(float(refined))
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-    if not parts:
-        return NEG_INF
-    return float(logsumexp(parts))
+    return float(log_cell_integrals(log_f, [lo, hi], rel_tol, seed_points)[0])
 
 
 def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
-    """``_panel_log`` for every panel ``[a[i], b[i]]``, with one ``log_f`` call."""
+    """Log of each panel's Gauss-Legendre estimate, maximum factored out, in one call."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _GL_NODES
@@ -153,6 +110,8 @@ def _log_cells_chunk(log_f, edges: np.ndarray, seeds: np.ndarray,
                      rel_tol: float) -> np.ndarray:
     n = len(edges) - 1
     cuts = np.unique(np.concatenate([edges, seeds[(seeds > edges[0]) & (seeds < edges[-1])]]))
+    if cuts.size == 1:  # every cell of the chunk is empty
+        return np.full(n, NEG_INF)
     a, b = cuts[:-1], cuts[1:]
     cell = np.minimum(np.searchsorted(edges, a, side="right") - 1, n - 1)
     whole = _log_panels(log_f, a, b)
@@ -203,12 +162,12 @@ def log_cell_integrals(
 ) -> np.ndarray:
     """``log(integral of exp(log_f))`` over every cell ``[edges[i], edges[i+1]]``.
 
-    The batched form of ``log_adaptive_quad``, with the same acceptance
-    rule per panel: all live panels of a refinement level are evaluated
-    with one ``log_f`` call, and panels whose whole and half-panel
-    estimates disagree by more than ``rel_tol`` (in log) are bisected, at
-    most ``_MAX_DEPTH`` times.  Cells containing a ``seed_point`` are
-    split there first.  A panel whose width is within a few ulps of its
+    All live panels of a refinement level are evaluated with one
+    ``log_f`` call, and panels whose whole and half-panel estimates
+    disagree by more than ``rel_tol`` (in log) are bisected, at most
+    ``_MAX_DEPTH`` times; a panel more than ``_FLOOR_GAP`` below the
+    largest of its cell is accepted as it stands.  Cells containing a
+    ``seed_point`` are split there first.  A panel whose width is within a few ulps of its
     midpoint is accepted as it stands, so the work stays bounded far from
     the origin, where float spacing limits what bisection can resolve.
     Cells are processed ``_CHUNK_CELLS`` at a time, which keeps peak

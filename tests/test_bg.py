@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from lsi_lab import bg, errors
@@ -361,6 +363,24 @@ def test_detector_exponential_convolution_unbounded():
     assert all(b >= 2.0 * a for a, b in zip(vals[:-1], vals[1:]))
     # integrand at 40 exceeds the one at 20
     assert vals[2] > vals[1]
+
+
+def test_exponential_convolution_is_a_probability_density():
+    # Exp(1) * N(0, 1): p(x) = exp(1/2 - x) Phi(x - 1), S(x) = Phi(-x) + p(x)
+    dens = exponential_convolution_density()
+
+    def survival(x):
+        return norm.cdf(-x) + math.exp(0.5 - x) * norm.cdf(x - 1.0)
+
+    mass = sum(quad(lambda x: math.exp(float(dens.log_pdf(x))), lo, hi,
+                    epsabs=1e-14, epsrel=1e-13)[0]
+               for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    for x in (2.0, 10.0):
+        assert math.exp(dens.log_right_tail(x)) == pytest.approx(survival(x), rel=1e-12)
+    want = brentq(lambda x: norm.cdf(x) - math.exp(0.5 - x) * norm.cdf(x - 1.0) - 0.5,
+                  -5.0, 5.0, xtol=1e-15)
+    assert dens.median() == pytest.approx(want, abs=1e-12)
 
 
 def test_detector_gaussian_bounded_near_half():

@@ -285,6 +285,25 @@ def test_median_asymmetric_atoms_against_root_oracle():
     assert math.exp(tail_mass(d, got, "left")) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_median_is_within_one_ulp_far_from_the_origin():
+    # the float minimising |F - 1/2| among the 129 floats within 64 ulps of
+    # the returned median lies at most one ulp from it
+    rng = np.random.default_rng(20261018)
+    steps = np.arange(-64, 65)
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        shift = float(rng.choice([1e7, 1e8, 3e9])) * float(rng.choice([-1.0, 1.0]))
+        w = rng.uniform(0.1, 1.0, size=k)
+        atoms = [{"x": shift + float(x), "w": float(v)}
+                 for x, v in zip(rng.uniform(-2.0, 2.0, size=k), w / w.sum())]
+        d = MollifiedDensity(build_measure({"atoms": atoms}), float(rng.uniform(0.05, 1.5)))
+        got = median(d)
+        # neighbouring floats of one sign are neighbouring integers of their bits
+        xs = (np.float64(got).view(np.int64) + steps).view(np.float64)
+        best = int(np.argmin(np.abs(np.exp(tail_mass(d, xs, "left")) - 0.5)))
+        assert abs(int(steps[best])) <= 1, (atoms, d.delta, got, xs[best])
+
+
 # ---------------------------------------------------------------------------
 # reciprocal integral
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lsi_lab import quadrature
 from lsi_lab.quadrature import NEG_INF, log_adaptive_quad, log_cell_integrals
@@ -15,15 +16,79 @@ def neg_log_two_point(t, delta=0.05):
     return -log_p
 
 
+# ---------------------------------------------------------------------------
+# frozen reference: the scalar depth-first log-space rule that
+# log_adaptive_quad ran before it became the one-cell log_cell_integrals
+# ---------------------------------------------------------------------------
+
+_FROZEN_NODES, _FROZEN_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def _frozen_panel_log(log_f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(log_f(mid + half * _FROZEN_NODES), dtype=float)
+    m = float(np.max(vals))
+    if m == NEG_INF or half == 0.0:
+        return NEG_INF
+    return m + math.log(half * float(np.dot(_FROZEN_WEIGHTS, np.exp(vals - m))))
+
+
+def _frozen_log_quad(log_f, lo, hi, rel_tol=1e-10, seed_points=None):
+    if lo == hi:
+        return NEG_INF
+    cuts = [lo, hi]
+    if seed_points is not None:
+        cuts.extend(p for p in seed_points if lo < p < hi)
+    cuts = sorted(set(cuts))
+    parts = []
+    stack = [(a, b, _frozen_panel_log(log_f, a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
+    best = max(w for _, _, w, _ in stack)
+    while stack:
+        a, b, whole, depth = stack.pop()
+        if whole <= best - 46.0:
+            if whole > NEG_INF:
+                parts.append(float(whole))
+            continue
+        mid = 0.5 * (a + b)
+        left = _frozen_panel_log(log_f, a, mid)
+        right = _frozen_panel_log(log_f, mid, b)
+        refined = np.logaddexp(left, right)
+        if refined == NEG_INF:
+            continue
+        best = max(best, float(refined))
+        if depth >= 60 or (whole > NEG_INF and abs(refined - whole) <= rel_tol):
+            parts.append(float(refined))
+        else:
+            stack.append((a, mid, left, depth + 1))
+            stack.append((mid, b, right, depth + 1))
+    return float(logsumexp(parts)) if parts else NEG_INF
+
+
 def test_cells_match_the_per_cell_adaptive_rule():
-    # the loop over log_adaptive_quad is the reference; summation order
-    # differs, so agreement is to a few rel_tol, not bitwise
+    # panels are visited breadth-first instead of depth-first and summed in
+    # another order, so agreement is to a few rel_tol, not bitwise
     edges = np.linspace(-3.0, 3.0, 601)
     got = log_cell_integrals(neg_log_two_point, edges, rel_tol=1e-10, seed_points=[0.0])
-    want = [log_adaptive_quad(neg_log_two_point, a, b, rel_tol=1e-10,
-                              seed_points=[0.0] if a < 0.0 < b else None)
+    want = [_frozen_log_quad(neg_log_two_point, a, b, rel_tol=1e-10,
+                             seed_points=[0.0] if a < 0.0 < b else None)
             for a, b in zip(edges[:-1], edges[1:])]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi, seeds", [(-3.0, 0.0, [0.0]), (-0.9, 0.9, None)])
+def test_one_cell_matches_the_frozen_scalar_rule(lo, hi, seeds):
+    # reciprocal integrals of the two-point density: from -3 to the gap
+    # midpoint 0, and across the gap, where only refinement finds the peak
+    # of 1/p at 0 (a depth cap of one bisection misses it by 4e-8)
+    got = log_adaptive_quad(neg_log_two_point, lo, hi, rel_tol=1e-10, seed_points=seeds)
+    want = _frozen_log_quad(neg_log_two_point, lo, hi, rel_tol=1e-10, seed_points=seeds)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_reversed_interval_is_rejected():
+    with pytest.raises(ValueError):
+        log_adaptive_quad(neg_log_two_point, 0.0, -1.0)
 
 
 def test_seed_point_splits_its_cell():
@@ -44,6 +109,13 @@ def test_empty_and_zero_cells_are_minus_inf():
                              [0.0, 0.5, 0.5, 2.0])
     assert out[0] == NEG_INF and out[1] == NEG_INF
     assert out[2] == pytest.approx(0.0, abs=1e-12)    # log of the length 1 of [1, 2]
+    # a chunk whose cells are all empty: the whole call, and the trailing chunk
+    log_phi = lambda t: -0.5 * np.asarray(t) ** 2
+    assert log_cell_integrals(log_phi, [1.0, 1.0])[0] == NEG_INF
+    assert log_adaptive_quad(log_phi, 1.0, 1.0) == NEG_INF
+    tail = log_cell_integrals(log_phi, np.r_[np.linspace(0.0, 1.0, quadrature._CHUNK_CELLS + 1), 1.0])
+    assert tail.size == quadrature._CHUNK_CELLS + 1
+    assert tail[-1] == NEG_INF and np.all(np.isfinite(tail[:-1]))
 
 
 def test_one_call_per_level_per_chunk():
@@ -62,7 +134,7 @@ def test_one_call_per_level_per_chunk():
 
 def test_unresolvable_integrand_stops_at_float_spacing():
     # a log-integrand that no bisection can resolve: far from the origin the
-    # panels stop splitting once a few ulps wide, instead of at max_depth
+    # panels stop splitting once a few ulps wide, instead of at _MAX_DEPTH
     calls = []
 
     def log_f(t):
