@@ -107,30 +107,8 @@ class BGReport:
     d0_from_tail: bool
     d1_from_tail: bool
 
+    # the fields written as CSV columns, in order
     CSV_HEADER = "delta,D0,D1,x_star_0,x_star_1,c_lower,c_upper"
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "D0": self.D0,
-            "D1": self.D1,
-            "x_star_0": self.x_star_0,
-            "x_star_1": self.x_star_1,
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "tail_limit_estimate": self.tail_limit_estimate,
-            "search_window": list(self.search_window),
-            "quadrature_tol": self.quadrature_tol,
-            "search_tol": self.search_tol,
-            "median": self.median,
-            "d0_from_tail": self.d0_from_tail,
-            "d1_from_tail": self.d1_from_tail,
-        }
-
-    def to_csv_row(self) -> str:
-        cols = (self.delta, self.D0, self.D1, self.x_star_0, self.x_star_1,
-                self.c_lower, self.c_upper)
-        return ",".join(f"{v:.17g}" for v in cols)
 
 
 def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
@@ -314,16 +292,6 @@ class BlowupScan:
     gap: tuple[float, float]
     reports: tuple[BGReport, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "log_D_totals": list(self.log_D_totals),
-            "fitted_slope_vs_inv_delta": self.fitted_slope_vs_inv_delta,
-            "theoretical_exponent": self.theoretical_exponent,
-            "gap": list(self.gap),
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
 
 def find_support_gap(m: Measure1D) -> tuple[float, float]:
     """The widest open interval of zero mass between support components."""
@@ -450,10 +418,6 @@ def super_gaussian_density() -> ClosedFormDensity:
 class UnboundedVerdict:
     verdict: str          # "unbounded" | "bounded"
     witness: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict,
-                "witness": [{"x": x, "integrand": v} for x, v in self.witness]}
 
 
 def unbounded_detector(

@@ -13,10 +13,16 @@ are written to a temporary sibling and renamed, so a nonzero exit never
 leaves a partial file.  Identical invocations produce byte-identical
 output.  `rmt --threads N` splits each batch's chunks of trials across N
 threads; it never changes the bytes, only wall time.
+
+Report dataclasses are written to JSON by field name, nested ones too,
+and the CSV rows of estimate, scan, bakry and asymptotics share one
+format (``_csv_row``).  The rmt report and the curvature certificate
+keep their own JSON keys (``to_dict``), and rmt its own CSV.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +38,18 @@ _FLOAT_FMT = "{:.17g}"
 
 def _fmt(v: float) -> str:
     return _FLOAT_FMT.format(v)
+
+
+def _csv_row(values) -> str:
+    """One CSV row: empty for None, 17 significant digits for floats."""
+    return ",".join("" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                    for v in values)
+
+
+def _csv(names, reports, get=getattr) -> str:
+    """A header of column names, then one row per report."""
+    rows = [_csv_row(get(r, k) for k in names) for r in reports]
+    return "\n".join([",".join(names)] + rows) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +112,11 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Reports (dataclasses, nested ones too) are written by field name."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=dataclasses.asdict) + "\n"
+
+
+_BG_COLUMNS = bg.BGReport.CSV_HEADER.split(",")
 
 
 def _cmd_estimate(args) -> str:
@@ -102,8 +124,8 @@ def _cmd_estimate(args) -> str:
     density = mollify.MollifiedDensity(measure, args.delta)
     report = bg.compute_bg(density)
     if args.format == "csv":
-        return bg.BGReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-    return _dump_json(report.to_dict())
+        return _csv(_BG_COLUMNS, [report])
+    return _dump_json(report)
 
 
 def _cmd_scan(args) -> str:
@@ -113,15 +135,12 @@ def _cmd_scan(args) -> str:
         raise ValidationError("need >= 2 deltas for slope")
     scan = bg.blowup_scan(measure, deltas)
     if args.format == "json":
-        return _dump_json(scan.to_dict())
-    lines = [bg.BGReport.CSV_HEADER]
-    lines.extend(r.to_csv_row() for r in scan.reports)
-    lines.append(
+        return _dump_json(scan)
+    return _csv(_BG_COLUMNS, scan.reports) + (
         f"# slope={_fmt(scan.fitted_slope_vs_inv_delta)}"
         f" theoretical_exponent={_fmt(scan.theoretical_exponent)}"
-        f" gap={_fmt(scan.gap[0])},{_fmt(scan.gap[1])}"
+        f" gap={_fmt(scan.gap[0])},{_fmt(scan.gap[1])}\n"
     )
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_rmt(args) -> str:
@@ -143,13 +162,9 @@ def _cmd_bakry(args) -> str:
                              random_points=args.random, seed=args.seed)
     cert = highdim.bakry_emery_certificate(cloud, args.delta, spec)
     if args.format == "csv":
-        d = cert.to_dict()
         keys = ["delta", "R", "n", "min_eig", "c_candidate", "threshold_ok",
                 "perturbation_bound", "probes_evaluated"]
-        row = ",".join("" if d[k] is None else
-                       (_fmt(d[k]) if isinstance(d[k], float) else str(d[k]))
-                       for k in keys)
-        return ",".join(keys) + "\n" + row + "\n"
+        return _csv(keys, [cert.to_dict()], dict.get)
     return _dump_json(cert.to_dict())
 
 
@@ -161,20 +176,8 @@ def _cmd_asymptotics(args) -> str:
         raise ValidationError("need at least one probe point")
     reports = [mollify.asymptotic_ratios(density, x, args.side) for x in xs]
     if args.format == "csv":
-        lines = ["x,ratio_lemma1,ratio_lemma2,ratio_lemma3,side"]
-        lines.extend(
-            f"{_fmt(r.x)},{_fmt(r.ratio_lemma1)},{_fmt(r.ratio_lemma2)},"
-            f"{_fmt(r.ratio_lemma3)},{r.side}"
-            for r in reports
-        )
-        return "\n".join(lines) + "\n"
-    return _dump_json([{
-        "x": r.x,
-        "ratio_lemma1": r.ratio_lemma1,
-        "ratio_lemma2": r.ratio_lemma2,
-        "ratio_lemma3": r.ratio_lemma3,
-        "side": r.side,
-    } for r in reports])
+        return _csv([f.name for f in dataclasses.fields(mollify.AsymptoticReport)], reports)
+    return _dump_json(reports)
 
 
 _COMMANDS = {

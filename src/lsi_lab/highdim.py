@@ -11,8 +11,9 @@ covariance form of the second-derivative displays for p; it is
 algebraically identical and numerically stabler (the cancellations are
 absorbed by centering), and it is cross-checked against finite
 differences of log p in the tests.  The tilted weights and log p share
-one max-shifted log-sum-exp in numpy: the largest atom weight is exactly
-1, so probes far from the cloud stay finite.
+one max-shifted log-sum-exp in numpy over log weights that leave out the
+squared distance every atom shares, so probes far from the cloud keep
+their atoms apart and stay finite.
 
 A uniform eigenvalue bound Hess(-log p) >= (1/c) I certifies a
 log-Sobolev inequality with constant c.  Certificates here are probe
@@ -93,43 +94,50 @@ def measure_nd_from_dict(raw: dict) -> MeasureND:
     return build_measure_nd(pts, ws, raw.get("center"), raw.get("radius"))
 
 
+def _log_atom_weights(m: MeasureND) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(m.weights)
+
+
 def _log_weights_at(m: MeasureND, delta: float, x: np.ndarray) -> np.ndarray:
     """Unnormalized log kernel weights of every atom at x."""
     sq = np.sum((x[None, :] - m.points) ** 2, axis=1)
-    with np.errstate(divide="ignore"):
-        logw = np.where(m.weights > 0.0, np.log(np.maximum(m.weights, 1e-300)),
-                        -np.inf)
-    return logw - sq / (2.0 * delta)
+    return _log_atom_weights(m) - sq / (2.0 * delta)
 
 
-def _tilted(logw: np.ndarray) -> tuple[np.ndarray, float]:
-    """(exp(logw - lse), lse) with lse = log sum exp(logw), by a max shift:
-    the largest shifted weight is exactly 1, so the sum neither overflows
-    nor underflows to 0."""
+def _tilted(m: MeasureND, delta: float, x) -> tuple[np.ndarray, float]:
+    """(tilted atom weights at x, log sum_k w_k exp(-|x - y_k|^2 / 2 delta)).
+
+    With u = x - c and z_k = y_k - c for the ball's centre c, the log
+    weights are log w_k + (u.z_k - |z_k|^2 / 2) / delta: the |u|^2 / 2 delta
+    every atom shares is left out of the max-shifted sum (whose largest
+    term is exactly 1) and subtracted after it.  So far from the cloud
+    x - y_k does not round y_k away, and the log-sum is -inf only where
+    |u|^2 overflows.
+    """
+    u = np.asarray(x, dtype=float) - m.center
+    z = m.points - m.center
+    logw = _log_atom_weights(m) + (z @ u - 0.5 * np.sum(z * z, axis=1)) / delta
     top = float(np.max(logw))
-    if top == -math.inf:  # every squared distance overflowed
-        return np.full_like(logw, math.nan), top
     w = np.exp(logw - top)
     total = float(np.sum(w))
     w /= total
-    return w, top + math.log(total)
+    return w, top + math.log(total) - float(u @ u) / (2.0 * delta)
 
 
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
     """log p(x) for p = mu * gamma_delta, by log-sum-exp over the atoms."""
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
-    x = np.asarray(x, dtype=float)
     norm_const = 0.5 * m.dimension * math.log(2.0 * math.pi * delta)
-    return _tilted(_log_weights_at(m, delta, x))[1] - norm_const
+    return _tilted(m, delta, x)[1] - norm_const
 
 
 def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
     """Hess(-log p)(x) = I/delta - Cov(y)/delta^2 under the tilted atom weights."""
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
-    x = np.asarray(x, dtype=float)
-    w, _ = _tilted(_log_weights_at(m, delta, x))
+    w, _ = _tilted(m, delta, x)
     mean = w @ m.points
     centered = m.points - mean
     cov = (centered * w[:, None]).T @ centered
@@ -215,6 +223,8 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
     """Minimum Hessian eigenvalue over the probe set and the implied constant.
 
     ``c_candidate = 1/min_eig`` when the minimum is positive, else None.
+    ``min_eig_location`` is the first probe within a relative 1e-12 of
+    the minimum.
     The analytic floor (delta - 2 R^2 n)/delta^2 lower-bounds the true
     minimum whenever the delta > 2 R^2 n threshold holds.
     """
@@ -222,13 +232,10 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     spec = probes if probes is not None else ProbeSpec()
     pts = spec.generate(m, delta)
-    min_eig = math.inf
-    min_loc = pts[0]
-    for x in pts:
-        eig = float(np.linalg.eigvalsh(hessian_neg_log_p(m, delta, x))[0])
-        if eig < min_eig:
-            min_eig = eig
-            min_loc = x
+    eigs = np.array([np.linalg.eigvalsh(hessian_neg_log_p(m, delta, x))[0] for x in pts])
+    min_eig = float(np.min(eigs))
+    # a relative tie band, so that round-off does not pick among tied probes
+    min_loc = pts[int(np.argmax(eigs <= min_eig + 1e-12 * abs(min_eig)))]
     n = m.dimension
     r = m.radius
     return HessianCertificate(

@@ -390,14 +390,14 @@ class TestFunction:
 _LOG_CLAMP = 1e-300
 
 
-def _integrate_against(m: Measure1D, f: Callable, rel_tol: float = 1e-12) -> float:
+def _integrate_against(m: Measure1D, f: Callable) -> float:
     """integral of f d mu: exact sum on atoms, adaptive quadrature on pieces."""
     total = 0.0
     if m.atoms:
         total += float(np.dot(m.atom_weights, np.asarray(f(m.atom_locations), dtype=float)))
     for p in m.pieces:
         total += adaptive_quad(lambda t, p=p: p.density(t) * np.asarray(f(t), dtype=float),
-                               p.lo, p.hi, rel_tol=rel_tol)
+                               p.lo, p.hi)
     return total
 
 

@@ -31,6 +31,8 @@ _FLOOR_GAP = 46.0
 _MAX_DEPTH = 60
 # cells per batch in log_cell_integrals
 _CHUNK_CELLS = 256
+# relative agreement at which adaptive_quad accepts a panel
+_LINEAR_REL_TOL = 1e-12
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -40,12 +42,7 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     return half * float(np.dot(_GL_WEIGHTS, vals))
 
 
-def adaptive_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-) -> float:
+def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Integral of ``f`` over ``[lo, hi]`` by adaptive panel bisection.
 
     ``f`` must accept a 1-D ndarray of abscissae.
@@ -53,7 +50,7 @@ def adaptive_quad(
     if lo == hi:
         return 0.0
     if lo > hi:
-        return -adaptive_quad(f, hi, lo, rel_tol)
+        return -adaptive_quad(f, hi, lo)
     total = 0.0
     stack = [(lo, hi, _panel(f, lo, hi), 0)]
     while stack:
@@ -62,7 +59,8 @@ def adaptive_quad(
         left = _panel(f, a, mid)
         right = _panel(f, mid, b)
         refined = left + right
-        if depth >= _MAX_DEPTH or abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300):
+        if (depth >= _MAX_DEPTH
+                or abs(refined - whole) <= _LINEAR_REL_TOL * max(abs(refined), 1e-300)):
             total += refined
         else:
             stack.append((a, mid, left, depth + 1))

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +108,11 @@ def _as_key(seed) -> tuple[int, ...]:
 # entry laws
 # ---------------------------------------------------------------------------
 
-LAW_KINDS = ("two_point", "uniform", "gaussian", "exponential", "atom_mixture")
+# the parameter keys each law's JSON form takes
+_LAW_KEYS = {"two_point": {"a", "b", "weight_a"}, "uniform": {"a", "b"},
+             "gaussian": {"mean", "var"}, "exponential": {"rate"},
+             "atom_mixture": {"measure"}}
+LAW_KINDS = tuple(_LAW_KEYS)
 
 
 @dataclass(frozen=True)
@@ -189,16 +193,21 @@ def atom_mixture_law(measure: Measure1D) -> EntryLaw:
 
 
 def law_from_spec(spec) -> EntryLaw:
-    """Parse the JSON form: a bare kind string or {"kind": ..., params}."""
+    """Parse the JSON form: a bare kind string or {"kind": ..., params}.
+
+    An unknown kind raises ``UnknownLaw``; a key the named law does not
+    take raises ``ValidationError``."""
     if isinstance(spec, str):
         name, args = spec, {}
     elif isinstance(spec, dict):
-        extra = set(spec) - {"kind", "a", "b", "weight_a", "mean", "var", "rate", "measure"}
-        if extra:
-            raise ValidationError(f"unknown law keys: {sorted(extra)}")
         name, args = spec.get("kind"), spec
     else:
         raise UnknownLaw(f"cannot parse law spec {spec!r}")
+    if name not in LAW_KINDS:
+        raise UnknownLaw(f"unknown entry law {name!r}")
+    extra = set(args) - {"kind"} - _LAW_KEYS[name]
+    if extra:
+        raise ValidationError(f"unknown {name} law keys: {sorted(extra)}")
     if name == "two_point":
         return two_point_law(args.get("a", -1.0), args.get("b", 1.0),
                              args.get("weight_a", 0.5))
@@ -208,11 +217,9 @@ def law_from_spec(spec) -> EntryLaw:
         return gaussian_law(args.get("mean", 0.0), args.get("var", 1.0))
     if name == "exponential":
         return exponential_law(args.get("rate", 1.0))
-    if name == "atom_mixture":
-        from .measure import build_measure
+    from .measure import build_measure
 
-        return atom_mixture_law(build_measure(args.get("measure", {})))
-    raise UnknownLaw(f"unknown entry law {name!r}")
+    return atom_mixture_law(build_measure(args.get("measure", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +534,6 @@ class DeltaSchedule:
 
     rows: tuple[tuple[int, float, float], ...]
 
-    def delta_for(self, n: int) -> float:
-        for row_n, dl, _ in self.rows:
-            if row_n == n:
-                return dl
-        raise KeyError(f"n={n} not in schedule")
-
-    def to_dict(self) -> dict:
-        return {"rows": [{"n": n, "delta": dl, "c_of_delta": c} for n, dl, c in self.rows]}
-
 
 def delta_schedule(c_table: Sequence[tuple[float, float]], ns: Sequence[int]) -> DeltaSchedule:
     """For each requested n, the smallest tabulated delta with c(delta) <= n.
@@ -627,13 +625,6 @@ class Cell:
     c_used: float
     f_lip: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "eps", "trials", "empirical_freq", "mc_stderr", "guionnet_bound",
-            "term1_bound", "term1_freq", "term2_bound", "term3_gap", "term3_stderr",
-            "term3_bound", "term3_indicator", "envelope_ok", "delta_used", "c_used",
-            "f_lip")}
-
     def to_csv_row(self) -> str:
         cols = (self.n, self.eps, self.trials, self.empirical_freq, self.mc_stderr,
                 self.guionnet_bound, self.term1_bound, self.term3_gap,
@@ -659,7 +650,7 @@ class ConcentrationReport:
             "f_lip": self.f_lip,
             "trials": self.trials,
             "seed": self.seed,
-            "cells": [c.to_dict() for c in self.cells],
+            "cells": [asdict(c) for c in self.cells],
         }
 
     def to_csv(self) -> str:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lsi_lab import cli
+from lsi_lab import bg, cli, highdim, mollify, rmt
 
 TWO_POINT = '{"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}'
 UNIFORM = '{"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]}'
@@ -288,3 +288,223 @@ def test_cli_module_runs_without_runtime_warning(source_env):
     assert proc.returncode == 2, proc.stderr
     assert "usage: lsi" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# frozen output bytes: fixed reports through every subcommand and format
+# ---------------------------------------------------------------------------
+
+THIRD = 1.0 / 3.0
+
+
+def _bg_report(delta):
+    return bg.BGReport(delta=delta, D0=THIRD, D1=0.1, x_star_0=-1.25, x_star_1=2.0 / 3.0,
+                       c_lower=THIRD / 150.0, c_upper=468.0 * THIRD,
+                       tail_limit_estimate=delta / 2.0, search_window=(-7.5, 1e20),
+                       quadrature_tol=1e-10, search_tol=1e-10, median=-0.0,
+                       d0_from_tail=False, d1_from_tail=True)
+
+
+def _blowup_scan(measure, deltas):
+    return bg.BlowupScan(deltas=tuple(deltas), log_D_totals=(THIRD, 2.0 / 3.0),
+                         fitted_slope_vs_inv_delta=0.1, theoretical_exponent=0.5,
+                         gap=(-1.0, 1.0), reports=(_bg_report(deltas[0]),))
+
+
+def _asymptotic_ratios(density, x, side):
+    return mollify.AsymptoticReport(x=x, ratio_lemma1=THIRD, ratio_lemma2=1.0 + 2.0 ** -52,
+                                    ratio_lemma3=1e-300, side=side)
+
+
+def _concentration_experiment(config, workers=1):
+    cell = rmt.Cell(n=20, eps=0.3, trials=7, empirical_freq=THIRD, mc_stderr=0.1,
+                    guionnet_bound=2.0, term1_bound=0.0, term1_freq=1.0 / 7.0,
+                    term2_bound=1e-17, term3_gap=2.0 / 3.0, term3_stderr=0.0,
+                    term3_bound=0.5, term3_indicator=1.0, envelope_ok=True,
+                    delta_used=0.25, c_used=468.0 * THIRD, f_lip=1.0)
+    return rmt.ConcentrationReport("two_point", "arctan", 1.0, 7, 42, (cell,))
+
+
+def _bakry_emery_certificate(cloud, delta, spec=None):
+    return highdim.HessianCertificate(
+        delta=delta, radius=1.0, dimension=2, min_eigenvalue=-THIRD,
+        min_eig_location=(0.0, -2.0 / 3.0), c_candidate=None, threshold_satisfied=False,
+        perturbation_bound=40.0, analytic_floor=-1580.0, probes_evaluated=249)
+
+
+FROZEN_ARGV = {
+    "estimate": ["--measure", "{two_point}", "--delta", "0.5"],
+    "scan": ["--measure", "{two_point}", "--deltas", "0.1,0.05"],
+    "asymptotics": ["--measure", "{two_point}", "--delta", "1", "--xs=-50,-100",
+                    "--side", "left"],
+    "rmt": ["--config", "{config}"],
+    "bakry": ["--measure", "{cloud}", "--delta", "0.05"],
+}
+
+FROZEN_OUTPUT = {
+    ("asymptotics", "json"): """\
+[
+  {
+    "ratio_lemma1": 0.3333333333333333,
+    "ratio_lemma2": 1.0000000000000002,
+    "ratio_lemma3": 1e-300,
+    "side": "left",
+    "x": -50.0
+  },
+  {
+    "ratio_lemma1": 0.3333333333333333,
+    "ratio_lemma2": 1.0000000000000002,
+    "ratio_lemma3": 1e-300,
+    "side": "left",
+    "x": -100.0
+  }
+]
+""",
+    ("asymptotics", "csv"): """\
+x,ratio_lemma1,ratio_lemma2,ratio_lemma3,side
+-50,0.33333333333333331,1.0000000000000002,1e-300,left
+-100,0.33333333333333331,1.0000000000000002,1e-300,left
+""",
+    ("bakry", "json"): """\
+{
+  "R": 1.0,
+  "analytic_floor": -1580.0,
+  "c_candidate": null,
+  "delta": 0.05,
+  "min_eig": -0.3333333333333333,
+  "min_eig_location": [
+    0.0,
+    -0.6666666666666666
+  ],
+  "n": 2,
+  "perturbation_bound": 40.0,
+  "probes_evaluated": 249,
+  "threshold_ok": false
+}
+""",
+    ("bakry", "csv"): """\
+delta,R,n,min_eig,c_candidate,threshold_ok,perturbation_bound,probes_evaluated
+0.050000000000000003,1,2,-0.33333333333333331,,False,40,249
+""",
+    ("estimate", "json"): """\
+{
+  "D0": 0.3333333333333333,
+  "D1": 0.1,
+  "c_lower": 0.0022222222222222222,
+  "c_upper": 156.0,
+  "d0_from_tail": false,
+  "d1_from_tail": true,
+  "delta": 0.5,
+  "median": -0.0,
+  "quadrature_tol": 1e-10,
+  "search_tol": 1e-10,
+  "search_window": [
+    -7.5,
+    1e+20
+  ],
+  "tail_limit_estimate": 0.25,
+  "x_star_0": -1.25,
+  "x_star_1": 0.6666666666666666
+}
+""",
+    ("estimate", "csv"): """\
+delta,D0,D1,x_star_0,x_star_1,c_lower,c_upper
+0.5,0.33333333333333331,0.10000000000000001,-1.25,0.66666666666666663,0.0022222222222222222,156
+""",
+    ("rmt", "json"): """\
+{
+  "cells": [
+    {
+      "c_used": 156.0,
+      "delta_used": 0.25,
+      "empirical_freq": 0.3333333333333333,
+      "envelope_ok": true,
+      "eps": 0.3,
+      "f_lip": 1.0,
+      "guionnet_bound": 2.0,
+      "mc_stderr": 0.1,
+      "n": 20,
+      "term1_bound": 0.0,
+      "term1_freq": 0.14285714285714285,
+      "term2_bound": 1e-17,
+      "term3_bound": 0.5,
+      "term3_gap": 0.6666666666666666,
+      "term3_indicator": 1.0,
+      "term3_stderr": 0.0,
+      "trials": 7
+    }
+  ],
+  "f": "arctan",
+  "f_lip": 1.0,
+  "law": "two_point",
+  "seed": 42,
+  "trials": 7
+}
+""",
+    ("rmt", "csv"): """\
+n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper
+20,0.29999999999999999,7,0.33333333333333331,0.10000000000000001,2,0,0.66666666666666663,0.25,156
+""",
+    ("scan", "json"): """\
+{
+  "deltas": [
+    0.1,
+    0.05
+  ],
+  "fitted_slope_vs_inv_delta": 0.1,
+  "gap": [
+    -1.0,
+    1.0
+  ],
+  "log_D_totals": [
+    0.3333333333333333,
+    0.6666666666666666
+  ],
+  "reports": [
+    {
+      "D0": 0.3333333333333333,
+      "D1": 0.1,
+      "c_lower": 0.0022222222222222222,
+      "c_upper": 156.0,
+      "d0_from_tail": false,
+      "d1_from_tail": true,
+      "delta": 0.1,
+      "median": -0.0,
+      "quadrature_tol": 1e-10,
+      "search_tol": 1e-10,
+      "search_window": [
+        -7.5,
+        1e+20
+      ],
+      "tail_limit_estimate": 0.05,
+      "x_star_0": -1.25,
+      "x_star_1": 0.6666666666666666
+    }
+  ],
+  "theoretical_exponent": 0.5
+}
+""",
+    ("scan", "csv"): """\
+delta,D0,D1,x_star_0,x_star_1,c_lower,c_upper
+0.10000000000000001,0.33333333333333331,0.10000000000000001,-1.25,0.66666666666666663,0.0022222222222222222,156
+# slope=0.10000000000000001 theoretical_exponent=0.5 gap=-1,1
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(FROZEN_ARGV))
+def test_output_bytes_are_frozen(command, fmt, two_point_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bg, "compute_bg", lambda d: _bg_report(d.delta))
+    monkeypatch.setattr(bg, "blowup_scan", _blowup_scan)
+    monkeypatch.setattr(mollify, "asymptotic_ratios", _asymptotic_ratios)
+    monkeypatch.setattr(rmt, "concentration_experiment", _concentration_experiment)
+    monkeypatch.setattr(highdim, "bakry_emery_certificate", _bakry_emery_certificate)
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(CLOUD_2D)
+    paths = {"two_point": two_point_file, "cloud": str(cloud),
+             "config": rmt_config(tmp_path)}
+    argv = [command] + [a.format(**paths) for a in FROZEN_ARGV[command]] + ["--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == FROZEN_OUTPUT[command, fmt]

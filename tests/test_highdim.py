@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -323,3 +324,44 @@ def test_dimension_one_cross_check_with_bg():
     assert cert.threshold_satisfied and cert.c_candidate is not None
     report = compute_bg(MollifiedDensity(two_point(), delta))
     assert cert.c_candidate >= report.c_lower
+
+
+def test_hessian_is_exact_where_the_atoms_round_away():
+    # x - y_k rounds y_k away from 1e16 on, and |x|^2 overflows from 1e155 on;
+    # the tilted measure sits on the nearest atom, so the Hessian is I/delta
+    cases = [(two_atoms_2d(), [1e16, 0.0]), (two_atoms_2d(), [1e150, 0.0]),
+             (two_atoms_2d(), [1e200, 0.0]),
+             (build_measure_nd([[1.0, 0.5], [-1.0, 0.0], [0.2, -0.7]], [0.3, 0.3, 0.4]),
+              [1e16, 3e16])]
+    for m, x in cases:
+        with np.errstate(over="ignore"):
+            h = hessian_neg_log_p(m, 0.5, x)
+        assert np.array_equal(h, np.eye(2) / 0.5), (x, h)
+
+
+def test_min_eig_location_ignores_round_off_among_tied_probes(monkeypatch):
+    # every probe on x1 = 0 has the same eigenvalue (1 - 1/delta)/delta = -380
+    cert = bakry_emery_certificate(two_atoms_2d(), 0.05)
+    assert cert.min_eig_location[0] == 0.0
+    assert cert.min_eig_location[1] == pytest.approx(-2.341640786499874, rel=1e-12)
+    exact = highdim.hessian_neg_log_p
+    for pattern in ([0, 1, 2], [1, 0, 2, 0]):
+        ks = itertools.cycle(pattern)
+        monkeypatch.setattr(highdim, "hessian_neg_log_p",
+                            lambda m, delta, x: exact(m, delta, x) * (1 + next(ks) * 2.0 ** -52))
+        assert bakry_emery_certificate(two_atoms_2d(), 0.05).min_eig_location == \
+            cert.min_eig_location
+
+
+def test_hessian_of_a_translated_cloud():
+    # the log weights are taken relative to the ball's centre, so a cloud far
+    # from the origin loses no more than the rounding of its translated atoms
+    m = five_atom_cloud_3d()
+    shift = np.array([1e4, -1e4, 5e3])
+    moved = build_measure_nd(m.points + shift, m.weights)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = m.center + rng.uniform(-2.0, 2.0, size=3)
+        h = hessian_neg_log_p(m, 0.3, x)
+        got = hessian_neg_log_p(moved, 0.3, x + shift)
+        assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))

@@ -110,6 +110,17 @@ def test_two_point_balance():
 def test_unknown_law_rejected():
     with pytest.raises(errors.UnknownLaw):
         law_from_spec("cauchy")
+    # the kind is checked before the keys
+    with pytest.raises(errors.UnknownLaw):
+        law_from_spec({"kind": "levy", "rate": 2})
+
+
+@pytest.mark.parametrize("spec", [{"kind": "two_point", "rate": 2.0},
+                                  {"kind": "gaussian", "a": 3.0, "weight_a": 0.9}])
+def test_law_rejects_keys_its_kind_does_not_take(spec):
+    with pytest.raises(errors.ValidationError, match=f"unknown {spec['kind']} law keys") as exc:
+        law_from_spec(spec)
+    assert not isinstance(exc.value, errors.UnknownLaw)
 
 
 # ---------------------------------------------------------------------------
