@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure.  Output files
 are written to a temporary sibling and renamed, so a nonzero exit never
 leaves a partial file.  Identical invocations produce byte-identical
 output.  `rmt --threads N` splits each batch's chunks of trials across N
-threads; it never changes the bytes, only wall time.
+threads; it never changes the bytes, only wall time.  Those threads are
+the only parallelism: each eigen-decomposition runs on one BLAS thread.
 
 Report dataclasses are written to JSON by field name, nested ones too,
 and the CSV rows of estimate, scan, bakry and asymptotics share one
@@ -73,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rmt", help="random-matrix concentration experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int,
-                   help="threads that split each batch's chunks of trials (never changes"
-                        " the output); default $LSI_LAB_THREADS, else 1")
+                   help="threads that split each batch's chunks of trials, the only"
+                        " parallelism (BLAS runs on one thread; never changes the"
+                        " output); default $LSI_LAB_THREADS, else the usable CPU count")
     common(p)
 
     p = sub.add_parser("bakry", help="probe-based curvature certificate")
@@ -146,7 +148,8 @@ def _cmd_scan(args) -> str:
 def _cmd_rmt(args) -> str:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("LSI_LAB_THREADS", "1"))
+        env = os.environ.get("LSI_LAB_THREADS")
+        threads = rmt.usable_cpus() if env is None else int(env)
     if threads < 1:
         raise ValidationError("--threads must be >= 1")
     config = rmt.config_from_dict(_read_json(args.config))

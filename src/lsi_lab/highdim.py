@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NonPositiveDelta, ValidationError
+from .errors import NonPositiveDelta, NumericalOverflow, ValidationError
 
 # largest probe set ProbeSpec.generate will allocate (grid plus random points)
 MAX_PROBES = 1_000_000
@@ -113,16 +113,28 @@ def _tilted(m: MeasureND, delta: float, x) -> tuple[np.ndarray, float]:
     every atom shares is left out of the max-shifted sum (whose largest
     term is exactly 1) and subtracted after it.  So far from the cloud
     x - y_k does not round y_k away, and the log-sum is -inf only where
-    |u|^2 overflows.
+    |u|^2 overflows.  Where u.z_k / delta overflows too, the atoms whose
+    log weight is +inf outweigh the rest beyond the float range: they
+    share the weight equally, and the log-sum is taken over their squared
+    distances to x directly.
     """
     u = np.asarray(x, dtype=float) - m.center
     z = m.points - m.center
-    logw = _log_atom_weights(m) + (z @ u - 0.5 * np.sum(z * z, axis=1)) / delta
-    top = float(np.max(logw))
-    w = np.exp(logw - top)
-    total = float(np.sum(w))
-    w /= total
-    return w, top + math.log(total) - float(u @ u) / (2.0 * delta)
+    with np.errstate(over="ignore"):
+        logw = _log_atom_weights(m) + (z @ u - 0.5 * np.sum(z * z, axis=1)) / delta
+        top = float(np.max(logw))
+        if top == math.inf:
+            near = logw == top
+            sq = np.sum((u - z[near]) ** 2, axis=1)
+            logw = _log_atom_weights(m)[near] - sq / (2.0 * delta)
+            top = float(np.max(logw))
+            log_sum = (top + math.log(float(np.sum(np.exp(logw - top))))
+                       if top > -math.inf else -math.inf)
+            return near / float(np.count_nonzero(near)), log_sum
+        w = np.exp(logw - top)
+        total = float(np.sum(w))
+        w /= total
+        return w, top + math.log(total) - float(u @ u) / (2.0 * delta)
 
 
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
@@ -142,7 +154,8 @@ def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
     centered = m.points - mean
     cov = (centered * w[:, None]).T @ centered
     hess = np.eye(m.dimension) / delta - cov / (delta * delta)
-    return 0.5 * (hess + hess.T)
+    # halves first: the same bits, and no overflow where entries pass 1e308
+    return 0.5 * hess + 0.5 * hess.T
 
 
 def threshold_check(radius: float, n: int, delta: float) -> bool:
@@ -226,18 +239,30 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
     ``min_eig_location`` is the first probe within a relative 1e-12 of
     the minimum.
     The analytic floor (delta - 2 R^2 n)/delta^2 lower-bounds the true
-    minimum whenever the delta > 2 R^2 n threshold holds.
+    minimum whenever the delta > 2 R^2 n threshold holds.  Where delta is
+    so small that the minimum or the floor is not a finite double, this
+    raises ``NumericalOverflow`` naming the stage and delta.
     """
     if not delta > 0.0:
         raise NonPositiveDelta(f"delta must be positive, got {delta}")
     spec = probes if probes is not None else ProbeSpec()
     pts = spec.generate(m, delta)
-    eigs = np.array([np.linalg.eigvalsh(hessian_neg_log_p(m, delta, x))[0] for x in pts])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eigs = np.array([np.linalg.eigvalsh(hessian_neg_log_p(m, delta, x))[0]
+                         for x in pts])
     min_eig = float(np.min(eigs))
+    if not math.isfinite(min_eig):
+        raise NumericalOverflow(f"Hessian of -log p leaves the float range at"
+                                f" delta={delta!r} (minimum eigenvalue {min_eig})")
     # a relative tie band, so that round-off does not pick among tied probes
     min_loc = pts[int(np.argmax(eigs <= min_eig + 1e-12 * abs(min_eig)))]
     n = m.dimension
     r = m.radius
+    delta_sq = delta * delta
+    floor = (delta - 2.0 * r * r * n) / delta_sq if delta_sq > 0.0 else -math.inf
+    if not math.isfinite(floor):
+        raise NumericalOverflow(f"analytic floor (delta - 2 R^2 n) / delta^2 leaves the"
+                                f" float range at delta={delta!r}")
     return HessianCertificate(
         delta=delta,
         radius=r,
@@ -247,6 +272,6 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
         c_candidate=(1.0 / min_eig) if min_eig > 0.0 else None,
         threshold_satisfied=threshold_check(r, n, delta),
         perturbation_bound=2.0 * r * r / delta,
-        analytic_floor=(delta - 2.0 * r * r * n) / (delta * delta),
+        analytic_floor=floor,
         probes_evaluated=len(pts),
     )

@@ -29,12 +29,19 @@ time.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
 the same block sampler.  With several workers, the chunks of a batch are
 split across threads and reassembled in chunk order; each matrix's
 eigenvalues are computed alone either way, so results are bit-identical
-regardless of worker count.
+regardless of worker count.  The workers are the one level of
+parallelism: numpy's OpenBLAS runs each ``eigvalsh`` on one thread, so
+it starts no pool of its own next to them, and the eigenvalues do not
+depend on the host's core count.  The default worker count is the number
+of CPUs the process may use.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -63,6 +70,54 @@ _ROLE_GAUSS = 2
 # more time, and with several workers the allocator keeps every thread's
 # chunk, so peak memory grows with this.
 CHUNK_BYTES = 256 * 1024
+
+
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` as numpy links it, or
+    None (MKL, Accelerate, OpenBLAS before 0.3.27).
+
+    ``dlsym`` on the handle of numpy's LAPACK module also searches the
+    libraries it depends on, so no wheel-specific library name is needed.
+    The setter returns the previous count.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+_SET_BLAS_THREADS = _blas_thread_setter()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread; restore the previous count.
+
+    Despite its name the setter is process-wide in some builds (numpy
+    2.4's OpenBLAS 0.3.31 is one), so ``concentration_experiment`` holds
+    this around the whole run as well: its workers then only ever write 1,
+    and the caller's count comes back once, after the last worker is done.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    previous = _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(previous)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int) -> np.ndarray:
@@ -365,7 +420,8 @@ def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
     """Ascending eigenvalues of each row's matrix, from one stacked eigvalsh.
 
     ``upper`` holds one row-major upper triangle per row; only the lower
-    triangle that eigvalsh reads (UPLO='L') is filled.  The trace identity
+    triangle that eigvalsh reads (UPLO='L') is filled, and eigvalsh runs
+    on one OpenBLAS thread (``_one_blas_thread``).  The trace identity
     is checked on every matrix as a cheap guard, with the trace and the
     Frobenius norm taken from the triangles; a failure raises
     ArithmeticError naming the first bad row through ``where(row)``.
@@ -373,7 +429,8 @@ def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
     rows, cols = _triu(n)
     lower = np.zeros(upper.shape[:-1] + (n, n))
     lower[..., cols, rows] = upper
-    w = np.linalg.eigvalsh(lower)
+    with _one_blas_thread():
+        w = np.linalg.eigvalsh(lower)
     diag = upper[..., rows == cols]
     trace = np.sum(diag, axis=-1)
     frob = np.sqrt(2.0 * np.sum(upper * upper, axis=-1) - np.sum(diag * diag, axis=-1))
@@ -699,7 +756,8 @@ def _batch_integrals(config: ExperimentConfig, n: int, delta: float, batch: int,
             np.concatenate([s_moll for _, s_moll in parts]))
 
 
-def concentration_experiment(config: ExperimentConfig, workers: int = 1) -> ConcentrationReport:
+def concentration_experiment(config: ExperimentConfig,
+                             workers: int | None = None) -> ConcentrationReport:
     """Estimate deviation frequencies over the (n, eps) grid.
 
     The mean of int f dmu_X is estimated from an independent pilot batch
@@ -709,15 +767,19 @@ def concentration_experiment(config: ExperimentConfig, workers: int = 1) -> Conc
 
         empirical_freq <= term1_bound + term2_bound + term3_indicator + 5 stderr.
 
-    With ``workers`` > 1 one thread pool runs each batch's chunks.  Output
-    is bit-identical for any worker count: streams are keyed by
+    With ``workers`` > 1 (default: ``usable_cpus()``) one thread pool runs
+    each batch's chunks, with OpenBLAS held to one thread throughout.
+    Output is bit-identical for any worker count: streams are keyed by
     (seed, batch, trial), each matrix is decomposed alone, and reductions
     run over index-ordered arrays.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _experiment(config, pool.map)
-    return _experiment(config, map)
+    if workers is None:
+        workers = usable_cpus()
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return _experiment(config, pool.map)
+        return _experiment(config, map)
 
 
 def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,52 @@ def test_rmt_threads_default_read_per_call(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == "" and "--threads must be >= 1" in err
 
 
+def test_rmt_threads_default_is_the_usable_cpu_count(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def experiment(config, workers=None):
+        seen.append(workers)
+        return _concentration_experiment(config)
+
+    monkeypatch.setattr(rmt, "concentration_experiment", experiment)
+    monkeypatch.delenv("LSI_LAB_THREADS", raising=False)
+    cfg = rmt_config(tmp_path)
+    want = []
+    if hasattr(os, "sched_getaffinity"):
+        # the affinity mask wins over the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert run_cli(["rmt", "--config", cfg], capsys)[0] == 0
+        want.append(3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+    for count, workers in ((7, 7), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert run_cli(["rmt", "--config", cfg], capsys)[0] == 0
+        want.append(workers)
+    assert seen == want
+
+
+@pytest.mark.skipif(rmt._SET_BLAS_THREADS is None,
+                    reason="numpy's BLAS has no openblas_set_num_threads_local")
+def test_rmt_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, source_env):
+    # At n = 300 a multi-threaded OpenBLAS eigvalsh rounds differently from
+    # a one-threaded one, so term3_gap and term3_stderr would move with the
+    # host's core count.  Runs wherever the setter exists (numpy's OpenBLAS
+    # wheels from 0.3.27 on).
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"law": "two_point", "f": "arctan", "n": [300],
+                                  "eps": [0.3], "trials": 10, "seed": 11,
+                                  "delta": {"mode": "fixed", "value": 0.25}}))
+    outputs = []
+    for blas_threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "lsi_lab", "rmt", "--config", str(config)],
+                              capture_output=True, env={**source_env,
+                                                        "OPENBLAS_NUM_THREADS": blas_threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_rmt_unknown_law_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(["rmt", "--config", rmt_config(tmp_path, law="levy")], capsys)
     assert code == 2
@@ -238,6 +285,21 @@ def test_bakry_two_atom_threshold(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["threshold_ok"] is True
     assert payload["min_eig"] >= 0.0206611570 - 1e-9
+
+
+@pytest.mark.parametrize("delta, stage", [("1e-154", "analytic floor"),
+                                          ("1e-160", "Hessian"), ("1e-300", "Hessian")])
+def test_bakry_out_of_float_range_names_the_stage(tmp_path, capsys, delta, stage):
+    p = tmp_path / "cloud.json"
+    p.write_text(CLOUD_2D)
+    out = tmp_path / "cert.json"
+    code, stdout, err = run_cli(["bakry", "--measure", str(p), "--delta", delta, "--grid", "3",
+                                 "--random", "0"], capsys)
+    assert code != 0 and stdout == ""
+    assert err.startswith(f"error: {stage} ") and f"at delta={delta}" in err
+    assert run_cli(["bakry", "--measure", str(p), "--delta", delta, "--grid", "3",
+                    "--random", "0", "--out", str(out)], capsys)[0] == code
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ def test_log_density_where_every_distance_overflows():
         assert log_density_nd(two_atoms_2d(), 1.0, [1e200, 0.0]) == -math.inf
 
 
+@pytest.mark.parametrize("x", [[1e308, 0.0], [-1e308, 0.0], [1e308, 1e308], [1e300, 0.0]])
+def test_hessian_where_the_tilt_overflows(x):
+    # u.z_k / delta overflows at the first three points; |u|^2 at all four.
+    # The tilted measure sits on the nearest atom, so the covariance is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hessian_neg_log_p(two_atoms_2d(), 0.5, x)
+        assert log_density_nd(two_atoms_2d(), 0.5, x) == -math.inf
+    assert np.array_equal(h, np.eye(2) / 0.5)
+
+
 def test_zero_weight_atom_is_ignored():
     pts = [[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]]
     with_zero = build_measure_nd(pts, [0.4, 0.6, 0.0], center=[0.0, 0.0], radius=2.0)
@@ -258,6 +270,23 @@ def test_two_atom_certificate_small_delta_fails():
     # the midpoint probe is the witness: Hess_11 = 1/delta - 1/delta^2
     mid = hessian_neg_log_p(two_atoms_2d(), 0.05, [0.0, 0.0])
     assert np.linalg.eigvalsh(mid)[0] == pytest.approx((0.05 - 1.0) / 0.05 ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta, stage", [(1e-154, "analytic floor"),
+                                          (1e-160, "Hessian"), (1e-300, "Hessian")])
+def test_certificate_out_of_float_range_is_a_typed_error(delta, stage):
+    spec = ProbeSpec(grid_points_per_axis=3, random_points=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NumericalOverflow, match=rf"^{stage} .* at delta={delta!r}"):
+            bakry_emery_certificate(two_atoms_2d(), delta, spec)
+
+
+def test_certificate_at_delta_1e_150_is_finite():
+    cert = bakry_emery_certificate(two_atoms_2d(), 1e-150,
+                                   ProbeSpec(grid_points_per_axis=3, random_points=0))
+    assert math.isfinite(cert.min_eigenvalue) and math.isfinite(cert.analytic_floor)
+    assert cert.min_eigenvalue >= cert.analytic_floor
 
 
 def test_certificate_requires_positive_delta():

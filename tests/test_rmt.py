@@ -714,12 +714,69 @@ def test_trace_guard_names_the_trial(monkeypatch):
     cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (_N,), (0.3,),
                            trials=3 * k, seed=4, delta_mode="fixed", delta_value=delta)
     # the second chunk of batch 0 holds trials k .. 2k-1, two matrices each;
-    # row 5 is trial k + 2's mollified matrix
+    # row 5 is trial k + 2's mollified matrix.  One worker, so that the
+    # second eigvalsh call is the second chunk's
     calls = _corrupting_eigvalsh(monkeypatch, call=2, row=5)
     with pytest.raises(ArithmeticError,
                        match=rf"trace at n={_N}, batch 0, trial {k + 2}$"):
-        concentration_experiment(cfg)
+        concentration_experiment(cfg, workers=1)
     assert calls == [2 * k, 2 * k]
+
+
+_needs_blas_setter = pytest.mark.skipif(
+    rmt._SET_BLAS_THREADS is None, reason="numpy's BLAS has no openblas_set_num_threads_local")
+
+
+@_needs_blas_setter
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_spectra_pins_one_blas_thread_and_restores_the_count(monkeypatch, corrupt):
+    setter = rmt._SET_BLAS_THREADS
+    real = np.linalg.eigvalsh
+    during = []
+
+    def eigvalsh(a):
+        during.append(setter(1))    # the count in force; writing 1 keeps it
+        w = real(a)
+        if corrupt:
+            w[0] += 1.0
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    upper = sample_wigner(_N, gaussian_law(0, 1), 5).upper[None, :]
+    original = setter(2)
+    try:
+        if corrupt:
+            with pytest.raises(ArithmeticError, match="disagrees with trace"):
+                rmt._spectra(_N, upper)
+        else:
+            rmt._spectra(_N, upper)
+    finally:
+        restored = setter(original)
+    assert during == [1] and restored == 2
+
+
+@_needs_blas_setter
+def test_experiment_restores_the_blas_thread_count():
+    setter = rmt._SET_BLAS_THREADS
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (_N,), (0.3,),
+                           trials=3 * _chunk_size(_N, 0.0), seed=4)
+    original = setter(2)
+    try:
+        concentration_experiment(cfg, workers=3)
+    finally:
+        restored = setter(original)
+    assert restored == 2
+
+
+def test_experiment_default_workers_is_the_usable_cpu_count(monkeypatch):
+    seen = []
+    monkeypatch.setattr(rmt, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(rmt, "ThreadPoolExecutor",
+                        lambda max_workers: seen.append(max_workers) or ThreadPoolExecutor(1))
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (_N,), (0.3,),
+                           trials=2, seed=4)
+    assert concentration_experiment(cfg) == concentration_experiment(cfg, workers=1)
+    assert seen == [3]
 
 
 def test_rmt_trace_guard_exit_2_writes_nothing(monkeypatch, tmp_path, capsys):
