@@ -12,15 +12,19 @@ the integrand tends to delta^2/x^2 * (-log p(x)), whose limit is
 delta/2, so a finite scan window plus that tail value captures the sup.
 
 The supremum search is a dense scan (2048 points per side over a window
-of width (b - a) + 30 sqrt(delta)) followed by golden-section refinement
-of the best local maxima, compared against the tail value at the window
-edge.  The integrals of 1/p over the 2048 scan cells of a side are one
-batched composite quadrature (``quadrature.log_cell_integrals``: every
+of width (b - a) + 30 sqrt(delta)) followed by a batched zoom on the best
+local maxima, compared against the tail value at the window edge.  The
+integrals of 1/p over the 2048 scan cells of a side are one batched
+composite quadrature (``quadrature.log_cell_integrals``: every
 refinement level of a chunk of cells is one vectorized log p call), and
 the integral from each grid point to the median is their running
-``np.logaddexp.accumulate``.  The refinement stops at the search
-tolerance or at 4 ulps of |x|, whichever is wider, and after a fixed
-number of steps in any case.  A measure far from the origin is scanned
+``np.logaddexp.accumulate``.  Each zoom level evaluates the integrand at
+64 equally spaced points of its bracket with one vectorized tail mass
+and one batched quadrature over the cells cut by those points and the
+scan edges between them, joined to the scan's running integral; the
+next bracket is the best point and its two neighbours.  The zoom stops
+at the search tolerance or at 4 ulps of |x|, whichever is wider, and
+after a fixed number of levels in any case.  A measure far from the origin is scanned
 as its translate next to the origin, so translation changes nothing but
 the reported positions.  Log densities and tail masses are the closed
 forms of ``mollify``, vectorized over the grid; the cells' tolerance is
@@ -56,36 +60,43 @@ _SCAN_POINTS = 2048
 _REFINE_CANDIDATES = 5
 _SEARCH_TOL = 1e-10
 _REFINE_MAX_ITERS = 200
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points per zoom level, evaluated with one tail_mass and one log_cell_integrals call
+_ZOOM_POINTS = 64
 # tolerance (in log) of the scan cells' integrals of 1/p, which governs the bracket
 _CELL_TOL = 1e-10
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float) -> tuple[float, float]:
-    """Golden-section maximum of ``f`` on ``[lo, hi]``.
+def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+              xtol: float) -> tuple[float, float]:
+    """Maximum of the vectorized ``f`` on ``[lo, hi]`` by batched zoom.
 
-    Stops once the bracket is ``xtol`` wide, or 4 ulps of its larger end
-    when that is wider (far from the origin float spacing exceeds
-    ``xtol``), and after ``_REFINE_MAX_ITERS`` steps in any case.
+    Each level evaluates ``f`` once, at ``_ZOOM_POINTS`` equally spaced
+    points of the bracket, and the next bracket is the best point and
+    its two neighbours.  Stops once the bracket is ``xtol`` wide, or 4
+    ulps of its larger end when that is wider (far from the origin float
+    spacing exceeds ``xtol``), and after ``_REFINE_MAX_ITERS`` levels in
+    any case.  Returns the best (x, value) seen; among equal values the
+    first seen, smallest x first.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    e = a + _GOLDEN * (b - a)
-    fc, fe = f(c), f(e)
+    best_x, best_v = lo, NEG_INF
     for _ in range(_REFINE_MAX_ITERS):
-        if b - a <= max(xtol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        xs = np.linspace(lo, hi, _ZOOM_POINTS)
+        vals = f(xs)
+        k = int(np.argmax(vals))
+        if vals[k] > best_v:
+            best_x, best_v = float(xs[k]), float(vals[k])
+        lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _ZOOM_POINTS - 1)])
+        if hi - lo <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
             break
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _GOLDEN * (b - a)
-            fe = f(e)
-    x = c if fc >= fe else e
-    return x, max(fc, fe)
+    return best_x, best_v
+
+
+def _to_median(cells: np.ndarray, side: str) -> np.ndarray:
+    """log integral of 1/p from each cut to the last (left side) or from the
+    first (right side), given the cells' log integrals: one value per cut."""
+    if side == "left":
+        return np.append(np.logaddexp.accumulate(cells[::-1])[::-1], NEG_INF)
+    return np.insert(np.logaddexp.accumulate(cells), 0, NEG_INF)
 
 
 @dataclass(frozen=True)
@@ -138,22 +149,22 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
     def log_integrals(edges) -> np.ndarray:
         return log_cell_integrals(neg_log_p, edges, rel_tol=_CELL_TOL, seed_points=gap_mids)
 
-    # cumulative log integral of 1/p from each grid point to the median
+    # log integral of 1/p from each scan edge to the median (the median's own is -inf)
     if side == "left":
         edges = np.linspace(m - window, m, _SCAN_POINTS + 1)
         xs = edges[:-1]
-        prefix = np.logaddexp.accumulate(log_integrals(edges)[::-1])[::-1]
     else:
         edges = np.linspace(m, m + window, _SCAN_POINTS + 1)
         xs = edges[1:]
-        prefix = np.logaddexp.accumulate(log_integrals(edges))
+    at_edge = _to_median(log_integrals(edges), side)
+    prefix = at_edge[:-1] if side == "left" else at_edge[1:]
 
     tails = tail_mass(d, xs, side)
     with np.errstate(invalid="ignore"):
         values = tails + np.log(-tails) + prefix
     values = np.where(np.isfinite(values), values, NEG_INF)
 
-    # local maxima of the grid values, best few refined by golden section
+    # local maxima of the grid values, best few refined by batched zoom
     v = values
     is_max = np.ones(len(v), dtype=bool)
     is_max[1:] &= v[1:] >= v[:-1]
@@ -161,21 +172,19 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
     cand = np.flatnonzero(is_max & np.isfinite(v))
     cand = cand[np.argsort(v[cand])[::-1][:_REFINE_CANDIDATES]]
 
-    def objective(x: float) -> float:
-        t = tail_mass(d, x, side)
+    def objective(pts: np.ndarray) -> np.ndarray:
+        # cut at the points and at the scan edges between them, up to the
+        # nearest edge on the median's side, whose integral the scan has
         if side == "left":
-            j = int(np.searchsorted(xs, x, side="right"))
-            if j >= len(xs):
-                rec = log_integrals([x, m])[0]
-            else:
-                rec = np.logaddexp(log_integrals([x, xs[j]])[0], prefix[j])
+            j = int(np.searchsorted(edges, pts[-1]))
+            between = edges[np.searchsorted(edges, pts[0]):j + 1]
         else:
-            j = int(np.searchsorted(xs, x, side="left")) - 1
-            if j < 0:
-                rec = log_integrals([m, x])[0]
-            else:
-                rec = np.logaddexp(prefix[j], log_integrals([xs[j], x])[0])
-        return t + math.log(-t) + float(rec)
+            j = int(np.searchsorted(edges, pts[0], side="right")) - 1
+            between = edges[j:np.searchsorted(edges, pts[-1], side="right")]
+        cuts = np.unique(np.concatenate([pts, between]))
+        rec = np.logaddexp(_to_median(log_integrals(cuts), side), at_edge[j])
+        t = tail_mass(d, pts, side)
+        return t + np.log(-t) + rec[np.searchsorted(cuts, pts)]
 
     best: list[tuple[float, float]] = []
     for idx in cand:
@@ -188,7 +197,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         if lo >= hi:
             best.append((float(v[idx]), float(xs[idx])))
             continue
-        x_ref, v_ref = _golden_max(objective, float(lo), float(hi), _SEARCH_TOL)
+        x_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
         best.append((max(v_ref, float(v[idx])), x_ref))
 
     if not best:

@@ -149,7 +149,13 @@ def _cmd_rmt(args) -> str:
     threads = args.threads
     if threads is None:
         env = os.environ.get("LSI_LAB_THREADS")
-        threads = rmt.usable_cpus() if env is None else int(env)
+        if env is None:
+            threads = rmt.usable_cpus()
+        else:
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValidationError(f"LSI_LAB_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise ValidationError("--threads must be >= 1")
     config = rmt.config_from_dict(_read_json(args.config))

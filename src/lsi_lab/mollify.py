@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp
+from scipy.special import erfcx, log_ndtr
 
 from .errors import InsideSupport, NonPositiveDelta, ValidationError
 from .measure import Measure1D, expanded, support_components
@@ -85,6 +85,45 @@ def _blockwise(fn, x):
     if xs.ndim == 0:
         return float(out[0])
     return out.reshape(xs.shape)
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None, return_sign: bool = False):
+    """Row-wise log-sum-exp of the 2-D ``a``, weighted by ``b`` if given.
+
+    The arithmetic of ``scipy.special.logsumexp(a, axis=1, b=b,
+    return_sign=return_sign)`` for real input, bit for bit, without the
+    cost of its array-API wrapper: terms of weight 0 drop out, the row
+    maximum is shifted out and the weights of the terms tied at it are
+    summed into m, the result is log1p(s) + log(m) + max with s the
+    shifted sum over m, and rows where that is not finite fall back to
+    the log of the direct sum.  Without ``return_sign`` a negative sum
+    gives nan; with it, the log of its magnitude and its sign.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = np.array(a)  # a copy in a's memory order, as scipy's
+        if b is not None:
+            shifted[b == 0] = NEG_INF
+        a_max = np.max(shifted, axis=1, keepdims=True)
+        at_max = shifted == a_max
+        shifted[at_max] = NEG_INF
+        at_max = at_max.astype(float)
+        m = np.sum(at_max if b is None else b * at_max, axis=1, keepdims=True, dtype=float)
+        terms = np.exp(shifted - a_max) if b is None else b * np.exp(shifted - a_max)
+        s = np.sum(terms, axis=1, keepdims=True, dtype=terms.dtype)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = (np.log1p(s) + np.log(np.abs(m)) + a_max)[:, 0]
+        sign = sign[:, 0]
+        if not return_sign:
+            out[sign < 0] = np.nan
+        bad = ~np.isfinite(out)
+        if bad.any():  # summed over all rows, in a's memory order, as scipy's
+            with np.errstate(over="ignore"):
+                direct = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=1)[bad]
+            out[bad] = np.log(np.abs(direct) if return_sign else direct)
+            sign[bad] = np.sign(direct)
+    return (out, sign) if return_sign else out
 
 
 def _atom_log_weights(m: Measure1D) -> np.ndarray:
@@ -177,7 +216,7 @@ def _log_kernel_integral(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi:
     for rows, terms in ((~use_rule, _endpoint_terms), (use_rule, _node_terms)):
         if rows.any():
             log_terms, signs = terms(d, coeffs, lo, hi, xs[rows])
-            val, sign = logsumexp(log_terms, b=signs, axis=1, return_sign=True)
+            val, sign = _logsumexp(log_terms, signs, return_sign=True)
             out[rows] = np.where(sign > 0.0, val, NEG_INF)
     return out
 
@@ -193,7 +232,7 @@ def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
     """log p(x).  Finite for every finite x since the Gaussian kernel is positive."""
     norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
-    return _blockwise(lambda xs: logsumexp(_log_masses(d, xs), axis=1) - norm_const, x)
+    return _blockwise(lambda xs: _logsumexp(_log_masses(d, xs)) - norm_const, x)
 
 
 def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
@@ -208,9 +247,8 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
             q = np.polynomial.polynomial.polymulx(expanded(p.coeffs, p.lo))
             logs += [_log_kernel_integral(d, q, p.lo, p.hi, xs), mass + np.log(abs(p.lo))]
             signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
-    log_num, sign = logsumexp(np.column_stack(logs), b=np.column_stack(signs),
-                              axis=1, return_sign=True)
-    return (sign * np.exp(log_num - logsumexp(masses, axis=1)) - xs) / d.delta
+    log_num, sign = _logsumexp(np.column_stack(logs), np.column_stack(signs), return_sign=True)
+    return (sign * np.exp(log_num - _logsumexp(masses)) - xs) / d.delta
 
 
 def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
@@ -240,7 +278,7 @@ def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
                         + log_ndtr((x - hi) / d.sigma)[:, None])
         cols.append(_log_kernel_integral(d, below, lo, hi, x)[:, None]
                     - 0.5 * math.log(2.0 * math.pi * d.delta))
-    return np.minimum(logsumexp(np.concatenate(cols, axis=1), axis=1), 0.0)
+    return np.minimum(_logsumexp(np.concatenate(cols, axis=1)), 0.0)
 
 
 def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,27 +185,74 @@ def test_point_mass_far_from_origin_returns(shift):
 def test_refinement_stops_at_float_spacing():
     # the bracket is 1e-9 wide at 1e6, where float spacing is 1.16e-10, so
     # the 1e-10 search tolerance alone could never be met
-    calls = []
+    levels = []
 
-    def f(x):
-        calls.append(x)
-        return -(x - 1e6) ** 2
+    def f(xs):
+        levels.append(xs)
+        return -(xs - 1e6) ** 2
 
-    x, _ = bg._golden_max(f, 1e6 - 5e-10, 1e6 + 5e-10, 1e-10)
-    assert len(calls) <= bg._REFINE_MAX_ITERS + 2
+    x, _ = bg._zoom_max(f, 1e6 - 5e-10, 1e6 + 5e-10, 1e-10)
+    assert len(levels) <= bg._REFINE_MAX_ITERS
     assert abs(x - 1e6) <= 5e-10
 
 
 def test_refinement_iteration_cap(monkeypatch):
     monkeypatch.setattr(bg, "_REFINE_MAX_ITERS", 5)
-    calls = []
+    levels = []
 
-    def f(x):
-        calls.append(x)
-        return -x * x
+    def f(xs):
+        levels.append(xs)
+        return -xs * xs
 
-    bg._golden_max(f, -1.0, 1.0, 1e-10)
-    assert len(calls) == 5 + 2
+    bg._zoom_max(f, -1.0, 1.0, 1e-10)
+    assert len(levels) == 5
+
+
+_ZOOM_CASES = [
+    ("two_point", two_point(), 1.0),
+    ("uniform", uniform(0, 1), 1.0),
+    ("atom_degree1", build_measure({"atoms": [{"x": -1.0, "w": 0.25}],
+                                    "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}),
+     0.5),
+    ("union_uniforms", union_of_uniforms(), 0.1),
+]
+
+
+@pytest.mark.parametrize("name,m,delta", _ZOOM_CASES, ids=[c[0] for c in _ZOOM_CASES])
+def test_zoom_matches_dense_integrand_scan(name, m, delta):
+    # bg_integrand on a 5e-7 grid 1e-4 wide, centred on x* rounded to 1e-5,
+    # so the grid holds the maximum but not x* itself
+    d = MollifiedDensity(m, delta)
+    r = compute_bg(d)
+    for D, x, side in ((r.D0, r.x_star_0, "left"), (r.D1, r.x_star_1, "right")):
+        grid = round(x, 5) + np.linspace(-5e-5, 5e-5, 201)
+        vals = [bg_integrand(d, r.median, g, side) for g in grid]
+        k = int(np.argmax(vals))
+        assert 0 < k < len(grid) - 1
+        assert math.exp(vals[k]) == pytest.approx(D, rel=1e-12)
+        assert grid[k] == pytest.approx(x, abs=1e-6)
+
+
+@pytest.mark.parametrize("m,delta", [(two_point(), 1.0), (union_of_uniforms(), 0.1)],
+                         ids=["two_point", "union_uniforms"])
+def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
+    # per side: one call for the scan, one per zoom level of each refined
+    # candidate; one scalar call per refinement step would be some 80
+    counts = {"tail_mass": 0, "log_cell_integrals": 0}
+
+    def counted(name):
+        inner = getattr(bg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(bg, name, counted(name))
+    compute_bg(MollifiedDensity(m, delta))
+    assert 2 <= counts["tail_mass"] <= 30
+    assert 2 <= counts["log_cell_integrals"] <= 30
 
 
 def atom_spec(atoms):

@@ -179,6 +179,14 @@ def test_rmt_threads_default_read_per_call(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == "" and "--threads must be >= 1" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_rmt_threads_env_not_an_integer_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("LSI_LAB_THREADS", value)
+    code, out, err = run_cli(["rmt", "--config", rmt_config(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert f"LSI_LAB_THREADS must be an integer, got {value!r}" in err
+
+
 def test_rmt_threads_default_is_the_usable_cpu_count(tmp_path, capsys, monkeypatch):
     seen = []
 

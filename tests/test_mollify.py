@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, logsumexp
 from scipy.stats import norm
 
 from lsi_lab import errors, mollify
@@ -402,3 +402,38 @@ def test_inside_support_rejected():
 def test_delta_must_be_positive():
     with pytest.raises(errors.NonPositiveDelta):
         MollifiedDensity(point_mass(0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# row-wise log-sum-exp
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_logsumexp_is_scipys_bit_for_bit(order):
+    # rows with -inf entries, all -inf rows, ties at the maximum (whose
+    # weights may cancel, which sends scipy to its direct sum), and zero
+    # and negative weights, in both memory orders
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 24))
+        a = rng.normal(0.0, 8.0, size=(n, k))
+        a[rng.random((n, k)) < 0.2] = -np.inf
+        tied = rng.random(n) < 0.3
+        a[tied, :min(k, 3)] = a[tied].max(axis=1, keepdims=True)
+        a[rng.random(n) < 0.05] = -np.inf
+        a = np.asarray(a, order=order)
+        b = np.asarray(rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], size=(n, k)), order=order)
+        # one sign per column, as the quadrature-node terms pass them
+        signs = np.broadcast_to(rng.choice([-1.0, 1.0], size=k), (n, k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for weights in (None, b, signs):
+                assert _same_bits(mollify._logsumexp(a, weights), logsumexp(a, axis=1, b=weights))
+                got = mollify._logsumexp(a, weights, return_sign=True)
+                want = logsumexp(a, axis=1, b=weights, return_sign=True)
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
