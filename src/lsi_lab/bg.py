@@ -24,11 +24,11 @@ and one batched quadrature over the cells cut by those points and the
 scan edges between them, joined to the scan's running integral; the
 next bracket is the best point and its two neighbours.  The zoom stops
 at the search tolerance or at 4 ulps of |x|, whichever is wider, and
-after a fixed number of levels in any case.  A measure far from the origin is scanned
-as its translate next to the origin, so translation changes nothing but
-the reported positions.  Log densities and tail masses are the closed
-forms of ``mollify``, vectorized over the grid; the cells' tolerance is
-the report's ``quadrature_tol``.
+after a fixed number of levels in any case.  A measure far from the
+origin is scanned as its translate next to the origin, so translation
+changes nothing but the reported positions.  Log densities and tail
+masses are the closed forms of ``mollify``, vectorized over the grid;
+the cells' tolerance is the report's ``quadrature_tol``.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential

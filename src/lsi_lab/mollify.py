@@ -107,9 +107,9 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None, return_sign: bool = F
         at_max = shifted == a_max
         shifted[at_max] = NEG_INF
         at_max = at_max.astype(float)
-        m = np.sum(at_max if b is None else b * at_max, axis=1, keepdims=True, dtype=float)
+        m = np.sum(at_max if b is None else b * at_max, axis=1, keepdims=True)
         terms = np.exp(shifted - a_max) if b is None else b * np.exp(shifted - a_max)
-        s = np.sum(terms, axis=1, keepdims=True, dtype=terms.dtype)
+        s = np.sum(terms, axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         sign = np.sign(s + 1) * np.sign(m)
         s = np.where(s < -1, -s - 2, s)
