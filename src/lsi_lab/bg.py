@@ -118,9 +118,6 @@ class BGReport:
     d0_from_tail: bool
     d1_from_tail: bool
 
-    # the fields written as CSV columns, in order
-    CSV_HEADER = "delta,D0,D1,x_star_0,x_star_1,c_lower,c_upper"
-
 
 def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     """log of F log(1/F) * (reciprocal integral to the median), one side.
@@ -211,7 +208,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         )
 
     edge = xs[0] if side == "left" else xs[-1]
-    d_tail = (d.delta ** 2 / (edge - m) ** 2) * (-log_density(d, edge))
+    d_tail = (d.delta / (edge - m)) ** 2 * (-log_density(d, edge))
     try:
         interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
     except OverflowError:

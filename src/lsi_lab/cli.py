@@ -15,10 +15,10 @@ output.  `rmt --threads N` splits each batch's chunks of trials across N
 threads; it never changes the bytes, only wall time.  Those threads are
 the only parallelism: each eigen-decomposition runs on one BLAS thread.
 
-Report dataclasses are written to JSON by field name, nested ones too,
-and the CSV rows of estimate, scan, bakry and asymptotics share one
-format (``_csv_row``).  The rmt report and the curvature certificate
-keep their own JSON keys (``to_dict``), and rmt its own CSV.
+Every report is a dataclass, written to JSON by field name with nested
+reports included (``_dump_json``), and to CSV as the fields named in one
+column tuple per subcommand, in one row format (``_csv``).  Only rmt's
+CSV header labels its columns with names of their own.
 """
 from __future__ import annotations
 
@@ -34,23 +34,17 @@ from . import bg, highdim, mollify, rmt
 from .errors import ValidationError
 from .measure import build_measure
 
-_FLOAT_FMT = "{:.17g}"
-
-
 def _fmt(v: float) -> str:
-    return _FLOAT_FMT.format(v)
+    return f"{v:.17g}"
 
 
-def _csv_row(values) -> str:
-    """One CSV row: empty for None, 17 significant digits for floats."""
-    return ",".join("" if v is None else _fmt(v) if isinstance(v, float) else str(v)
-                    for v in values)
-
-
-def _csv(names, reports, get=getattr) -> str:
-    """A header of column names, then one row per report."""
-    rows = [_csv_row(get(r, k) for k in names) for r in reports]
-    return "\n".join([",".join(names)] + rows) + "\n"
+def _csv(names, reports, header=None) -> str:
+    """A header (``names`` joined, unless given), then the fields ``names`` of each
+    report: empty for None, 17 significant digits for a float, else its text."""
+    def cell(v):
+        return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+    rows = [",".join(cell(getattr(r, k)) for k in names) for r in reports]
+    return "\n".join([header or ",".join(names)] + rows) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +112,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=dataclasses.asdict) + "\n"
 
 
-_BG_COLUMNS = bg.BGReport.CSV_HEADER.split(",")
+# the CSV columns of each subcommand, as report field names
+_BG_COLUMNS = ("delta", "D0", "D1", "x_star_0", "x_star_1", "c_lower", "c_upper")
+_RMT_COLUMNS = ("n", "eps", "trials", "empirical_freq", "mc_stderr", "guionnet_bound",
+                "term1_bound", "term3_gap", "delta_used", "c_used")
+_RMT_HEADER = "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper"
+_BAKRY_COLUMNS = ("delta", "R", "n", "min_eig", "c_candidate", "threshold_ok",
+                  "perturbation_bound", "probes_evaluated")
+_ASYMPTOTICS_COLUMNS = ("x", "ratio_lemma1", "ratio_lemma2", "ratio_lemma3", "side")
 
 
 def _cmd_estimate(args) -> str:
@@ -161,8 +162,8 @@ def _cmd_rmt(args) -> str:
     config = rmt.config_from_dict(_read_json(args.config))
     report = rmt.concentration_experiment(config, workers=threads)
     if args.format == "csv":
-        return report.to_csv()
-    return _dump_json(report.to_dict())
+        return _csv(_RMT_COLUMNS, report.cells, header=_RMT_HEADER)
+    return _dump_json(report)
 
 
 def _cmd_bakry(args) -> str:
@@ -171,10 +172,8 @@ def _cmd_bakry(args) -> str:
                              random_points=args.random, seed=args.seed)
     cert = highdim.bakry_emery_certificate(cloud, args.delta, spec)
     if args.format == "csv":
-        keys = ["delta", "R", "n", "min_eig", "c_candidate", "threshold_ok",
-                "perturbation_bound", "probes_evaluated"]
-        return _csv(keys, [cert.to_dict()], dict.get)
-    return _dump_json(cert.to_dict())
+        return _csv(_BAKRY_COLUMNS, [cert])
+    return _dump_json(cert)
 
 
 def _cmd_asymptotics(args) -> str:
@@ -185,7 +184,7 @@ def _cmd_asymptotics(args) -> str:
         raise ValidationError("need at least one probe point")
     reports = [mollify.asymptotic_ratios(density, x, args.side) for x in xs]
     if args.format == "csv":
-        return _csv([f.name for f in dataclasses.fields(mollify.AsymptoticReport)], reports)
+        return _csv(_ASYMPTOTICS_COLUMNS, reports)
     return _dump_json(reports)
 
 
@@ -224,15 +223,12 @@ def main(argv=None) -> int:
     try:
         text = _COMMANDS[args.command](args)
         _emit(text, args.out)
-    except ValidationError as exc:
+    except (ValidationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

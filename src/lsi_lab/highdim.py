@@ -94,6 +94,11 @@ def measure_nd_from_dict(raw: dict) -> MeasureND:
     return build_measure_nd(pts, ws, raw.get("center"), raw.get("radius"))
 
 
+def _check_delta(delta: float) -> None:
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise NonPositiveDelta(f"delta must be positive and finite, got {delta!r}")
+
+
 def _log_atom_weights(m: MeasureND) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(m.weights)
@@ -139,16 +144,14 @@ def _tilted(m: MeasureND, delta: float, x) -> tuple[np.ndarray, float]:
 
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
     """log p(x) for p = mu * gamma_delta, by log-sum-exp over the atoms."""
-    if not delta > 0.0:
-        raise NonPositiveDelta(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     norm_const = 0.5 * m.dimension * math.log(2.0 * math.pi * delta)
     return _tilted(m, delta, x)[1] - norm_const
 
 
 def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
     """Hess(-log p)(x) = I/delta - Cov(y)/delta^2 under the tilted atom weights."""
-    if not delta > 0.0:
-        raise NonPositiveDelta(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     w, _ = _tilted(m, delta, x)
     mean = w @ m.points
     centered = m.points - mean
@@ -206,29 +209,15 @@ class HessianCertificate:
     """Probe-based curvature certificate (heuristic, never a proof)."""
 
     delta: float
-    radius: float
-    dimension: int
-    min_eigenvalue: float
+    R: float  # radius of the ball holding the cloud
+    n: int  # dimension
+    min_eig: float
     min_eig_location: tuple[float, ...]
     c_candidate: float | None
-    threshold_satisfied: bool
+    threshold_ok: bool  # delta > 2 R^2 n
     perturbation_bound: float
     analytic_floor: float
     probes_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "R": self.radius,
-            "n": self.dimension,
-            "min_eig": self.min_eigenvalue,
-            "min_eig_location": list(self.min_eig_location),
-            "c_candidate": self.c_candidate,
-            "threshold_ok": self.threshold_satisfied,
-            "perturbation_bound": self.perturbation_bound,
-            "analytic_floor": self.analytic_floor,
-            "probes_evaluated": self.probes_evaluated,
-        }
 
 
 def bakry_emery_certificate(m: MeasureND, delta: float,
@@ -243,8 +232,7 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
     so small that the minimum or the floor is not a finite double, this
     raises ``NumericalOverflow`` naming the stage and delta.
     """
-    if not delta > 0.0:
-        raise NonPositiveDelta(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     spec = probes if probes is not None else ProbeSpec()
     pts = spec.generate(m, delta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -265,12 +253,12 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
                                 f" float range at delta={delta!r}")
     return HessianCertificate(
         delta=delta,
-        radius=r,
-        dimension=n,
-        min_eigenvalue=min_eig,
+        R=r,
+        n=n,
+        min_eig=min_eig,
         min_eig_location=tuple(float(v) for v in min_loc),
         c_candidate=(1.0 / min_eig) if min_eig > 0.0 else None,
-        threshold_satisfied=threshold_check(r, n, delta),
+        threshold_ok=threshold_check(r, n, delta),
         perturbation_bound=2.0 * r * r / delta,
         analytic_floor=floor,
         probes_evaluated=len(pts),

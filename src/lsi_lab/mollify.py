@@ -37,7 +37,7 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .errors import InsideSupport, NonPositiveDelta, ValidationError
+from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError
 from .measure import Measure1D, expanded, support_components
 from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
 
@@ -66,7 +66,7 @@ class MollifiedDensity:
 
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise NonPositiveDelta(f"delta must be positive, got {self.delta!r}")
+            raise NonPositiveDelta(f"delta must be positive and finite, got {self.delta!r}")
 
     @property
     def sigma(self) -> float:
@@ -366,19 +366,30 @@ class AsymptoticReport:
 
 
 def asymptotic_ratios(d: MollifiedDensity, x: float, side: Side) -> AsymptoticReport:
-    """Evaluate the three asymptotic quotients at x, strictly outside the support."""
+    """Evaluate the three asymptotic quotients at x, strictly outside the support.
+
+    Raises ``NumericalOverflow`` where log p(x) is not a finite double (for
+    an atom, once the squared distance to it overflows: |x| beyond ~1e154).
+    """
     _check_side(side)
     x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"probe point x must be finite, got {x!r}")
     a, b = d.support()
     if side == "left" and not x < a:
         raise InsideSupport(f"x={x} is not strictly left of the support [{a}, {b}]")
     if side == "right" and not x > b:
         raise InsideSupport(f"x={x} is not strictly right of the support [{a}, {b}]")
 
+    with np.errstate(over="ignore"):
+        logp = log_density(d, x)
+    if not math.isfinite(logp):
+        raise NumericalOverflow(f"log p(x) = {logp!r} leaves the float range at x={x!r}"
+                                f" (delta={d.delta!r}), so the tail quotients cannot be formed")
+
     score = log_density_ratio_grad(d, x)
     ratio1 = d.delta * score / (-x)
 
-    logp = log_density(d, x)
     m = median(d)
     log_absx = math.log(abs(x))
     tail = tail_mass(d, x, side)

@@ -91,15 +91,16 @@ def log_adaptive_quad(
 
 def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
-    """Log of each panel's Gauss-Legendre estimate, maximum factored out, in one call."""
+    """Log of each panel's Gauss-Legendre estimate, maximum factored out, in one
+    call; ``+inf`` for a panel with a node where ``log_f`` is ``+inf``."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * _GL_NODES
     vals = np.asarray(log_f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     m = vals.max(axis=1)
     live = (m > NEG_INF) & (half > 0.0)
-    shift = np.where(live, m, 0.0)
-    with np.errstate(divide="ignore"):
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
         out = shift + np.log(half * (np.exp(vals - shift[:, None]) @ _GL_WEIGHTS))
     return np.where(live, out, NEG_INF)
 
@@ -144,12 +145,12 @@ def _log_cells_chunk(log_f, edges: np.ndarray, seeds: np.ndarray,
     vals = np.concatenate(done_val)
     top = np.full(n, NEG_INF)
     np.maximum.at(top, cells, vals)
-    live = top > NEG_INF
-    shift = np.where(live, top, 0.0)
-    with np.errstate(divide="ignore"):
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
         total = shift + np.log(np.bincount(cells, weights=np.exp(vals - shift[cells]),
                                            minlength=n))
-    return np.where(live, total, NEG_INF)
+    return np.where(finite, total, top)
 
 
 def log_cell_integrals(
@@ -170,7 +171,7 @@ def log_cell_integrals(
     the origin, where float spacing limits what bisection can resolve.
     Cells are processed ``_CHUNK_CELLS`` at a time, which keeps peak
     memory flat.  ``edges`` must be nondecreasing; an empty cell gives
-    ``-inf``.
+    ``-inf``, and a cell with a node where ``log_f`` is ``+inf`` gives ``+inf``.
     """
     edges = np.asarray(edges, dtype=float)
     seeds = np.asarray(seed_points if seed_points is not None else [], dtype=float)

@@ -43,7 +43,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -682,36 +682,15 @@ class Cell:
     c_used: float
     f_lip: float
 
-    def to_csv_row(self) -> str:
-        cols = (self.n, self.eps, self.trials, self.empirical_freq, self.mc_stderr,
-                self.guionnet_bound, self.term1_bound, self.term3_gap,
-                self.delta_used, self.c_used)
-        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in cols)
-
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    law_kind: str
-    f_kind: str
+    law: str  # the entry law's kind
+    f: str  # the test function's kind
     f_lip: float
     trials: int
     seed: int
     cells: tuple[Cell, ...]
-
-    CSV_HEADER = "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper"
-
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law_kind,
-            "f": self.f_kind,
-            "f_lip": self.f_lip,
-            "trials": self.trials,
-            "seed": self.seed,
-            "cells": [asdict(c) for c in self.cells],
-        }
-
-    def to_csv(self) -> str:
-        return "\n".join([self.CSV_HEADER] + [c.to_csv_row() for c in self.cells]) + "\n"
 
 
 def _resolve_delta_c(config: ExperimentConfig, n: int,

@@ -193,13 +193,13 @@ def test_criterion_9_bakry_emery():
     cloud = build_measure_nd([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
     cert = bakry_emery_certificate(cloud, 4.4)
     floor = (4.4 - 4.0) / 4.4 ** 2
-    assert cert.threshold_satisfied
-    assert cert.min_eigenvalue >= floor - 1e-9
+    assert cert.threshold_ok
+    assert cert.min_eig >= floor - 1e-9
     assert floor == pytest.approx(0.020661157, abs=1e-8)
 
     cert_small = bakry_emery_certificate(cloud, 0.05)
-    assert not cert_small.threshold_satisfied
-    assert cert_small.min_eigenvalue < 0.0
+    assert not cert_small.threshold_ok
+    assert cert_small.min_eig < 0.0
     mid_eig = float(np.linalg.eigvalsh(hessian_neg_log_p(cloud, 0.05, [0.0, 0.0]))[0])
     assert mid_eig < 0.0
 
@@ -215,7 +215,7 @@ def test_criterion_9_bakry_emery():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"criterion 9 took {elapsed:.1f}s"
     print(f"PASS criterion 9: exact single-atom Hessian, probe floor "
-          f"{cert.min_eigenvalue:.4f} >= {floor:.6f}, negative eigenvalue at "
+          f"{cert.min_eig:.4f} >= {floor:.6f}, negative eigenvalue at "
           f"delta=0.05, finite differences within 1e-5 ({elapsed:.1f}s)")
 
 

@@ -168,6 +168,15 @@ def test_c_upper_overflow_is_a_typed_error():
         compute_bg(MollifiedDensity(two_point(), 7e-4))
 
 
+def test_huge_delta_keeps_the_d0_over_delta_limit():
+    # delta^2 alone overflows above about 1.3e154; D0 / delta does not move
+    want = compute_bg(MollifiedDensity(two_point(), 1e20)).D0 / 1e20
+    for delta in (1e200, 1e300):
+        r = compute_bg(MollifiedDensity(two_point(), delta))
+        assert r.D0 / delta == pytest.approx(want, rel=1e-9)
+        assert math.isfinite(r.c_upper)
+
+
 # ---------------------------------------------------------------------------
 # invariances and inputs far from the origin
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -262,8 +263,10 @@ def test_bakry_single_atom(tmp_path, capsys):
 def test_bakry_nonpositive_delta_exit_2(tmp_path, capsys):
     p = tmp_path / "atom.json"
     p.write_text(SINGLE_ATOM_2D)
-    code, _, _ = run_cli(["bakry", "--measure", str(p), "--delta", "-1.0"], capsys)
-    assert code == 2
+    for delta in ("-1.0", "inf"):
+        code, _, err = run_cli(["bakry", "--measure", str(p), "--delta", delta], capsys)
+        assert code == 2
+        assert "delta must be positive and finite" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--grid", "-1"), ("--grid", "0"), ("--random", "-5")])
@@ -328,6 +331,21 @@ def test_asymptotics_inside_support_exit_2(two_point_file, capsys):
     code, _, _ = run_cli(["asymptotics", "--measure", two_point_file, "--delta", "1.0",
                           "--xs", "0.0", "--side", "left"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("x", ["-1e160", "-1e200", "-inf", "nan"])
+def test_asymptotics_out_of_float_range_exit_2_in_bounded_time(two_point_file, source_env, x):
+    # (x - t)^2 overflows at -1e160 and -1e200, so log p(x) is -inf there: a
+    # typed error, not an unbounded integral of 1/p out to x
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsi_lab", "asymptotics", "--measure", two_point_file,
+         "--delta", "1", f"--xs={x}", "--side", "left"],
+        capture_output=True, text=True, env=source_env, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    value = float(x)
+    want = (f"log p(x) = -inf leaves the float range at x={value!r}" if math.isfinite(value)
+            else f"probe point x must be finite, got {value!r}")
+    assert proc.stderr.startswith(f"error: {want}"), proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +415,8 @@ def _concentration_experiment(config, workers=1):
 
 def _bakry_emery_certificate(cloud, delta, spec=None):
     return highdim.HessianCertificate(
-        delta=delta, radius=1.0, dimension=2, min_eigenvalue=-THIRD,
-        min_eig_location=(0.0, -2.0 / 3.0), c_candidate=None, threshold_satisfied=False,
+        delta=delta, R=1.0, n=2, min_eig=-THIRD,
+        min_eig_location=(0.0, -2.0 / 3.0), c_candidate=None, threshold_ok=False,
         perturbation_bound=40.0, analytic_floor=-1580.0, probes_evaluated=249)
 
 

@@ -236,8 +236,8 @@ def test_eigenvalue_floor_above_threshold():
         n = m.dimension
         delta = 2.2 * m.radius ** 2 * n
         cert = bakry_emery_certificate(m, delta)
-        assert cert.threshold_satisfied
-        assert cert.min_eigenvalue >= cert.analytic_floor - 1e-9
+        assert cert.threshold_ok
+        assert cert.min_eig >= cert.analytic_floor - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,15 @@ def test_single_atom_certificate():
     m = build_measure_nd([[0.0, 0.0]], [1.0])
     for delta in (0.5, 1.0, 3.0):
         cert = bakry_emery_certificate(m, delta)
-        assert cert.min_eigenvalue == pytest.approx(1.0 / delta, rel=1e-12)
+        assert cert.min_eig == pytest.approx(1.0 / delta, rel=1e-12)
         assert cert.c_candidate == pytest.approx(delta, rel=1e-12)
 
 
 def test_two_atom_certificate_above_threshold():
     cert = bakry_emery_certificate(two_atoms_2d(), 4.4)
     floor = (4.4 - 4.0) / 4.4 ** 2
-    assert cert.threshold_satisfied
-    assert cert.min_eigenvalue >= floor - 1e-9
+    assert cert.threshold_ok
+    assert cert.min_eig >= floor - 1e-9
     assert floor == pytest.approx(0.0206611570, abs=1e-9)
     assert cert.c_candidate is not None
     assert cert.perturbation_bound == pytest.approx(2.0 / 4.4)
@@ -264,8 +264,8 @@ def test_two_atom_certificate_above_threshold():
 
 def test_two_atom_certificate_small_delta_fails():
     cert = bakry_emery_certificate(two_atoms_2d(), 0.05)
-    assert not cert.threshold_satisfied
-    assert cert.min_eigenvalue < 0.0
+    assert not cert.threshold_ok
+    assert cert.min_eig < 0.0
     assert cert.c_candidate is None
     # the midpoint probe is the witness: Hess_11 = 1/delta - 1/delta^2
     mid = hessian_neg_log_p(two_atoms_2d(), 0.05, [0.0, 0.0])
@@ -285,8 +285,8 @@ def test_certificate_out_of_float_range_is_a_typed_error(delta, stage):
 def test_certificate_at_delta_1e_150_is_finite():
     cert = bakry_emery_certificate(two_atoms_2d(), 1e-150,
                                    ProbeSpec(grid_points_per_axis=3, random_points=0))
-    assert math.isfinite(cert.min_eigenvalue) and math.isfinite(cert.analytic_floor)
-    assert cert.min_eigenvalue >= cert.analytic_floor
+    assert math.isfinite(cert.min_eig) and math.isfinite(cert.analytic_floor)
+    assert cert.min_eig >= cert.analytic_floor
 
 
 def test_certificate_requires_positive_delta():
@@ -297,7 +297,7 @@ def test_certificate_requires_positive_delta():
 def test_certificate_probe_grid_contains_midpoint():
     cert = bakry_emery_certificate(two_atoms_2d(), 0.05,
                                    ProbeSpec(grid_points_per_axis=7, random_points=0))
-    assert cert.min_eigenvalue == pytest.approx((0.05 - 1.0) / 0.05 ** 2, rel=1e-9)
+    assert cert.min_eig == pytest.approx((0.05 - 1.0) / 0.05 ** 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("grid,random", [(0, 10), (-1, 10), (3, -5)])
@@ -350,7 +350,7 @@ def test_dimension_one_cross_check_with_bg():
     m1 = build_measure_nd([[-1.0], [1.0]], [0.5, 0.5])
     delta = 4.4  # above 2 R^2 n = 2
     cert = bakry_emery_certificate(m1, delta)
-    assert cert.threshold_satisfied and cert.c_candidate is not None
+    assert cert.threshold_ok and cert.c_candidate is not None
     report = compute_bg(MollifiedDensity(two_point(), delta))
     assert cert.c_candidate >= report.c_lower
 

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import logsumexp
 
 from lsi_lab import quadrature
+from lsi_lab.measure import two_point
+from lsi_lab.mollify import MollifiedDensity, log_density
 from lsi_lab.quadrature import NEG_INF, log_adaptive_quad, log_cell_integrals
 
 
@@ -145,3 +147,21 @@ def test_unresolvable_integrand_stops_at_float_spacing():
     out = log_cell_integrals(log_f, [lo, lo + 1e-8])
     assert np.isfinite(out[0])
     assert len(calls) <= 8
+
+
+def test_plus_inf_integrand_gives_plus_inf_in_bounded_work():
+    # -log p of the two-point measure is +inf on every node here, since
+    # (x - t)^2 overflows: the cell is +inf at once, not dropped as a nan
+    d = MollifiedDensity(two_point(), 1.0)
+    calls = []
+
+    def neg_log_p(t):
+        calls.append(np.size(t))
+        with np.errstate(over="ignore"):
+            return -log_density(d, t)
+
+    assert log_cell_integrals(neg_log_p, [-1e160, -1e159])[0] == np.inf
+    assert sum(calls) == 15  # the whole panel, accepted without a bisection
+    # a cell where only some nodes overflow, next to a finite one
+    out = log_cell_integrals(neg_log_p, [-1e160, -1e153, -1e152])
+    assert out[0] == np.inf and np.isfinite(out[1])

@@ -1,6 +1,7 @@
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from scipy.stats import kstest
 from lsi_lab import cli, errors, rmt
 from lsi_lab.measure import build_measure
 from lsi_lab.rmt import (
-    ConcentrationReport,
     ExperimentConfig,
     FSpec,
     SymmetricMatrix,
@@ -471,7 +471,7 @@ def test_experiment_workers_bit_identical():
                            trials=60, seed=3)
     a = concentration_experiment(cfg, workers=1)
     b = concentration_experiment(cfg, workers=5)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
 def test_experiment_mollified_two_point_trend():
@@ -490,8 +490,8 @@ def test_experiment_csv_shape():
     cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (10,), (0.5,),
                            trials=20, seed=0)
     report = concentration_experiment(cfg)
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0] == ConcentrationReport.CSV_HEADER
+    lines = cli._csv(cli._RMT_COLUMNS, report.cells, cli._RMT_HEADER).strip().split("\n")
+    assert lines[0] == cli._RMT_HEADER
     assert len(lines) == 2
     assert len(lines[1].split(",")) == len(lines[0].split(","))
 
@@ -545,7 +545,7 @@ def _loop_batch(config, n, delta, batch, mapper):
 def _loop_report(config, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(rmt, "_batch_integrals", _loop_batch)
-        return concentration_experiment(config).to_dict()
+        return asdict(concentration_experiment(config))
 
 
 def _chunk_size(n, delta):
@@ -600,7 +600,7 @@ def test_experiment_equals_trial_loop(law, delta, monkeypatch):
         cfg = _experiment_config(law, delta, trials)
         want = _loop_report(cfg, monkeypatch)
         for workers in (1, 3):
-            assert concentration_experiment(cfg, workers=workers).to_dict() == want
+            assert asdict(concentration_experiment(cfg, workers=workers)) == want
 
 
 def _loop_term3(n, epsilon, f, delta, trials, seed):
