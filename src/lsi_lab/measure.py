@@ -4,7 +4,10 @@ A measure is a finite list of atoms plus a finite list of density pieces,
 each piece a polynomial ``sum c_k t^k`` (degree at most 6) on an interval.
 The class is closed under the exact integrations the rest of the package
 needs, and expressive enough for every measure exercised here: point
-masses, two-point mixtures, uniforms, unions of uniforms.
+masses, two-point mixtures, uniforms, unions of uniforms.  A piece's
+expansion about its left end, the derivatives, antiderivative and
+Gauss-Legendre node terms of the polynomials the mollifier integrates,
+and its mass are built once, with the piece.
 
 Also defined here: the entropy functional
 
@@ -43,6 +46,7 @@ from .quadrature import adaptive_quad
 MAX_POLY_DEGREE = 6
 MASS_RESCALE_TOL = 1e-9
 _DENSITY_SIGN_TOL = 1e-12
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def _polyval(coeffs: Sequence[float], t):
@@ -54,31 +58,74 @@ def expanded(coeffs: Sequence[float], point: float) -> np.ndarray:
     return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0])).trim().coef
 
 
+class LocalPoly:
+    """q(t) = sum c_k (t - lo)^k on [lo, hi], with the constants of the
+    Gaussian kernel's integral of q that depend on q alone.
+
+    ``derivs`` is the chain q, q', ..., q^(degree) as coefficient arrays,
+    ``at_lo`` and ``at_hi`` their values at the ends; ``nodes`` are the
+    20 Gauss-Legendre nodes t of [lo, hi], with ``node_log`` = log(half
+    w |q(t)|) (half = (hi - lo) / 2, w the weights) and ``node_sign`` =
+    sign q(t).
+    """
+
+    def __init__(self, coeffs: np.ndarray, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        derivs = [coeffs]
+        for _ in coeffs[1:]:
+            derivs.append(np.polynomial.polynomial.polyder(derivs[-1]))
+        self.derivs = tuple(derivs)
+        self.at_lo = tuple(_polyval(der, 0.0) for der in derivs)
+        self.at_hi = tuple(_polyval(der, hi - lo) for der in derivs)
+        half = 0.5 * (hi - lo)
+        self.nodes = 0.5 * (lo + hi) + half * _GL_NODES
+        q = _polyval(coeffs, self.nodes - lo)
+        with np.errstate(divide="ignore"):
+            self.node_log = np.log(half * _GL_WEIGHTS * np.abs(q))
+        self.node_sign = np.sign(q)
+
+
 @dataclass(frozen=True)
 class Piece:
-    """Polynomial density ``sum c_k t^k`` on ``[lo, hi]``."""
+    """Polynomial density ``sum c_k t^k`` on ``[lo, hi]``.
+
+    The constructor re-expands the density in powers of ``t - lo`` (so a
+    piece far from the origin loses nothing to cancellation) and builds,
+    once, the ``LocalPoly`` of every polynomial the mollifier integrates:
+    ``q`` (the density), ``offset_q`` ((t - lo) q(t)), ``below`` (the mass
+    below t) and ``mirror_below`` (the mass below t of the mirror image
+    t -> -t, on [-hi, -lo], for right tails); and ``mass``, with its log
+    in either frame as ``log_mass`` and ``mirror_log_mass``.
+    """
 
     lo: float
     hi: float
     coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        poly = np.polynomial.polynomial
+        lo, hi = self.lo, self.hi
+        local = expanded(self.coeffs, lo)
+        mirror = expanded(np.multiply(self.coeffs, (-1.0) ** np.arange(len(self.coeffs))), -hi)
+        below = LocalPoly(poly.polyint(local), lo, hi)
+        mirror_below = LocalPoly(poly.polyint(mirror), -hi, -lo)
+        built = {"q": LocalPoly(local, lo, hi), "offset_q": LocalPoly(poly.polymulx(local), lo, hi),
+                 "below": below, "mirror_below": mirror_below,
+                 "mass": float(below.at_hi[0])}
+        with np.errstate(divide="ignore", invalid="ignore"):  # built before its sign check
+            built["log_mass"] = np.log(below.at_hi[0])
+            built["mirror_log_mass"] = np.log(mirror_below.at_hi[0])
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     def density(self, t):
         return _polyval(self.coeffs, t)
 
     def mass_below(self, x):
         """Exact integral of the density over ``[lo, min(x, hi)]``, for a
-        scalar or an array ``x``.
-
-        The antiderivative is taken in powers of ``t - lo``, so a piece far
-        from the origin loses nothing to cancellation.
-        """
-        anti = np.polynomial.polynomial.polyint(expanded(self.coeffs, self.lo))
-        out = _polyval(anti, np.clip(x, self.lo, self.hi) - self.lo)
+        scalar or an array ``x``."""
+        out = _polyval(self.below.derivs[0], np.clip(x, self.lo, self.hi) - self.lo)
         return float(out) if np.ndim(out) == 0 else out
-
-    @property
-    def mass(self) -> float:
-        return self.mass_below(self.hi)
 
 
 @dataclass(frozen=True)

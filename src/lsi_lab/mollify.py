@@ -17,7 +17,10 @@ sum_k (+-sqrt(delta))^k q^(k)(e) h_k(z), z = |e - x| / sqrt(delta), with
 h_k = Hh_k / phi the scaled repeated integrals of the normal tail.  Where
 the kernel is wider than a quarter of the piece those terms would cancel,
 and a fixed 20-point Gauss-Legendre rule on the piece is exact instead.
-Tail masses integrate by parts once more, onto the mass below t.
+Tail masses integrate by parts once more, onto the mass below t.  The
+expansion, derivatives, antiderivative, node terms and mass of a piece
+are built once, with the piece (``measure.Piece``); a kernel call does
+only the work that depends on x and delta.
 
 The asymptotic report bundles the three tail quotients
 
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr
 
 from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError
-from .measure import Measure1D, expanded, support_components
+from .measure import MAX_POLY_DEGREE, LocalPoly, Measure1D, support_components
 from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
 
 Side = Literal["left", "right"]
@@ -47,7 +50,6 @@ _BLOCK = 4096  # points per kernel evaluation, which bounds the temporaries
 # h_k(z) by its forward recurrence for z up to here, above it backward
 _FORWARD_MAX_Z = 2.5
 _BACKWARD_STEPS = 50
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _WIDE_KERNEL = 4.0  # the rule takes kernels whose boundary layer exceeds width / 4
 
 
@@ -166,56 +168,61 @@ def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _endpoint_terms(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
+# h_k(0) for every k a kernel uses: the mass below t of a piece is one degree up
+_H_AT_ZERO = _scaled_tail_integrals(np.zeros(1), MAX_POLY_DEGREE + 2)[:, 0]
+
+
+def _endpoint_terms(d: MollifiedDensity, poly: LocalPoly,
                     xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed log terms, one row per point, of the integral over [lo, hi] of
-    q(t) exp(-(x-t)^2 / 2 delta), q(t) = sum c_k (t - lo)^k, by parts: the
-    ends c, lo of the part left of x, then c, hi of the part right of x."""
-    c = np.clip(xs, lo, hi)
-    ends = np.stack([c, np.full_like(xs, lo), np.full_like(xs, hi)])
-    z = np.abs(ends - xs) / d.sigma
-    h = _scaled_tail_integrals(z, len(coeffs))
-    vals, der = [], coeffs
-    for _ in coeffs:
-        vals.append(np.polynomial.polynomial.polyval(ends - lo, der))
-        der = np.polynomial.polynomial.polyder(der)
-    sums = np.stack([sum((direction * d.sigma) ** k * vals[k][end] * h[k][end]
-                         for k in range(len(coeffs)))
-                     for end, direction in ((0, -1.0), (1, -1.0), (0, 1.0), (2, 1.0))],
+    q(t) exp(-(x-t)^2 / 2 delta), by parts: the ends c, lo of the part left
+    of x, then c, hi of the part right of x, c = clip(x, lo, hi).
+
+    The z of c is that of lo (x <= lo), that of hi (x >= hi) or 0, and each
+    h_k depends on its own z alone, so c's row of h is taken from the rows
+    of lo and hi or from h_k(0).
+    """
+    lo, hi, n = poly.lo, poly.hi, len(poly.derivs)
+    z = np.abs(np.stack([np.full_like(xs, lo), np.full_like(xs, hi)]) - xs) / d.sigma
+    h = _scaled_tail_integrals(z, n)
+    inside, right = (lo < xs) & (xs < hi), xs >= hi
+    z_c = np.where(inside, 0.0, np.where(right, z[1], z[0]))
+    h_c = np.where(inside, _H_AT_ZERO[:n, None], np.where(right, h[:, 1], h[:, 0]))
+    at_c = [np.polynomial.polynomial.polyval(np.clip(xs, lo, hi) - lo, der)
+            for der in poly.derivs]
+    sums = np.stack([sum((direction * d.sigma) ** k * vals[k] * hs[k] for k in range(n))
+                     for vals, hs, direction in ((at_c, h_c, -1.0), (poly.at_lo, h[:, 0], -1.0),
+                                                 (at_c, h_c, 1.0), (poly.at_hi, h[:, 1], 1.0))],
                     axis=1) * np.array([1.0, -1.0, 1.0, -1.0])
     with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(sums)) + math.log(d.sigma) - 0.5 * z[[0, 1, 0, 2]].T ** 2
-    log_abs[c <= lo, :2] = NEG_INF
-    log_abs[c >= hi, 2:] = NEG_INF
+        log_abs = (np.log(np.abs(sums)) + math.log(d.sigma)
+                   - 0.5 * np.stack([z_c, z[0], z_c, z[1]], axis=1) ** 2)
+    log_abs[xs <= lo, :2] = NEG_INF
+    log_abs[right, 2:] = NEG_INF
     return log_abs, np.sign(sums)
 
 
-def _node_terms(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
+def _node_terms(d: MollifiedDensity, poly: LocalPoly,
                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The same integral's Gauss-Legendre terms, one row per point."""
-    half = 0.5 * (hi - lo)
-    t = 0.5 * (lo + hi) + half * _GL_NODES
-    q = np.polynomial.polynomial.polyval(t - lo, coeffs)
-    with np.errstate(divide="ignore"):
-        log_abs = (np.log(half * _GL_WEIGHTS * np.abs(q))
-                   - (xs[:, None] - t) ** 2 / (2.0 * d.delta))
-    return log_abs, np.broadcast_to(np.sign(q), log_abs.shape)
+    log_abs = poly.node_log - (xs[:, None] - poly.nodes) ** 2 / (2.0 * d.delta)
+    return log_abs, np.broadcast_to(poly.node_sign, log_abs.shape)
 
 
-def _log_kernel_integral(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi: float,
-                         xs: np.ndarray) -> np.ndarray:
+def _log_kernel_integral(d: MollifiedDensity, poly: LocalPoly, xs: np.ndarray) -> np.ndarray:
     """log of the integral over [lo, hi] of q(t) exp(-(x-t)^2 / 2 delta), for
-    q(t) = sum c_k (t - lo)^k >= 0 on [lo, hi]; -inf if rounding leaves it <= 0.
+    q >= 0 on [lo, hi]; -inf if rounding leaves it <= 0.
 
     Terms by parts cancel to a relative error of about eps (layer / width)^degree
     with layer = delta / (|x - c| + sqrt(delta)), the kernel's boundary layer;
     the rule takes the points where that error is not negligible.
     """
+    lo, hi = poly.lo, poly.hi
     use_rule = (hi - lo) * (np.abs(xs - np.clip(xs, lo, hi)) + d.sigma) < _WIDE_KERNEL * d.delta
     out = np.empty_like(xs)
     for rows, terms in ((~use_rule, _endpoint_terms), (use_rule, _node_terms)):
         if rows.any():
-            log_terms, signs = terms(d, coeffs, lo, hi, xs[rows])
+            log_terms, signs = terms(d, poly, xs[rows])
             val, sign = _logsumexp(log_terms, signs, return_sign=True)
             out[rows] = np.where(sign > 0.0, val, NEG_INF)
     return out
@@ -224,9 +231,8 @@ def _log_kernel_integral(d: MollifiedDensity, coeffs: np.ndarray, lo: float, hi:
 def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     """log of integral of exp(-(x-t)^2 / 2 delta) over each atom, then each
     piece, of mu: one row per point, one column per atom and per piece."""
-    return np.column_stack([_atom_log_terms(d, xs)] + [
-        _log_kernel_integral(d, expanded(p.coeffs, p.lo), p.lo, p.hi, xs)
-        for p in d.base.pieces])
+    return np.column_stack([_atom_log_terms(d, xs)]
+                           + [_log_kernel_integral(d, p.q, xs) for p in d.base.pieces])
 
 
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
@@ -244,8 +250,7 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
         logs = [masses[:, :n] + np.log(np.abs(m.atom_locations))]
         for p, mass in zip(m.pieces, masses[:, n:].T):
             # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
-            q = np.polynomial.polynomial.polymulx(expanded(p.coeffs, p.lo))
-            logs += [_log_kernel_integral(d, q, p.lo, p.hi, xs), mass + np.log(abs(p.lo))]
+            logs += [_log_kernel_integral(d, p.offset_q, xs), mass + np.log(abs(p.lo))]
             signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
     log_num, sign = _logsumexp(np.column_stack(logs), np.column_stack(signs), return_sign=True)
     return (sign * np.exp(log_num - _logsumexp(masses)) - xs) / d.delta
@@ -270,13 +275,10 @@ def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
         # by parts: the piece's mass at its far end, plus the kernel integral
         # of its mass below t (the right tail: the left tail of the piece
         # reflected, at -x)
-        lo, hi, coeffs, x = (p.lo, p.hi, p.coeffs, xs) if side == "left" else (
-            -p.hi, -p.lo, np.multiply(p.coeffs, (-1.0) ** np.arange(len(p.coeffs))), -xs)
-        below = np.polynomial.polynomial.polyint(expanded(coeffs, lo))
-        with np.errstate(divide="ignore"):
-            cols.append(np.log(np.polynomial.polynomial.polyval(hi - lo, below))
-                        + log_ndtr((x - hi) / d.sigma)[:, None])
-        cols.append(_log_kernel_integral(d, below, lo, hi, x)[:, None]
+        below, log_mass, x = ((p.below, p.log_mass, xs) if side == "left"
+                              else (p.mirror_below, p.mirror_log_mass, -xs))
+        cols.append(log_mass + log_ndtr((x - below.hi) / d.sigma)[:, None])
+        cols.append(_log_kernel_integral(d, below, x)[:, None]
                     - 0.5 * math.log(2.0 * math.pi * d.delta))
     return np.minimum(_logsumexp(np.concatenate(cols, axis=1)), 0.0)
 

@@ -445,9 +445,11 @@ def spectrum(a: SymmetricMatrix) -> np.ndarray:
     return _spectra(a.n, a.upper[None, :])[0]
 
 
-def empirical_law_integral(eigenvalues: np.ndarray, f: FSpec) -> float:
-    """(1/n) sum f(lambda_i)."""
-    return float(np.mean(f(np.asarray(eigenvalues, dtype=float))))
+def empirical_law_integral(eigenvalues: np.ndarray, f: FSpec) -> float | np.ndarray:
+    """(1/n) sum f(lambda_i) over the last axis: a float for one spectrum,
+    an array for a stack of them."""
+    out = np.mean(f(np.asarray(eigenvalues, dtype=float)), axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def hoffman_wielandt_gap(a: SymmetricMatrix, b: SymmetricMatrix) -> tuple[float, float]:
@@ -497,7 +499,7 @@ def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
     per_trial = len(upper) // len(trials)
     w = _spectra(n, upper,
                  lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
-    s = np.array([empirical_law_integral(row, f) for row in w]).reshape(-1, per_trial)
+    s = empirical_law_integral(w, f).reshape(-1, per_trial)
     return s[:, 0], s[:, -1]
 
 

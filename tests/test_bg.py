@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from lsi_lab import bg, errors
+from lsi_lab import bg, errors, measure
 from lsi_lab.bg import (
     bg_integrand,
     blowup_scan,
@@ -262,6 +262,32 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
     compute_bg(MollifiedDensity(m, delta))
     assert 2 <= counts["tail_mass"] <= 30
     assert 2 <= counts["log_cell_integrals"] <= 30
+
+
+# the bracket-pieces benchmark measures: uniform at delta 1, and an atom
+# plus a degree-1 piece at delta 0.5
+@pytest.mark.parametrize("spec,delta", [
+    ({"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]}, 1.0),
+    ({"atoms": [{"x": -1.0, "w": 0.25}],
+      "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}, 0.5),
+], ids=["uniform", "atom_linear"])
+def test_piece_constants_are_built_with_the_measure(monkeypatch, spec, delta):
+    m = build_measure(spec)
+    counts = {}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(measure, "expanded")
+    for name in ("polyder", "polyint", "polymulx"):
+        counted(np.polynomial.polynomial, name)
+    compute_bg(MollifiedDensity(m, delta))
+    assert counts == {}
 
 
 def atom_spec(atoms):

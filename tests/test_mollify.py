@@ -7,7 +7,7 @@ from scipy.special import log_ndtr, logsumexp
 from scipy.stats import norm
 
 from lsi_lab import errors, mollify
-from lsi_lab.measure import build_measure, point_mass, two_point, uniform
+from lsi_lab.measure import build_measure, point_mass, quantile, two_point, uniform
 from lsi_lab.mollify import (
     MollifiedDensity,
     asymptotic_ratios,
@@ -163,6 +163,18 @@ def test_piece_paths_make_no_adaptive_quadrature_call(monkeypatch):
     for values in (log_density(d, xs), tail_mass(d, xs, "left"), tail_mass(d, xs, "right"),
                    log_density_ratio_grad(d, xs)):
         assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tail_integrals_of_each_z_are_its_own(n):
+    # the kernel takes c's row of h_k from the rows of lo and hi, or h_k(0)
+    step = math.ulp(2.5)
+    zs = np.array([0.0, 2.5 - step, 2.5, 2.5 + step, 40.0, 1e8, math.inf, math.nan])
+    with np.errstate(invalid="ignore"):
+        batch = mollify._scaled_tail_integrals(zs, n)
+        for i, z in enumerate(zs):
+            alone = mollify._scaled_tail_integrals(np.array([z]), n)
+            assert batch[:, i].tobytes() == alone[:, 0].tobytes(), z
 
 
 def test_array_evaluation_matches_scalar():
@@ -437,3 +449,99 @@ def test_logsumexp_is_scipys_bit_for_bit(order):
                 want = logsumexp(a, axis=1, b=weights, return_sign=True)
                 assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
+
+# ---------------------------------------------------------------------------
+# bit-level guard on the kernel
+# ---------------------------------------------------------------------------
+
+# (spec, delta) for each guard measure: the degree-3 piece sits on
+# [0.5, 1.5] as q(t - 0.5), q(s) = 0.5 + s - 1.5 s^2 + 2 s^3, so its
+# coefficients are dyadic and its mass is exactly 1
+GUARD_MEASURES = {
+    "uniform": ({"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]}, 1.0),
+    "atom_linear": ({"atoms": [{"x": -1.0, "w": 0.25}],
+                     "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}, 0.5),
+    "degree3": ({"pieces": [{"lo": 0.5, "hi": 1.5,
+                             "coeffs": [-0.125, 3.5, -4.5, 2.0]}]}, 0.05),
+    "two_uniforms": ({"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.5]},
+                                 {"lo": 2.0, "hi": 3.0, "coeffs": [0.5]}]}, 0.1),
+    "far_unit": ({"pieces": [{"lo": 1e8, "hi": 1e8 + 1.0, "coeffs": [1.0]}]}, 0.1),
+}
+
+
+def guard_points(m, delta):
+    """Inside, at every piece end, either side of z = 2.5 past each end of
+    the support, 40 sigma out, +-1e16, +-inf and nan."""
+    a, b, sd = m.support_lo, m.support_hi, math.sqrt(delta)
+    ends = [e for p in m.pieces for e in (p.lo, p.hi)]
+    near = [e + s * k * sd for e, s in ((a, -1.0), (b, 1.0)) for k in (2.4999, 2.5001, 40.0)]
+    return np.array([a + 0.3 * (b - a)] + ends + near
+                    + [-1e16, 1e16, -math.inf, math.inf, math.nan])
+
+
+def guard_hex(name):
+    """float.hex of log p, the left and right log tail masses and the score
+    at the guard points; each piece's mass below its quartile points; and
+    the measure's quantiles at a few levels."""
+    spec, delta = GUARD_MEASURES[name]
+    m = build_measure(spec)
+    d = MollifiedDensity(m, delta)
+    xs = guard_points(m, delta)
+    with np.errstate(all="ignore"):
+        rows = [log_density(d, xs), tail_mass(d, xs, "left"), tail_mass(d, xs, "right"),
+                log_density_ratio_grad(d, xs)]
+    rows += [np.array([p.mass_below(p.lo + f * (p.hi - p.lo)) for f in (0.25, 0.5, 1.0)])
+             for p in m.pieces]
+    rows.append(quantile(m, np.array([0.1, 0.25, 0.5, 0.9])))
+    return tuple(" ".join(float(v).hex() for v in row) for row in rows)
+
+
+# recorded from the kernel that computed each piece's constants per call
+GUARD_HEX = {
+    'uniform': (
+        '-0x1.f4e46670ab064p-1 -0x1.132a2d6d93370p+0 -0x1.132a2d6d93370p+0 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -inf -inf -inf -inf -inf',
+        '-0x1.b7732929cb28ep-1 -0x1.2737c55349e1ep+0 -0x1.845a9ce171067p-2 -0x1.8f7a733373e16p+2 -0x1.8f84842c3ed7bp+2 -0x1.9426377ce7a6dp+9 -0x1.feb22a1238e8cp-10 -0x1.fe61c91855b64p-10 0x0.0p+0 -0x1.3b8b5b5056e18p+105 0x0.0p+0 -inf 0x0.0p+0 nan',
+        '-0x1.1a56ad5b4fbfcp-1 -0x1.845a9ce171067p-2 -0x1.2737c55349e1ep+0 -0x1.feb22a1238e8cp-10 -0x1.fe61c91855b64p-10 0x0.0p+0 -0x1.8f7a733373e16p+2 -0x1.8f84842c3ed7bp+2 -0x1.9426377ce7a6dp+9 0x0.0p+0 -0x1.3b8b5b5056e18p+105 0x0.0p+0 -inf nan',
+        '0x1.789c80464f9b6p-3 0x1.d6e61fcdcdad1p-2 -0x1.d6e61fcdcdad6p-2 0x1.64ac42af20461p+1 0x1.64b2738b2b5f6p+1 0x1.403322ddf1646p+5 -0x1.64ac42af20460p+1 -0x1.64b2738b2b5f8p+1 -0x1.403322ddf1646p+5 nan inf nan nan nan',
+        '0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.0000000000000p+0',
+        '0x1.999999999999ap-4 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.ccccccccccccdp-1',
+    ),
+    'atom_linear': (
+        '-0x1.6afe1ead60c26p+0 -0x1.243413fdee704p+0 -0x1.008545b007084p+0 -0x1.45399c9fbd222p+2 -0x1.4541d08264f5dp+2 -0x1.90fab5591b706p+9 -0x1.3bbcf99508f31p+2 -0x1.3bc5f731f51d2p+2 -0x1.921c42daffb0bp+9 -0x1.3b8b5b5056e17p+106 -0x1.3b8b5b5056e16p+106 -inf -inf nan',
+        '-0x1.5ac93850c15cep+0 -0x1.fdc064f2b4978p-1 -0x1.2254266fcbfe6p-2 -0x1.9ddc2345cf9c7p+2 -0x1.9de564bf11a0ap+2 -0x1.92ff5385831ccp+9 -0x1.b84cd02aed900p-10 -0x1.b8085dcf17600p-10 0x0.0p+0 -0x1.3b8b5b5056e17p+106 0x0.0p+0 -inf 0x0.0p+0 nan',
+        '-0x1.31a031cef6149p-2 -0x1.d84f400a864e6p-2 -0x1.661c894c6e023p+0 -0x1.97d6185dd3600p-10 -0x1.979b158e03400p-10 0x0.0p+0 -0x1.98f64ae9612f5p+2 -0x1.99003c844ac38p+2 -0x1.9420f512a5f16p+9 0x0.0p+0 -0x1.3b8b5b5056e17p+106 0x0.0p+0 -inf nan',
+        '0x1.48f89e326458ep-1 0x1.5bc23a1680e3dp-1 -0x1.39370422c0df6p-1 0x1.c51ec4b182d2ep+1 0x1.c527facb904a1p+1 0x1.c48c6001f0ac0p+5 -0x1.f0a6f08ab46e5p+1 -0x1.f0afc5406ab12p+1 -0x1.c4d364f6d6b97p+5 0x1.1c37937e08000p+54 -0x1.1c37937e08000p+54 nan nan nan',
+        '0x1.8000000000000p-5 0x1.8000000000000p-3 0x1.8000000000000p-1',
+        '-0x1.0000000000000p+0 -0x1.0000000000000p+0 0x1.279a74590331cp-1 0x1.dca56432dd39bp-1',
+    ),
+    'degree3': (
+        '-0x1.07c5eec37d094p-2 -0x1.d538bf29e6db0p-1 -0x1.ad79f36f80e5ep-2 -0x1.5580447acb9a4p+2 -0x1.558989e765d93p+2 -0x1.92723e6e5fe2ep+9 -0x1.29b04fc3e4e56p+2 -0x1.29b9748143ea8p+2 -0x1.9207aaa0a83ebp+9 -0x1.8a6e32246c99cp+109 -0x1.8a6e32246c999p+109 -inf -inf -inf',
+        '-0x1.6161e643653a0p+0 -0x1.53595a047f8cap+1 -0x1.0ed2441c6b6d8p-3 -0x1.fddac66d060bbp+2 -0x1.fde4f23bdcc23p+2 -0x1.950a4ea3adf39p+9 -0x1.6c90c6b6572f8p-11 -0x1.6c57707705108p-11 0x0.0p+0 -0x1.8a6e32246c99cp+109 0x0.0p+0 -inf 0x0.0p+0 nan',
+        '-0x1.289b35cb28d62p-2 -0x1.2bc1a231aa598p-4 -0x1.0b5597d13652fp+1 -0x1.6bd00ba31b420p-12 -0x1.6b963c20d2590p-12 0x0.0p+0 -0x1.d15f3c81a02dap+2 -0x1.d1694d3090e73p+2 -0x1.949fba8aade10p+9 0x0.0p+0 -0x1.8a6e32246c999p+109 0x0.0p+0 -inf nan',
+        '0x1.2187dd374987cp+0 0x1.d6936b8a7786ap+1 -0x1.8a434a53b77e8p+1 0x1.94e3b57284fdcp+3 0x1.94ea5db395ca7p+3 0x1.65feb6e5dc22cp+7 -0x1.8f50361de20c7p+3 -0x1.8f56fd731e40ap+3 -0x1.65fde3d32b0cdp+7 0x1.6345785d8a000p+57 -0x1.6345785d8a000p+57 nan nan nan',
+        '0x1.9400000000000p-3 0x1.a000000000000p-2 0x1.0000000000000p+0',
+        '0x1.42105aefde112p-1 0x1.a10fa2838e303p-1 0x1.1a77e1ad2cbe8p+0 0x1.707a6dad84d4dp+0',
+    ),
+    'two_uniforms': (
+        '-0x1.2af283cd112ddp+0 -0x1.634adb99ec47dp+0 -0x1.62e42ff0badb7p+0 -0x1.62e42ff0badb7p+0 -0x1.634adb99ec47dp+0 -0x1.7191a4cef6c6ep+2 -0x1.719ae4b20457ap+2 -0x1.92a69a798733cp+9 -0x1.7191a4cef6c6fp+2 -0x1.719ae4b20457cp+2 -0x1.92a69a798733cp+9 -0x1.8a6e32246c99fp+108 -0x1.8a6e32246c997p+108 -inf -inf -inf',
+        '-0x1.c9dd79dbffbfep-1 -0x1.61c7df8ec7239p+1 -0x1.a7db96b9e21dcp-1 -0x1.261f1dea424b0p-1 -0x1.0abae594e5ba8p-4 -0x1.01d042209a98ep+3 -0x1.01d555b3143b2p+3 -0x1.95124e16c13a6p+9 -0x1.4c6e22b793000p-12 -0x1.4c39683a58000p-12 0x0.0p+0 -0x1.8a6e32246c99cp+108 0x0.0p+0 -inf 0x0.0p+0 nan',
+        '-0x1.0d33420827d29p-1 -0x1.0abae594e5ba8p-4 -0x1.261f1dea424b0p-1 -0x1.a7db96b9e21dcp-1 -0x1.61c7df8ec7239p+1 -0x1.4c6e22b793000p-12 -0x1.4c39683a58000p-12 0x0.0p+0 -0x1.01d042209a98dp+3 -0x1.01d555b3143b4p+3 -0x1.95124e16c13a6p+9 0x0.0p+0 -0x1.8a6e32246c997p+108 0x0.0p+0 -inf nan',
+        '-0x1.e38a301ecc2b4p+0 0x1.4149ae315ff40p+1 -0x1.3e9bd8bc2d62cp+1 0x1.3e9bd8bc2d620p+1 -0x1.4149ae315ff4ep+1 0x1.1da1d1a3a4872p+3 0x1.1da689ff806c7p+3 0x1.fa47bf137266ep+6 -0x1.1da1d1a3a4878p+3 -0x1.1da689ff806c3p+3 -0x1.fa47bf13726ebp+6 0x1.6345785d8a000p+56 -0x1.6345785d8a000p+56 nan nan nan',
+        '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
+        '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
+        '0x1.999999999999ap-3 0x1.0000000000000p-1 0x1.0000000000000p+0 0x1.6666666666667p+1',
+    ),
+    'far_unit': (
+        '-0x1.a27fd1590ecf6p-3 -0x1.63b1873e58236p-1 -0x1.63b1873e58236p-1 -0x1.45351eb628aeap+2 -0x1.453e5ef7dee55p+2 -0x1.924de172326b8p+9 -0x1.45351eb628aeap+2 -0x1.453e5ef7dee55p+2 -0x1.924de172326b8p+9 -inf -inf -inf -inf -inf',
+        '-0x1.1dbc443d2059bp+0 -0x1.090ed38a516edp+1 -0x1.1406005a22f70p-3 -0x1.d743fe25c7c17p+2 -0x1.d74e25b2a246ep+2 -0x1.94b9950f6d302p+9 -0x1.4c7ba1d7e7ae0p-11 -0x1.4c46e0f73f210p-11 0x0.0p+0 -0x1.8a6e32a8c5eb4p+108 0x0.0p+0 -inf 0x0.0p+0 nan',
+        '-0x1.9654ebe2ee108p-2 -0x1.1406005a22f70p-3 -0x1.090ed38a516edp+1 -0x1.4c7ba1d7e7ae0p-11 -0x1.4c46e0f73f210p-11 0x0.0p+0 -0x1.d743fe25c7c17p+2 -0x1.d74e25b2a246ep+2 -0x1.94b9950f6d302p+9 0x0.0p+0 -0x1.8a6e31a013487p+108 0x0.0p+0 -inf nan',
+        '0x1.b4dc450000000p-1 0x1.4149b14000000p+1 -0x1.4149ab0000000p+1 0x1.1da1d8d000000p+3 0x1.1da688d000000p+3 0x1.fa47d6fe00000p+6 -0x1.1da1c84000000p+3 -0x1.1da6874000000p+3 -0x1.fa47c15a00000p+6 nan inf nan nan nan',
+        '0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.0000000000000p+0',
+        '0x1.7d78400666667p+26 0x1.7d78401000000p+26 0x1.7d78402000000p+26 0x1.7d7840399999ap+26',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MEASURES))
+def test_kernel_bits_are_pinned(name):
+    assert guard_hex(name) == GUARD_HEX[name]
