@@ -497,6 +497,8 @@ def guard_hex(name):
 
 
 # recorded from the kernel that computed each piece's constants per call
+# (numpy 2.4.6, scipy 1.17.1, x86-64); numpy's vectorized log and exp may
+# round differently on another CPU
 GUARD_HEX = {
     'uniform': (
         '-0x1.f4e46670ab064p-1 -0x1.132a2d6d93370p+0 -0x1.132a2d6d93370p+0 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -inf -inf -inf -inf -inf',
