@@ -54,8 +54,19 @@ def _polyval(coeffs: Sequence[float], t):
 
 
 def expanded(coeffs: Sequence[float], point: float) -> np.ndarray:
-    """sum c_k t^k as the coefficients of its powers of (t - point)."""
-    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0])).trim().coef
+    """sum c_k t^k as the coefficients of its powers of (t - point).
+
+    Horner's rule in t = point + s, through the ``polymul`` and ``polyadd``
+    steps that evaluating ``Polynomial(coeffs)`` at ``Polynomial([point, 1])``
+    takes, so with the same bits, but without that class's overhead.
+    """
+    poly = np.polynomial.polynomial
+    s = np.array([0.0 + point, 1.0])    # after the class's identity window map, 0 + 1 * s
+    c = np.asarray(coeffs, dtype=float)
+    out = c[-1:] + 0.0 * point          # polyval's start, c[-1] + 0 * s
+    for ck in c[-2::-1]:
+        out = poly.polyadd([ck], poly.polymul(out, s))
+    return poly.polytrim(out)
 
 
 class LocalPoly:
@@ -146,25 +157,28 @@ class Measure1D:
         return np.array([w for _, w in self.atoms], dtype=float)
 
 
-def _check_piece_nonnegative(piece: Piece) -> None:
+def _check_piece_nonnegative(lo: float, hi: float, coeffs: tuple[float, ...]) -> None:
     """Sign test on a refinement grid plus root analysis of the polynomial."""
-    grid = np.linspace(piece.lo, piece.hi, 513)
+    grid = np.linspace(lo, hi, 513)
     candidates = [grid]
-    coeffs = np.asarray(piece.coeffs, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
     if np.count_nonzero(coeffs) > 1:
         for c in (coeffs, np.polynomial.polynomial.polyder(coeffs)):
             if len(c) > 1 and np.any(c[1:] != 0.0):
                 roots = np.polynomial.polynomial.polyroots(c)
                 real = roots[np.abs(roots.imag) < 1e-9].real
-                inside = real[(real >= piece.lo) & (real <= piece.hi)]
+                inside = real[(real >= lo) & (real <= hi)]
                 if inside.size:
                     candidates.append(inside)
-    vals = piece.density(np.concatenate(candidates))
+    vals = _polyval(coeffs, np.concatenate(candidates))
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if float(np.min(vals)) < -_DENSITY_SIGN_TOL * scale:
-        raise NegativeDensity(
-            f"piece on [{piece.lo}, {piece.hi}] takes negative values"
-        )
+        raise NegativeDensity(f"piece on [{lo}, {hi}] takes negative values")
+
+
+def _piece_mass(lo: float, hi: float, coeffs: tuple[float, ...]) -> float:
+    """``Piece(lo, hi, coeffs).mass``, bit for bit, without building the piece."""
+    return float(_polyval(np.polynomial.polynomial.polyint(expanded(coeffs, lo)), hi - lo))
 
 
 def build_measure(spec: dict) -> Measure1D:
@@ -193,7 +207,7 @@ def build_measure(spec: dict) -> Measure1D:
             raise NegativeDensity(f"atom at {x} has negative weight {w}")
         atoms.append((x, w))
 
-    pieces: list[Piece] = []
+    pieces: list[tuple[float, float, tuple[float, ...]]] = []
     for entry in spec.get("pieces", []) or []:
         extra = set(entry) - {"lo", "hi", "coeffs"}
         if extra:
@@ -208,25 +222,23 @@ def build_measure(spec: dict) -> Measure1D:
             raise ValidationError("piece coefficients must be finite")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"piece needs finite lo < hi, got [{lo}, {hi}]")
-        piece = Piece(lo, hi, coeffs)
-        _check_piece_nonnegative(piece)
-        pieces.append(piece)
+        _check_piece_nonnegative(lo, hi, coeffs)
+        pieces.append((lo, hi, coeffs))
 
     if not atoms and not pieces:
         raise ValidationError("measure needs at least one atom or piece")
 
-    pieces.sort(key=lambda p: p.lo)
-    for prev, nxt in zip(pieces[:-1], pieces[1:]):
-        if nxt.lo < prev.hi:
-            raise OverlappingPieces(
-                f"pieces [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}] overlap"
-            )
+    pieces.sort(key=lambda p: p[0])
+    for (lo, hi, _), (nxt_lo, nxt_hi, _) in zip(pieces[:-1], pieces[1:]):
+        if nxt_lo < hi:
+            raise OverlappingPieces(f"pieces [{lo}, {hi}] and [{nxt_lo}, {nxt_hi}] overlap")
 
-    mass = sum(w for _, w in atoms) + sum(p.mass for p in pieces)
+    mass = sum(w for _, w in atoms) + sum(_piece_mass(*p) for p in pieces)
     if abs(mass - 1.0) > MASS_RESCALE_TOL:
         raise MassMismatch(f"total mass {mass!r} differs from 1 by more than 1e-9")
     atoms = [(x, w / mass) for x, w in atoms]
-    pieces = [Piece(p.lo, p.hi, tuple(c / mass for c in p.coeffs)) for p in pieces]
+    # each piece is built once, after the rescale: its constructor is the costly part
+    pieces = [Piece(lo, hi, tuple(c / mass for c in coeffs)) for lo, hi, coeffs in pieces]
 
     points = [x for x, _ in atoms] + [p.lo for p in pieces] + [p.hi for p in pieces]
     return Measure1D(

@@ -25,7 +25,11 @@ block: the block is mapped to uniforms and through the entry law once,
 and the Gaussian block of the mollifier goes through one ``ndtri``.  The
 chunk's matrices then go to LAPACK as one stacked eigen-decomposition of
 their lower triangles, at most ``CHUNK_BYTES`` of dense matrices at a
-time.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
+time.  For f = identity no matrix is built or decomposed:
+(1/n) sum lambda_i = tr X / n, so the sampler keeps only the n diagonal
+entries of each triangle, selected from the raw draws of streams still
+read to full length, so they carry the bits they have in the full
+matrix.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
 the same block sampler.  With several workers, the chunks of a batch are
 split across threads and reassembled in chunk order; each matrix's
 eigenvalues are computed alone either way, so results are bit-identical
@@ -120,17 +124,22 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int) -> np.ndarray:
+def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int,
+           ranks: np.ndarray | None = None) -> np.ndarray:
     """The first `count` 53-bit draws of the Philox stream keyed by
-    ``key + (role,)``, one row per key.
+    ``key + (role,)``, one row per key; only those at the indices ``ranks``
+    when given.
 
-    ``random_raw() >> 11`` is the draw ``Generator.integers(0, 2**53)``
-    makes from the same stream: at a power-of-two range Lemire's method
-    keeps the top 53 bits and never rejects.
+    Each stream is read to ``count`` either way, so a kept draw has the
+    bits it has in the full row.  ``random_raw() >> 11`` is the draw
+    ``Generator.integers(0, 2**53)`` makes from the same stream: at a
+    power-of-two range Lemire's method keeps the top 53 bits and never
+    rejects.
     """
-    out = np.empty((len(keys), count), dtype=np.uint64)
+    out = np.empty((len(keys), count if ranks is None else len(ranks)), dtype=np.uint64)
     for row, key in zip(out, keys):
-        row[:] = np.random.Philox(np.random.SeedSequence(list(key) + [role])).random_raw(count)
+        raw = np.random.Philox(np.random.SeedSequence(list(key) + [role])).random_raw(count)
+        row[:] = raw if ranks is None else raw[ranks]
     return out >> np.uint64(11)
 
 
@@ -291,8 +300,14 @@ class FSpec:
     def __post_init__(self):
         if self.kind not in ("identity", "abs", "arctan", "piecewise_linear"):
             raise UnknownFunction(f"unknown test function {self.kind!r}")
-        if self.kind == "piecewise_linear" and len(self.knots) < 2:
-            raise UnknownFunction("piecewise_linear needs >= 2 knots")
+        if self.kind == "piecewise_linear":
+            if len(self.knots) < 2:
+                raise UnknownFunction("piecewise_linear needs >= 2 knots")
+            if not all(math.isfinite(v) for knot in self.knots for v in knot):
+                raise ValidationError("piecewise_linear knots must be finite")
+            xs = [x for x, _ in self.knots]
+            if not all(a < b for a, b in zip(xs, xs[1:])):
+                raise ValidationError(f"piecewise_linear knot x values must increase, got {xs}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -322,7 +337,10 @@ def f_from_spec(spec) -> FSpec:
         extra = set(spec) - {"kind", "knots"}
         if extra:
             raise ValidationError(f"unknown f keys: {sorted(extra)}")
-        knots = tuple((float(a), float(b)) for a, b in spec.get("knots", ()))
+        try:
+            knots = tuple((float(a), float(b)) for a, b in spec.get("knots", ()))
+        except (TypeError, ValueError):
+            raise ValidationError(f"f knots must be [x, y] pairs, got {spec['knots']!r}") from None
         return FSpec(spec.get("kind"), knots)
     raise UnknownFunction(f"cannot parse f spec {spec!r}")
 
@@ -381,16 +399,27 @@ class SymmetricMatrix:
         return SymmetricMatrix(self.n, self.upper * factor)
 
 
-def _entries(n: int, law: EntryLaw, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Upper triangles of Y, one row per key, with i.i.d. entries from ``law``."""
-    u = _unit(_draws(keys, _ROLE_ENTRIES, n * (n + 1) // 2))
+def _diagonal_ranks(n: int) -> np.ndarray:
+    """Row-major upper-triangle ranks of the n diagonal entries."""
+    rows, cols = _triu(n)
+    return np.flatnonzero(rows == cols)
+
+
+def _entries(n: int, law: EntryLaw, keys: Sequence[tuple[int, ...]],
+             ranks: np.ndarray | None = None) -> np.ndarray:
+    """Upper triangles of Y, one row per key, with i.i.d. entries from
+    ``law``; only the entries at the triangle ``ranks`` when given."""
+    u = _unit(_draws(keys, _ROLE_ENTRIES, n * (n + 1) // 2, ranks))
     return np.asarray(law.transform(u.ravel()), dtype=float).reshape(u.shape)
 
 
-def _mollified(upper: np.ndarray, delta: float, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Each row of ``upper`` plus sqrt(delta) times a standard Gaussian
-    triangle drawn from its key's Gaussian stream."""
-    g = ndtri(_unit(_draws(keys, _ROLE_GAUSS, upper.shape[-1])))
+def _mollified(n: int, upper: np.ndarray, delta: float, keys: Sequence[tuple[int, ...]],
+               ranks: np.ndarray | None = None) -> np.ndarray:
+    """Each row of ``upper`` (the entries at ``ranks`` of an n x n upper
+    triangle, all of them by default) plus sqrt(delta) times the same
+    entries of a standard Gaussian triangle drawn from its key's Gaussian
+    stream."""
+    g = ndtri(_unit(_draws(keys, _ROLE_GAUSS, n * (n + 1) // 2, ranks)))
     return upper + math.sqrt(delta) * g
 
 
@@ -413,7 +442,7 @@ def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
         raise NegativeDelta(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return y
-    return SymmetricMatrix(y.n, _mollified(y.upper[None, :], delta, [_as_key(seed)])[0])
+    return SymmetricMatrix(y.n, _mollified(y.n, y.upper[None, :], delta, [_as_key(seed)])[0])
 
 
 def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
@@ -474,14 +503,15 @@ def _chunks(n: int, delta: float, trials: int) -> list[range]:
 
 
 def _chunk_draws(law: EntryLaw, n: int, delta: float, key: tuple[int, ...],
-                 trials: range) -> np.ndarray:
+                 trials: range, ranks: np.ndarray | None = None) -> np.ndarray:
     """Upper triangles of each trial's Y and, when delta > 0, its Y~ right
-    after it; trial t's streams are keyed by ``key + (t,)``."""
+    after it, cut to the triangle ``ranks`` when given; trial t's streams
+    are keyed by ``key + (t,)``."""
     keys = [key + (t,) for t in trials]
-    y = _entries(n, law, keys)
+    y = _entries(n, law, keys, ranks)
     if delta == 0.0:
         return y
-    return np.stack([y, _mollified(y, delta, keys)], axis=1).reshape(-1, y.shape[-1])
+    return np.stack([y, _mollified(n, y, delta, keys, ranks)], axis=1).reshape(-1, y.shape[-1])
 
 
 def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
@@ -490,15 +520,18 @@ def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
 
     Trial t's matrices are drawn as ``sample_wigner(n, law, key + (t,))``
     and ``mollify_ensemble`` with the same key would draw them, bit for
-    bit; the chunk's spectra then come from one stacked
-    eigen-decomposition.  The trace guard names n, the batch (the key's
+    bit.  For the identity, (1/n) sum lambda_i = tr X / n, so only the
+    diagonal is drawn and its mean is the integral: no matrix is built.
+    Otherwise the chunk's spectra come from one stacked
+    eigen-decomposition, whose trace guard names n, the batch (the key's
     last tag) and the trial.
     """
-    upper = _chunk_draws(law, n, delta, key, trials)
+    diagonal = f.kind == "identity"
+    upper = _chunk_draws(law, n, delta, key, trials, _diagonal_ranks(n) if diagonal else None)
     upper *= 1.0 / math.sqrt(n)
     per_trial = len(upper) // len(trials)
-    w = _spectra(n, upper,
-                 lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
+    w = upper if diagonal else _spectra(
+        n, upper, lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
     s = empirical_law_integral(w, f).reshape(-1, per_trial)
     return s[:, 0], s[:, -1]
 
@@ -644,10 +677,17 @@ class ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ValidationError("config must be a mapping")
     extra = set(raw) - {"law", "f", "n", "eps", "trials", "seed", "delta"}
     if extra:
         raise ValidationError(f"unknown config keys: {sorted(extra)}")
+    missing = {"law", "f", "n", "eps"} - set(raw)
+    if missing:
+        raise ValidationError(f"missing config keys: {sorted(missing)}")
     delta = raw.get("delta", {"mode": "none"})
+    if not isinstance(delta, dict):
+        raise ValidationError(f"delta must be a mapping with a mode, got {delta!r}")
     extra_d = set(delta) - {"mode", "value", "table"}
     if extra_d:
         raise ValidationError(f"unknown delta keys: {sorted(extra_d)}")
@@ -743,8 +783,11 @@ def concentration_experiment(config: ExperimentConfig,
 
     The mean of int f dmu_X is estimated from an independent pilot batch
     of the same size, so the deviation count is not correlated with its
-    own centering.  Per cell the report carries the three decomposition
-    diagnostics and the envelope check
+    own centering.  The pilot draws and decomposes X alone (it runs at
+    delta = 0; X's streams do not depend on delta).  For f = identity each
+    integral is the trace of X over n, and no matrix is decomposed.  Per
+    cell the report carries the three decomposition diagnostics and the
+    envelope check
 
         empirical_freq <= term1_bound + term2_bound + term3_indicator + 5 stderr.
 
@@ -773,7 +816,8 @@ def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
     for n in config.n_list:
         delta, c_used = _resolve_delta_c(config, n, c_cache)
         trials = config.trials
-        pilot, _ = _batch_integrals(config, n, delta, 0, mapper)
+        # only Y enters the centring, and Y's streams do not depend on delta
+        pilot, _ = _batch_integrals(config, n, 0.0, 0, mapper)
         pilot_mean = float(np.mean(pilot))
         s, s_moll = _batch_integrals(config, n, delta, 1, mapper)
         diffs = s_moll - s

@@ -239,6 +239,28 @@ def test_rmt_unknown_law_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+_REPEATED_X = {"kind": "piecewise_linear", "knots": [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+_DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("drop, change, message", [
+    ("law", {}, "missing config keys: ['law']"),
+    ("f", {}, "missing config keys: ['f']"),
+    ("n", {}, "missing config keys: ['n']"),
+    ("eps", {}, "missing config keys: ['eps']"),
+    (None, {"delta": "none"}, "delta must be a mapping with a mode, got 'none'"),
+    (None, {"f": _REPEATED_X}, "piecewise_linear knot x values must increase"),
+    (None, {"f": _DECREASING_X}, "piecewise_linear knot x values must increase"),
+])
+def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
+    path = Path(rmt_config(tmp_path, **change))
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
+                                if k != drop}))
+    code, out, err = run_cli(["rmt", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_rmt_csv_format(tmp_path, capsys):
     code, out, _ = run_cli(["rmt", "--config", rmt_config(tmp_path), "--format", "csv"], capsys)
     assert code == 0

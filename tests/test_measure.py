@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsi_lab import errors
+from lsi_lab import errors, measure
 from lsi_lab.measure import (
     TestFunction,
     build_measure,
@@ -49,6 +49,36 @@ def test_two_point_blowup_measure():
 def test_mass_rescale_within_tolerance():
     m = build_measure({"atoms": [{"x": 0.0, "w": 1.0 + 5e-10}]})
     assert sum(w for _, w in m.atoms) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi, coeffs", [
+    (0.0, 1.0, (1.0,)), (0.0, 1.0, (0.0, 1.5)), (-3.25, 7.5, (0.1, 0.02, 0.003)),
+    (1e6, 1e6 + 2.0, (0.5,)), (-2.0, -1.0, (1.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625))])
+def test_piece_mass_is_the_constructors_mass(lo, hi, coeffs):
+    assert measure._piece_mass(lo, hi, coeffs) == measure.Piece(lo, hi, coeffs).mass
+
+
+def test_expanded_equals_the_polynomial_composition():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        k = int(rng.integers(1, measure.MAX_POLY_DEGREE + 2))
+        coeffs = rng.standard_normal(k) * 10.0 ** rng.integers(-5, 6, k)
+        coeffs[rng.random(k) < 0.2] = 0.0
+        point = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 7))
+        want = np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([point, 1.0]))
+        got = measure.expanded(tuple(coeffs), point)
+        assert got.shape == want.trim().coef.shape and np.array_equal(got, want.trim().coef)
+
+
+def test_build_measure_builds_each_piece_once(monkeypatch):
+    built = []
+    real = measure.Piece
+    monkeypatch.setattr(measure, "Piece", lambda *args: built.append(args) or real(*args))
+    m = build_measure({"atoms": [{"x": -1.0, "w": 0.25}],
+                       "pieces": [{"lo": 2.0, "hi": 3.0, "coeffs": [0.25 + 5e-10]},
+                                  {"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.0]}]})
+    assert [(lo, hi) for lo, hi, _ in built] == [(0.0, 1.0), (2.0, 3.0)]
+    assert [p.coeffs for p in m.pieces] == [c for _, _, c in built]
 
 
 def test_mass_mismatch_rejected():

@@ -238,6 +238,20 @@ def test_unknown_function_rejected():
         FSpec("sigmoid")
 
 
+@pytest.mark.parametrize("knots, message", [
+    ([[0.0, 0.0], [0.0, 1.0]], "must increase"),               # repeated x: infinite slope
+    ([[1.0, 0.0], [0.0, 1.0]], "must increase"),               # np.interp misreads these
+    ([[-1.0, 0.0], [1.0, 1.0], [0.5, 2.0]], "must increase"),
+    ([[0.0, 0.0], [float("nan"), 1.0]], "must be finite"),
+    ([[0.0, 0.0], [float("inf"), 1.0]], "must be finite"),
+    ([[0.0], [1.0, 1.0]], "pairs"),
+    ([[0.0, "a"], [1.0, 1.0]], "pairs"),
+])
+def test_piecewise_linear_knots_are_validated(knots, message):
+    with pytest.raises(errors.ValidationError, match=message):
+        f_from_spec({"kind": "piecewise_linear", "knots": knots})
+
+
 # ---------------------------------------------------------------------------
 # Hoffman-Wielandt
 # ---------------------------------------------------------------------------
@@ -507,6 +521,26 @@ def test_config_parsing_and_validation():
         config_from_dict({**raw, "law": "levy"})
 
 
+@pytest.mark.parametrize("key", ["law", "f", "n", "eps"])
+def test_config_missing_key_is_a_validation_error(key):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3]}
+    del raw[key]
+    with pytest.raises(errors.ValidationError, match=rf"missing config keys: \['{key}'\]"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("delta", ["none", ["mode", "none"], 0.25])
+def test_config_delta_must_be_a_mapping(delta):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], "delta": delta}
+    with pytest.raises(errors.ValidationError, match="delta must be a mapping"):
+        config_from_dict(raw)
+
+
+def test_config_must_be_a_mapping():
+    with pytest.raises(errors.ValidationError, match="config must be a mapping"):
+        config_from_dict([["law", "gaussian"]])
+
+
 def test_wigner_semicircle_ks():
     n = 200
     y = sample_wigner(n, gaussian_law(0, 1), 1234)
@@ -580,7 +614,7 @@ def test_batch_integrals_equal_trial_loop(law, delta):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def _experiment_config(law, delta, trials):
+def _experiment_config(law, delta, trials, f="abs"):
     if delta == 0.0:
         mode = {"delta_mode": "none"}
     elif law == "gaussian":
@@ -588,7 +622,7 @@ def _experiment_config(law, delta, trials):
     else:
         # c(delta) from a table: the trials do not depend on it
         mode = {"delta_mode": "schedule", "c_table": ((delta, 1.0),)}
-    return ExperimentConfig(_LAWS[law], FSpec("abs"), (1, _N), (0.05, 0.3), trials,
+    return ExperimentConfig(_LAWS[law], FSpec(f), (1, _N), (0.05, 0.3), trials,
                             seed=23, **mode)
 
 
@@ -598,6 +632,80 @@ def _experiment_config(law, delta, trials):
 def test_experiment_equals_trial_loop(law, delta, monkeypatch):
     for trials in _trial_counts(delta):
         cfg = _experiment_config(law, delta, trials)
+        want = _loop_report(cfg, monkeypatch)
+        for workers in (1, 3):
+            assert asdict(concentration_experiment(cfg, workers=workers)) == want
+
+
+def test_pilot_decomposes_only_y(monkeypatch):
+    delta = 0.25
+    k = _chunk_size(_N, delta)
+    cfg = _experiment_config("two_point", delta, k + 3, f="arctan")
+    # the pilot batch at delta = 0 is batch 0's Y at the real delta, bit for bit
+    for n in cfg.n_list:
+        pilot, _ = rmt._batch_integrals(cfg, n, 0.0, 0, map)
+        assert np.array_equal(pilot, _loop_batch(cfg, n, delta, 0, map)[0])
+
+    real_batch, real_eigvalsh = rmt._batch_integrals, np.linalg.eigvalsh
+    batch, matrices = [], {}
+
+    def batch_integrals(config, n, dl, b, mapper):
+        batch[:] = [(n, b)]
+        return real_batch(config, n, dl, b, mapper)
+
+    def eigvalsh(a):
+        matrices[batch[0]] = matrices.get(batch[0], 0) + len(a)
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(rmt, "_batch_integrals", batch_integrals)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    concentration_experiment(cfg, workers=1)
+    # per matrix size: Y alone in the pilot, then Y and Y~ for every trial
+    assert matrices == {(n, b): (b + 1) * cfg.trials for n in cfg.n_list for b in (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# f = identity: the trace, with no matrix built
+# ---------------------------------------------------------------------------
+
+def _forbid_eigvalsh(monkeypatch):
+    def eigvalsh(a):
+        raise AssertionError("eigvalsh called for f = identity")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_identity_decomposes_no_matrix(delta, monkeypatch):
+    _forbid_eigvalsh(monkeypatch)
+    trials = 2 * _chunk_size(_N, delta) + 1
+    # only the Gaussian law has a constant of its own at delta = 0
+    for law in ("gaussian",) if delta == 0.0 else sorted(_LAWS):
+        cfg = _experiment_config(law, delta, trials, f="identity")
+        assert len(concentration_experiment(cfg, workers=3).cells) == 4
+    gap, _ = term3_check(_N, 0.3, FSpec("identity"), delta, trials, 5)
+    assert gap == 0.0 if delta == 0.0 else gap > 0.0
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_identity_rows_are_the_scaled_diagonal_mean(law, delta):
+    key, trials = (19, 1), range(3, 3 + _chunk_size(_N, delta))
+    s, s_moll = rmt._chunk_integrals(_LAWS[law], FSpec("identity"), _N, delta, key, trials)
+    rows, cols = rmt._triu(_N)
+    diag = rmt._chunk_draws(_LAWS[law], _N, delta, key, trials)[:, rows == cols]
+    trace = np.array([np.sum(d * (1.0 / math.sqrt(_N))) / _N for d in diag])
+    trace = trace.reshape(len(trials), -1)
+    assert np.array_equal(s, trace[:, 0]) and np.array_equal(s_moll, trace[:, -1])
+    # the eigenvalue sum agrees with the trace to rounding
+    cfg = ExperimentConfig(_LAWS[law], FSpec("identity"), (_N,), (0.3,), trials.stop, seed=19)
+    want = np.array([_trial_stats(cfg, _N, delta, 1, t) for t in trials])
+    assert np.max(np.abs(np.stack([s, s_moll], axis=1) - want)) <= 1e-12
+
+
+def test_identity_report_equals_trial_loop(monkeypatch):
+    for trials in _trial_counts(0.0):
+        cfg = _experiment_config("gaussian", 0.0, trials, f="identity")
         want = _loop_report(cfg, monkeypatch)
         for workers in (1, 3):
             assert asdict(concentration_experiment(cfg, workers=workers)) == want
@@ -711,16 +819,18 @@ def _corrupting_eigvalsh(monkeypatch, call, row):
 def test_trace_guard_names_the_trial(monkeypatch):
     delta = 0.25
     k = _chunk_size(_N, delta)
-    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (_N,), (0.3,),
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("arctan"), (_N,), (0.3,),
                            trials=3 * k, seed=4, delta_mode="fixed", delta_value=delta)
-    # the second chunk of batch 0 holds trials k .. 2k-1, two matrices each;
+    # the pilot (batch 0) decomposes Y alone, in chunks sized for delta = 0.
+    # The second chunk of batch 1 holds trials k .. 2k-1, two matrices each;
     # row 5 is trial k + 2's mollified matrix.  One worker, so that the
-    # second eigvalsh call is the second chunk's
-    calls = _corrupting_eigvalsh(monkeypatch, call=2, row=5)
+    # eigvalsh calls run in chunk order
+    pilot = [len(chunk) for chunk in rmt._chunks(_N, 0.0, 3 * k)]
+    calls = _corrupting_eigvalsh(monkeypatch, call=len(pilot) + 2, row=5)
     with pytest.raises(ArithmeticError,
-                       match=rf"trace at n={_N}, batch 0, trial {k + 2}$"):
+                       match=rf"trace at n={_N}, batch 1, trial {k + 2}$"):
         concentration_experiment(cfg, workers=1)
-    assert calls == [2 * k, 2 * k]
+    assert calls == pilot + [2 * k, 2 * k]
 
 
 _needs_blas_setter = pytest.mark.skipif(
@@ -781,7 +891,7 @@ def test_experiment_default_workers_is_the_usable_cpu_count(monkeypatch):
 
 def test_rmt_trace_guard_exit_2_writes_nothing(monkeypatch, tmp_path, capsys):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"law": "gaussian", "f": "identity", "n": [_N],
+    config.write_text(json.dumps({"law": "gaussian", "f": "arctan", "n": [_N],
                                   "eps": [0.3], "trials": 200, "seed": 1}))
     out = tmp_path / "report.json"
     _corrupting_eigvalsh(monkeypatch, call=3, row=1)
