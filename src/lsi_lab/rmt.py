@@ -400,9 +400,10 @@ class SymmetricMatrix:
 
 
 def _diagonal_ranks(n: int) -> np.ndarray:
-    """Row-major upper-triangle ranks of the n diagonal entries."""
-    rows, cols = _triu(n)
-    return np.flatnonzero(rows == cols)
+    """Row-major upper-triangle ranks of the n diagonal entries: row i
+    starts at rank i n - i (i - 1) / 2, with its diagonal entry."""
+    i = np.arange(n)
+    return i * n - i * (i - 1) // 2
 
 
 def _entries(n: int, law: EntryLaw, keys: Sequence[tuple[int, ...]],
@@ -674,6 +675,8 @@ class ExperimentConfig:
             raise ValidationError("matrix sizes must be >= 1")
         if any(e <= 0.0 for e in self.eps_list):
             raise ValidationError("eps values must be positive")
+        if self.delta_mode == "fixed" and not (0.0 <= self.delta_value < math.inf):
+            raise NegativeDelta(f"fixed delta must be finite and >= 0, got {self.delta_value}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -691,17 +694,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     extra_d = set(delta) - {"mode", "value", "table"}
     if extra_d:
         raise ValidationError(f"unknown delta keys: {sorted(extra_d)}")
-    return ExperimentConfig(
-        law=law_from_spec(raw["law"]),
-        f=f_from_spec(raw["f"]),
-        n_list=tuple(int(n) for n in raw["n"]),
-        eps_list=tuple(float(e) for e in raw["eps"]),
-        trials=int(raw.get("trials", 0)),
-        seed=int(raw.get("seed", 0)),
-        delta_mode=delta.get("mode", "none"),
-        delta_value=float(delta.get("value", 0.0)),
-        c_table=tuple((float(d), float(c)) for d, c in delta.get("table", ())),
-    )
+    try:
+        numbers = dict(
+            n_list=tuple(int(n) for n in raw["n"]),
+            eps_list=tuple(float(e) for e in raw["eps"]),
+            trials=int(raw.get("trials", 0)),
+            seed=int(raw.get("seed", 0)),
+            delta_value=float(delta.get("value", 0.0)),
+            c_table=tuple((float(d), float(c)) for d, c in delta.get("table", ())),
+        )
+    except (TypeError, ValueError):
+        raise ValidationError("n and eps must be lists of numbers, trials and seed integers,"
+                              " delta.value a number and delta.table [delta, c] rows") from None
+    return ExperimentConfig(law=law_from_spec(raw["law"]), f=f_from_spec(raw["f"]),
+                            delta_mode=delta.get("mode", "none"), **numbers)
 
 
 @dataclass(frozen=True)

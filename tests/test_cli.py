@@ -251,6 +251,9 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     (None, {"delta": "none"}, "delta must be a mapping with a mode, got 'none'"),
     (None, {"f": _REPEATED_X}, "piecewise_linear knot x values must increase"),
     (None, {"f": _DECREASING_X}, "piecewise_linear knot x values must increase"),
+    (None, {"n": 20}, "n and eps must be lists of numbers"),
+    (None, {"trials": "abc"}, "n and eps must be lists of numbers"),
+    (None, {"delta": {"mode": "fixed", "value": -0.5}}, "fixed delta must be finite and >= 0"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))

@@ -536,6 +536,23 @@ def test_config_delta_must_be_a_mapping(delta):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("change", [
+    {"n": 5}, {"eps": 0.3}, {"n": ["a"]}, {"trials": "abc"}, {"seed": [1]},
+    {"delta": {"mode": "fixed", "value": "x"}}, {"delta": {"mode": "schedule", "table": [1.0]}}])
+def test_config_numbers_of_the_wrong_type_are_a_validation_error(change):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], **change}
+    with pytest.raises(errors.ValidationError, match="n and eps must be lists of numbers"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", [-0.5, math.inf, math.nan])
+def test_config_fixed_delta_must_be_finite_and_nonnegative(value):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], "trials": 3,
+           "delta": {"mode": "fixed", "value": value}}
+    with pytest.raises(errors.NegativeDelta, match="fixed delta must be finite and >= 0"):
+        config_from_dict(raw)
+
+
 def test_config_must_be_a_mapping():
     with pytest.raises(errors.ValidationError, match="config must be a mapping"):
         config_from_dict([["law", "gaussian"]])
