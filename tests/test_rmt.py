@@ -685,16 +685,12 @@ def test_pilot_decomposes_only_y(monkeypatch):
 # f = identity: the trace, with no matrix built
 # ---------------------------------------------------------------------------
 
-def _forbid_eigvalsh(monkeypatch):
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_identity_decomposes_no_matrix(delta, monkeypatch):
     def eigvalsh(a):
         raise AssertionError("eigvalsh called for f = identity")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-
-
-@pytest.mark.parametrize("delta", [0.0, 0.25])
-def test_identity_decomposes_no_matrix(delta, monkeypatch):
-    _forbid_eigvalsh(monkeypatch)
     trials = 2 * _chunk_size(_N, delta) + 1
     # only the Gaussian law has a constant of its own at delta = 0
     for law in ("gaussian",) if delta == 0.0 else sorted(_LAWS):
