@@ -189,6 +189,8 @@ class ProbeSpec:
         if grid < 1 or rand < 0:
             raise ValidationError(f"probe counts need grid >= 1 and random >= 0,"
                                   f" got grid={grid}, random={rand}")
+        if self.seed < 0:
+            raise ValidationError(f"probe seed must be >= 0, got {self.seed}")
         total = grid ** m.dimension + rand
         if total > MAX_PROBES:
             raise ValidationError(f"{grid}^{m.dimension} grid + {rand} random probes ="

@@ -17,7 +17,10 @@ per-cell diagnostics of the experiment report:
 
 Randomness is counter-based: every (seed, batch, trial, role) tuple keys
 an independent Philox stream, and each matrix entry consumes exactly one
-uniform from its stream in a fixed order.
+uniform from its stream in a fixed order.  A stream's key is numpy's
+``SeedSequence`` derivation from that tuple, computed for all of a
+block's streams together, and one Philox is re-keyed for each stream in
+turn.
 
 The experiment runs each batch as chunks of consecutive trials.  Every
 trial keeps its own streams, but a chunk's draws are taken into one
@@ -29,8 +32,9 @@ time.  For f = identity no matrix is built or decomposed:
 (1/n) sum lambda_i = tr X / n, so the sampler keeps only the n diagonal
 entries of each triangle, selected from the raw draws of streams still
 read to full length, so they carry the bits they have in the full
-matrix.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
-the same block sampler.  With several workers, the chunks of a batch are
+matrix; a chunk then holds ``CHUNK_BYTES`` of diagonals.
+``sample_wigner`` and ``mollify_ensemble`` are one-row calls of the same
+block sampler.  With several workers, the chunks of a batch are
 split across threads and reassembled in chunk order; each matrix's
 eigenvalues are computed alone either way, so results are bit-identical
 regardless of worker count.  The workers are the one level of
@@ -70,9 +74,10 @@ from .mollify import MollifiedDensity
 _ROLE_ENTRIES = 1
 _ROLE_GAUSS = 2
 
-# dense matrices per eigen-decomposition call.  Larger chunks save little
-# more time, and with several workers the allocator keeps every thread's
-# chunk, so peak memory grows with this.
+# dense matrices per eigen-decomposition call (kept diagonals per chunk
+# for f = identity).  Larger chunks save little more time, and with
+# several workers the allocator keeps every thread's chunk, so peak memory
+# grows with this.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -124,21 +129,91 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# numpy's SeedSequence constants: a pool of 4 uint32 words, hashed in with
+# (INIT_A, MULT_A) and read out with (INIT_B, MULT_B)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: little-endian uint32
+    words, one word for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _philox_keys(keys: Sequence[tuple[int, ...]], role: int) -> np.ndarray:
+    """``np.random.SeedSequence(list(key) + [role]).generate_state(2, np.uint64)``
+    for each key, one row per key.
+
+    numpy's mixing runs on uint32 columns, one per entropy word, for all
+    keys at once: hashmix the first 4 words into the pool, mix every pool
+    word into the others, mix in the remaining words, then hash the pool
+    out as 4 words, read as 2 little-endian uint64.  The hash constants
+    advance with the number of words alone, so this needs every key to
+    have as many words; when an element crossing 2^32 breaks that, each
+    key goes through ``SeedSequence`` itself.
+    """
+    entropy = [[w for v in (*key, role) for w in _words(v)] for key in keys]
+    if len({len(e) for e in entropy}) != 1:
+        return np.array([np.random.SeedSequence(list(key) + [role]).generate_state(2, np.uint64)
+                         for key in keys], dtype=np.uint64).reshape(-1, 2)
+    words = np.array(entropy, dtype=np.uint32).T
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ out >> np.uint32(16)
+
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    lo0, hi0, lo1, hi1 = (hashmix(v, _MULT_B).astype(np.uint64) for v in pool)
+    return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=1)
+
+
 def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int,
            ranks: np.ndarray | None = None) -> np.ndarray:
     """The first `count` 53-bit draws of the Philox stream keyed by
     ``key + (role,)``, one row per key; only those at the indices ``ranks``
     when given.
 
-    Each stream is read to ``count`` either way, so a kept draw has the
-    bits it has in the full row.  ``random_raw() >> 11`` is the draw
+    The streams' keys are derived together (``_philox_keys``), and one
+    Philox is re-keyed for each row: counter 0 and an empty buffer, the
+    state ``Philox(SeedSequence(list(key) + [role]))`` starts in.  Each
+    stream is read to ``count`` either way, so a kept draw has the bits it
+    has in the full row.  ``random_raw() >> 11`` is the draw
     ``Generator.integers(0, 2**53)`` makes from the same stream: at a
     power-of-two range Lemire's method keeps the top 53 bits and never
     rejects.
     """
     out = np.empty((len(keys), count if ranks is None else len(ranks)), dtype=np.uint64)
-    for row, key in zip(out, keys):
-        raw = np.random.Philox(np.random.SeedSequence(list(key) + [role])).random_raw(count)
+    bitgen = np.random.Philox(0)  # its seed is replaced by each row's key
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(out, _philox_keys(keys, role).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        raw = bitgen.random_raw(count)
         row[:] = raw if ranks is None else raw[ranks]
     return out >> np.uint64(11)
 
@@ -231,6 +306,8 @@ class EntryLaw:
 
 
 def two_point_law(a: float = -1.0, b: float = 1.0, weight_a: float = 0.5) -> EntryLaw:
+    if not 0.0 <= weight_a <= 1.0:
+        raise ValidationError(f"two_point law needs 0 <= weight_a <= 1, got {weight_a}")
     return EntryLaw("two_point", (a, b, weight_a))
 
 
@@ -256,11 +333,23 @@ def atom_mixture_law(measure: Measure1D) -> EntryLaw:
     return EntryLaw("atom_mixture", (), measure)
 
 
+def _law_param(name: str, args: dict, key: str, default: float) -> float:
+    """``args[key]`` (else ``default``) as a float; anything but a finite
+    number raises ``ValidationError``."""
+    value = args.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValidationError(f"{name} law {key} must be a finite number, got {value!r}")
+
+
 def law_from_spec(spec) -> EntryLaw:
     """Parse the JSON form: a bare kind string or {"kind": ..., params}.
 
     An unknown kind raises ``UnknownLaw``; a key the named law does not
-    take raises ``ValidationError``."""
+    take, or a parameter that is not a finite number, raises
+    ``ValidationError``."""
     if isinstance(spec, str):
         name, args = spec, {}
     elif isinstance(spec, dict):
@@ -273,14 +362,15 @@ def law_from_spec(spec) -> EntryLaw:
     if extra:
         raise ValidationError(f"unknown {name} law keys: {sorted(extra)}")
     if name == "two_point":
-        return two_point_law(args.get("a", -1.0), args.get("b", 1.0),
-                             args.get("weight_a", 0.5))
+        return two_point_law(_law_param(name, args, "a", -1.0), _law_param(name, args, "b", 1.0),
+                             _law_param(name, args, "weight_a", 0.5))
     if name == "uniform":
-        return uniform_law(args.get("a", 0.0), args.get("b", 1.0))
+        return uniform_law(_law_param(name, args, "a", 0.0), _law_param(name, args, "b", 1.0))
     if name == "gaussian":
-        return gaussian_law(args.get("mean", 0.0), args.get("var", 1.0))
+        return gaussian_law(_law_param(name, args, "mean", 0.0),
+                            _law_param(name, args, "var", 1.0))
     if name == "exponential":
-        return exponential_law(args.get("rate", 1.0))
+        return exponential_law(_law_param(name, args, "rate", 1.0))
     from .measure import build_measure
 
     return atom_mixture_law(build_measure(args.get("measure", {})))
@@ -496,10 +586,12 @@ def hoffman_wielandt_gap(a: SymmetricMatrix, b: SymmetricMatrix) -> tuple[float,
 # chunked trials
 # ---------------------------------------------------------------------------
 
-def _chunks(n: int, delta: float, trials: int) -> list[range]:
-    """Consecutive trials in ranges holding at most CHUNK_BYTES of dense
-    matrices (one n x n matrix per trial, two when delta > 0)."""
-    size = max(1, CHUNK_BYTES // (8 * n * n * (2 if delta > 0.0 else 1)))
+def _chunks(n: int, delta: float, trials: int, diagonal: bool = False) -> list[range]:
+    """Consecutive trials in ranges holding at most CHUNK_BYTES of what
+    they keep: a dense n x n matrix per matrix, or its n diagonal entries
+    when ``diagonal``; one matrix per trial, two when delta > 0."""
+    kept = n if diagonal else n * n
+    size = max(1, CHUNK_BYTES // (8 * kept * (2 if delta > 0.0 else 1)))
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
@@ -570,7 +662,7 @@ def term3_check(n: int, epsilon: float, f: FSpec, delta: float, trials: int,
     law = two_point_law()
     key = _as_key(seed) + (3,)
     parts = [_chunk_integrals(law, f, n, delta, key, chunk)
-             for chunk in _chunks(n, delta, trials)]
+             for chunk in _chunks(n, delta, trials, f.kind == "identity")]
     gaps = np.concatenate([s_moll - s for s, s_moll in parts])
     gap = abs(float(np.mean(gaps)))
     stderr = float(np.std(gaps, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -671,12 +763,23 @@ class ExperimentConfig:
             raise ValidationError(f"unknown delta mode {self.delta_mode!r}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if any(n < 1 for n in self.n_list):
             raise ValidationError("matrix sizes must be >= 1")
         if any(e <= 0.0 for e in self.eps_list):
             raise ValidationError("eps values must be positive")
         if self.delta_mode == "fixed" and not (0.0 <= self.delta_value < math.inf):
             raise NegativeDelta(f"fixed delta must be finite and >= 0, got {self.delta_value}")
+
+
+def _integral(value) -> int:
+    """``int(value)`` where that loses nothing (20.0 -> 20); otherwise
+    ValueError, so 20.7 is refused rather than truncated."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -696,16 +799,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValidationError(f"unknown delta keys: {sorted(extra_d)}")
     try:
         numbers = dict(
-            n_list=tuple(int(n) for n in raw["n"]),
+            n_list=tuple(_integral(n) for n in raw["n"]),
             eps_list=tuple(float(e) for e in raw["eps"]),
-            trials=int(raw.get("trials", 0)),
-            seed=int(raw.get("seed", 0)),
+            trials=_integral(raw.get("trials", 0)),
+            seed=_integral(raw.get("seed", 0)),
             delta_value=float(delta.get("value", 0.0)),
             c_table=tuple((float(d), float(c)) for d, c in delta.get("table", ())),
         )
-    except (TypeError, ValueError):
-        raise ValidationError("n and eps must be lists of numbers, trials and seed integers,"
-                              " delta.value a number and delta.table [delta, c] rows") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("n and eps must be lists of numbers (n of integers), trials and"
+                              " seed integers, delta.value a number and delta.table [delta, c]"
+                              " rows") from None
     return ExperimentConfig(law=law_from_spec(raw["law"]), f=f_from_spec(raw["f"]),
                             delta_mode=delta.get("mode", "none"), **numbers)
 
@@ -778,7 +882,7 @@ def _batch_integrals(config: ExperimentConfig, n: int, delta: float, batch: int,
     parts = list(mapper(
         lambda chunk: _chunk_integrals(config.law, config.f, n, delta,
                                        (config.seed, batch), chunk),
-        _chunks(n, delta, config.trials)))
+        _chunks(n, delta, config.trials, config.f.kind == "identity")))
     return (np.concatenate([s for s, _ in parts]),
             np.concatenate([s_moll for _, s_moll in parts]))
 

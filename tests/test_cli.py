@@ -254,6 +254,15 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     (None, {"n": 20}, "n and eps must be lists of numbers"),
     (None, {"trials": "abc"}, "n and eps must be lists of numbers"),
     (None, {"delta": {"mode": "fixed", "value": -0.5}}, "fixed delta must be finite and >= 0"),
+    (None, {"law": {"kind": "uniform", "a": "x"}, "delta": {"mode": "fixed", "value": 0.1}},
+     "uniform law a must be a finite number, got 'x'"),
+    (None, {"law": {"kind": "two_point", "weight_a": 1.5},
+            "delta": {"mode": "fixed", "value": 0.1}},
+     "two_point law needs 0 <= weight_a <= 1, got 1.5"),
+    (None, {"n": [20.7]}, "n and eps must be lists of numbers (n of integers)"),
+    (None, {"seed": 1.5}, "trials and seed integers"),
+    (None, {"trials": 2.5}, "trials and seed integers"),
+    (None, {"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))
@@ -301,6 +310,15 @@ def test_bakry_bad_probe_count_exit_2(tmp_path, capsys, flag, value):
     code, _, err = run_cli(["bakry", "--measure", str(p), "--delta", "4.4", flag, value], capsys)
     assert code == 2
     assert "grid >= 1 and random >= 0" in err
+
+
+def test_bakry_negative_seed_exit_2(tmp_path, capsys):
+    p = tmp_path / "cloud.json"
+    p.write_text(CLOUD_2D)
+    code, out, err = run_cli(["bakry", "--measure", str(p), "--delta", "4.4", "--seed", "-1"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "probe seed must be >= 0, got -1" in err
 
 
 def test_bakry_oversized_probe_grid_exit_2(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ def test_law_rejects_keys_its_kind_does_not_take(spec):
     with pytest.raises(errors.ValidationError, match=f"unknown {spec['kind']} law keys") as exc:
         law_from_spec(spec)
     assert not isinstance(exc.value, errors.UnknownLaw)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "uniform", "a": "x"}, "uniform law a must be a finite number, got 'x'"),
+    ({"kind": "uniform", "b": None}, "uniform law b must be a finite number, got None"),
+    ({"kind": "gaussian", "var": math.inf}, "gaussian law var must be a finite number"),
+    ({"kind": "gaussian", "mean": math.nan}, "gaussian law mean must be a finite number"),
+    ({"kind": "exponential", "rate": True}, "exponential law rate must be a finite number"),
+    ({"kind": "exponential", "rate": 10 ** 400}, "exponential law rate must be a finite number"),
+    ({"kind": "two_point", "a": [1.0]}, "two_point law a must be a finite number"),
+    ({"kind": "two_point", "weight_a": 1.5}, "two_point law needs 0 <= weight_a <= 1, got 1.5"),
+    ({"kind": "two_point", "weight_a": -0.25}, "two_point law needs 0 <= weight_a <= 1, got -0.25"),
+])
+def test_law_parameters_must_be_finite_numbers(spec, message):
+    with pytest.raises(errors.ValidationError, match=re.escape(message)):
+        law_from_spec(spec)
+
+
+def test_law_parameters_accept_integers():
+    assert law_from_spec({"kind": "uniform", "a": 0, "b": 2}).params == (0.0, 2.0)
+    assert law_from_spec({"kind": "two_point", "weight_a": 1}).params == (-1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +575,28 @@ def test_config_fixed_delta_must_be_finite_and_nonnegative(value):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("change", [
+    {"n": [20.7]}, {"n": [4, 1e999]}, {"seed": 1.5}, {"trials": 2.5}, {"trials": math.nan},
+    {"seed": "3"}])
+def test_config_integers_are_not_truncated(change):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], **change}
+    with pytest.raises(errors.ValidationError, match=r"n and eps .*\(n of integers\)"):
+        config_from_dict(raw)
+
+
+def test_config_integral_floats_are_integers():
+    cfg = config_from_dict({"law": "gaussian", "f": "identity", "n": [20.0, 7],
+                            "eps": [0.3], "trials": 3.0, "seed": 2.0 ** 40})
+    assert (cfg.n_list, cfg.trials, cfg.seed) == ((20, 7), 3, 2 ** 40)
+    assert all(type(v) is int for v in (*cfg.n_list, cfg.trials, cfg.seed))
+
+
+def test_config_seed_must_be_nonnegative():
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], "seed": -1}
+    with pytest.raises(errors.ValidationError, match="seed must be >= 0, got -1"):
+        config_from_dict(raw)
+
+
 def test_config_must_be_a_mapping():
     with pytest.raises(errors.ValidationError, match="config must be a mapping"):
         config_from_dict([["law", "gaussian"]])
@@ -685,13 +729,68 @@ def test_pilot_decomposes_only_y(monkeypatch):
 # f = identity: the trace, with no matrix built
 # ---------------------------------------------------------------------------
 
+def _identity_chunk_size(n, delta):
+    return len(rmt._chunks(n, delta, 100_000, diagonal=True)[0])
+
+
+def _trace_stats(law, n, delta, key):
+    """(tr X / n, tr X~ / n) from one trial's frozen draws: the f = identity
+    reference, the scaled diagonal's mean."""
+    y = _frozen_wigner(n, law, key)
+    y_moll = _frozen_mollify(y, delta, key) if delta > 0.0 else y
+    diag = rmt._diagonal_ranks(n)
+    return tuple(float(np.sum(m.upper[diag] * (1.0 / math.sqrt(n))) / n) for m in (y, y_moll))
+
+
+def _trace_batch(config, n, delta, batch, mapper):
+    """rmt._batch_integrals for f = identity as a loop of _trace_stats."""
+    stats = [_trace_stats(config.law, n, delta, (config.seed, batch, t))
+             for t in range(config.trials)]
+    return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
+
+
+def test_identity_chunks_are_sized_by_the_diagonal():
+    for delta in (0.0, 0.25):
+        for n in (1, _N, 100):
+            k = _identity_chunk_size(n, delta)
+            assert k == rmt.CHUNK_BYTES // (8 * n * (2 if delta > 0.0 else 1))
+    # the criterion-7 config: 2000 trials at n = 20, 50, 100, a pilot and a main batch
+    calls = 2 * sum(len(rmt._chunks(n, 0.0, 2000, diagonal=True)) for n in (20, 50, 100))
+    assert calls == 26
+
+
+@pytest.mark.parametrize("law, delta", [("gaussian", 0.0), ("gaussian", 0.25),
+                                        ("two_point", 0.25)])
+def test_identity_experiment_equals_trace_loop_at_chunk_edges(law, delta, monkeypatch):
+    n = 100
+    k = _identity_chunk_size(n, delta)
+    for trials in (k - 1, k, k + 1):
+        cfg = replace(_experiment_config(law, delta, trials, f="identity"), n_list=(n,))
+        with monkeypatch.context() as m:
+            m.setattr(rmt, "_batch_integrals", _trace_batch)
+            want = asdict(concentration_experiment(cfg, workers=1))
+        for workers in (1, 3):
+            assert asdict(concentration_experiment(cfg, workers=workers)) == want
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.09])
+def test_identity_term3_check_equals_trace_loop_at_chunk_edges(delta):
+    n, seed = 100, 2**32 + 1
+    k = _identity_chunk_size(n, delta)
+    for trials in (k - 1, k, k + 1):
+        gaps = np.array([b - a for a, b in (_trace_stats(two_point_law(), n, delta, (seed, 3, t))
+                                            for t in range(trials))])
+        assert term3_check(n, 0.3, FSpec("identity"), delta, trials, seed) == (
+            abs(float(np.mean(gaps))), 0.3 / 3)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.25])
 def test_identity_decomposes_no_matrix(delta, monkeypatch):
     def eigvalsh(a):
         raise AssertionError("eigvalsh called for f = identity")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    trials = 2 * _chunk_size(_N, delta) + 1
+    trials = 2 * _identity_chunk_size(_N, delta) + 1
     # only the Gaussian law has a constant of its own at delta = 0
     for law in ("gaussian",) if delta == 0.0 else sorted(_LAWS):
         cfg = _experiment_config(law, delta, trials, f="identity")
@@ -792,6 +891,51 @@ def test_draws_equal_frozen_oracle(law, n, monkeypatch):
         assert np.array_equal(y.upper, frozen.upper)
         assert np.array_equal(mollify_ensemble(y, delta, key + (t,)).upper,
                               _frozen_mollify(frozen, delta, key + (t,)).upper)
+
+
+# ---------------------------------------------------------------------------
+# stream keys: numpy's SeedSequence derivation, for every row at once
+# ---------------------------------------------------------------------------
+
+def _seed_sequence_keys(keys, role):
+    return np.array([np.random.SeedSequence(list(key) + [role]).generate_state(2, np.uint64)
+                     for key in keys], dtype=np.uint64).reshape(-1, 2)
+
+
+# an element crossing 2^32 takes a second uint32 word, 2^64 a third
+_KEY_ELEMENTS = (0, 2**32 - 1, 2**32, 2**64 + 1)
+
+
+@pytest.mark.parametrize("role", [rmt._ROLE_ENTRIES, rmt._ROLE_GAUSS])
+@pytest.mark.parametrize("seed", _KEY_ELEMENTS)
+def test_philox_keys_equal_seed_sequence(seed, role, monkeypatch):
+    # the key shapes in use: (seed,) from sample_wigner, (seed, 3, t) from
+    # term3_check and (seed, batch, t) from the experiment's batches
+    same_words = [[(seed,)], [(seed, 3, t) for t in range(6)],
+                  [(seed, batch, t) for batch in (0, 1) for t in range(6)],
+                  [(seed, 2**32 + t, 2**64 + 1) for t in range(3)]]
+    mixed_words = [[(seed, 1, t) for t in _KEY_ELEMENTS], [(seed,), (seed, 0)], []]
+    want = {id(keys): _seed_sequence_keys(keys, role) for keys in same_words + mixed_words}
+    for keys in mixed_words:
+        got = rmt._philox_keys(keys, role)
+        assert got.dtype == np.uint64 and np.array_equal(got, want[id(keys)])
+    # keys with equal word counts never reach SeedSequence: the mixing is rmt's own
+    monkeypatch.setattr(np.random, "SeedSequence", None)
+    for keys in same_words:
+        got = rmt._philox_keys(keys, role)
+        assert got.dtype == np.uint64 and np.array_equal(got, want[id(keys)])
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_draws_equal_per_key_philox(n):
+    count = n * (n + 1) // 2
+    ranks = rmt._diagonal_ranks(n)
+    for keys in ([(2**32 + 5, 1, t) for t in range(5)], [(9, 3, t) for t in _KEY_ELEMENTS]):
+        for role in (rmt._ROLE_ENTRIES, rmt._ROLE_GAUSS):
+            want = np.array([np.random.Philox(np.random.SeedSequence(list(key) + [role]))
+                             .random_raw(count) for key in keys]) >> np.uint64(11)
+            assert np.array_equal(rmt._draws(keys, role, count), want)
+            assert np.array_equal(rmt._draws(keys, role, count, ranks), want[:, ranks])
 
 
 def test_unit_stays_inside_the_open_interval():
