@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDelta, NumericalOverflow, ValidationError
+from .errors import entries, fields, number
 
 # largest probe set ProbeSpec.generate will allocate (grid plus random points)
 MAX_PROBES = 1_000_000
@@ -56,6 +57,8 @@ def build_measure_nd(points, weights, center=None, radius=None) -> MeasureND:
     ws = np.asarray(weights, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != ws.shape[0]:
         raise ValidationError("points and weights must have matching leading size")
+    if pts.shape[1] == 0:
+        raise ValidationError("points need at least one coordinate")
     if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(ws)):
         raise ValidationError("points and weights must be finite")
     if np.any(ws < 0.0):
@@ -75,23 +78,25 @@ def build_measure_nd(points, weights, center=None, radius=None) -> MeasureND:
 
 
 def measure_nd_from_dict(raw: dict) -> MeasureND:
-    extra = set(raw) - {"dimension", "atoms", "center", "radius"}
-    if extra:
-        raise ValidationError(f"unknown measure keys: {sorted(extra)}")
-    atoms = raw.get("atoms", [])
+    """The cloud JSON ``{"atoms": [{"point": [...], "w": ...}], "dimension": n,
+    "center": [...], "radius": r}``; points and center have one length, n."""
+    fields(raw, "measure", {"dimension", "atoms", "center", "radius"})
+    atoms = [fields(a, "atom", {"point", "w"}, required={"point", "w"})
+             for a in entries(raw.get("atoms", []), "atoms")]
     if not atoms:
         raise ValidationError("measure needs at least one atom")
-    pts, ws = [], []
-    for entry in atoms:
-        bad = set(entry) - {"point", "w"}
-        if bad:
-            raise ValidationError(f"unknown atom keys: {sorted(bad)}")
-        pts.append([float(v) for v in entry["point"]])
-        ws.append(float(entry["w"]))
     dim = raw.get("dimension")
-    if dim is not None and int(dim) != len(pts[0]):
-        raise ValidationError("stated dimension disagrees with atom points")
-    return build_measure_nd(pts, ws, raw.get("center"), raw.get("radius"))
+    dim = (len(entries(atoms[0]["point"], "atom point")) if dim is None
+           else number(dim, "dimension", integral=True))
+
+    def coords(value, what):
+        return [number(v, f"{what} coordinate") for v in entries(value, what, dim)]
+
+    center, radius = raw.get("center"), raw.get("radius")
+    return build_measure_nd([coords(a["point"], "atom point") for a in atoms],
+                            [number(a["w"], "atom w") for a in atoms],
+                            None if center is None else coords(center, "center"),
+                            None if radius is None else number(radius, "radius"))
 
 
 def _check_delta(delta: float) -> None:

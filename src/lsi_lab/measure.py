@@ -41,6 +41,7 @@ from .errors import (
     OverlappingPieces,
     ValidationError,
 )
+from .errors import entries, fields, number
 from .quadrature import adaptive_quad
 
 MAX_POLY_DEGREE = 6
@@ -185,22 +186,16 @@ def build_measure(spec: dict) -> Measure1D:
     """Validate and normalize a structured measure description.
 
     ``spec`` has the JSON shape
-    ``{"atoms": [{"x": ..., "w": ...}], "pieces": [{"lo": ..., "hi": ..., "coeffs": [...]}]}``.
-    Unknown keys are rejected.  Total mass must be within 1e-9 of 1 and is
-    rescaled to exactly 1.
+    ``{"atoms": [{"x": ..., "w": ...}], "pieces": [{"lo": ..., "hi": ..., "coeffs": [...]}]}``,
+    with every key of an atom or piece required.  Total mass must be within
+    1e-9 of 1 and is rescaled to exactly 1.
     """
-    if not isinstance(spec, dict):
-        raise ValidationError("measure spec must be a mapping")
-    unknown = set(spec) - {"atoms", "pieces"}
-    if unknown:
-        raise ValidationError(f"unknown measure spec keys: {sorted(unknown)}")
+    fields(spec, "measure spec", {"atoms", "pieces"})
 
     atoms: list[tuple[float, float]] = []
-    for entry in spec.get("atoms", []) or []:
-        extra = set(entry) - {"x", "w"}
-        if extra:
-            raise ValidationError(f"unknown atom keys: {sorted(extra)}")
-        x, w = float(entry["x"]), float(entry["w"])
+    for entry in entries(spec.get("atoms") or [], "atoms"):
+        fields(entry, "atom", {"x", "w"}, required={"x", "w"})
+        x, w = number(entry["x"], "atom x"), number(entry["w"], "atom w")
         if not (math.isfinite(x) and math.isfinite(w)):
             raise ValidationError("atom location/weight must be finite")
         if w < 0.0:
@@ -208,12 +203,11 @@ def build_measure(spec: dict) -> Measure1D:
         atoms.append((x, w))
 
     pieces: list[tuple[float, float, tuple[float, ...]]] = []
-    for entry in spec.get("pieces", []) or []:
-        extra = set(entry) - {"lo", "hi", "coeffs"}
-        if extra:
-            raise ValidationError(f"unknown piece keys: {sorted(extra)}")
-        lo, hi = float(entry["lo"]), float(entry["hi"])
-        coeffs = tuple(float(c) for c in entry["coeffs"])
+    for entry in entries(spec.get("pieces") or [], "pieces"):
+        fields(entry, "piece", {"lo", "hi", "coeffs"}, required={"lo", "hi", "coeffs"})
+        lo, hi = number(entry["lo"], "piece lo"), number(entry["hi"], "piece hi")
+        coeffs = tuple(number(c, "piece coefficient")
+                       for c in entries(entry["coeffs"], "piece coeffs"))
         if not coeffs or len(coeffs) > MAX_POLY_DEGREE + 1:
             raise ValidationError(
                 f"piece coeffs must have 1..{MAX_POLY_DEGREE + 1} entries"

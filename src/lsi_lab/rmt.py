@@ -67,6 +67,7 @@ from .errors import (
     UnknownLaw,
     ValidationError,
 )
+from .errors import entries, fields, number
 from .measure import Measure1D, quantile
 from .mollify import MollifiedDensity
 
@@ -234,10 +235,8 @@ def _unit(k: np.ndarray) -> np.ndarray:
 
 
 def _as_key(seed) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        key = tuple(int(s) for s in seed)
-    else:
-        key = (int(seed),)
+    key = tuple(number(s, "seed", integral=True)
+                for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
     if any(s < 0 for s in key):
         raise ValidationError("seeds must be nonnegative integers")
     return key
@@ -247,11 +246,11 @@ def _as_key(seed) -> tuple[int, ...]:
 # entry laws
 # ---------------------------------------------------------------------------
 
-# the parameter keys each law's JSON form takes
-_LAW_KEYS = {"two_point": {"a", "b", "weight_a"}, "uniform": {"a", "b"},
-             "gaussian": {"mean", "var"}, "exponential": {"rate"},
-             "atom_mixture": {"measure"}}
-LAW_KINDS = tuple(_LAW_KEYS)
+# the parameter keys each law's JSON form takes, with their defaults
+_LAW_PARAMS = {"two_point": {"a": -1.0, "b": 1.0, "weight_a": 0.5},
+               "uniform": {"a": 0.0, "b": 1.0}, "gaussian": {"mean": 0.0, "var": 1.0},
+               "exponential": {"rate": 1.0}, "atom_mixture": {"measure": {}}}
+LAW_KINDS = tuple(_LAW_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -333,47 +332,30 @@ def atom_mixture_law(measure: Measure1D) -> EntryLaw:
     return EntryLaw("atom_mixture", (), measure)
 
 
-def _law_param(name: str, args: dict, key: str, default: float) -> float:
-    """``args[key]`` (else ``default``) as a float; anything but a finite
-    number raises ``ValidationError``."""
-    value = args.get(key, default)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond the float range
-            if math.isfinite(value):
-                return float(value)
-    raise ValidationError(f"{name} law {key} must be a finite number, got {value!r}")
-
-
 def law_from_spec(spec) -> EntryLaw:
     """Parse the JSON form: a bare kind string or {"kind": ..., params}.
 
     An unknown kind raises ``UnknownLaw``; a key the named law does not
     take, or a parameter that is not a finite number, raises
     ``ValidationError``."""
-    if isinstance(spec, str):
-        name, args = spec, {}
-    elif isinstance(spec, dict):
-        name, args = spec.get("kind"), spec
-    else:
-        raise UnknownLaw(f"cannot parse law spec {spec!r}")
+    if not isinstance(spec, dict):
+        spec = {"kind": spec}
+    name = spec.get("kind")
     if name not in LAW_KINDS:
         raise UnknownLaw(f"unknown entry law {name!r}")
-    extra = set(args) - {"kind"} - _LAW_KEYS[name]
-    if extra:
-        raise ValidationError(f"unknown {name} law keys: {sorted(extra)}")
-    if name == "two_point":
-        return two_point_law(_law_param(name, args, "a", -1.0), _law_param(name, args, "b", 1.0),
-                             _law_param(name, args, "weight_a", 0.5))
-    if name == "uniform":
-        return uniform_law(_law_param(name, args, "a", 0.0), _law_param(name, args, "b", 1.0))
-    if name == "gaussian":
-        return gaussian_law(_law_param(name, args, "mean", 0.0),
-                            _law_param(name, args, "var", 1.0))
-    if name == "exponential":
-        return exponential_law(_law_param(name, args, "rate", 1.0))
-    from .measure import build_measure
+    fields(spec, f"{name} law", {"kind", *_LAW_PARAMS[name]})
+    if name == "atom_mixture":
+        from .measure import build_measure
 
-    return atom_mixture_law(build_measure(args.get("measure", {})))
+        return atom_mixture_law(build_measure(spec.get("measure", {})))
+    params = {}
+    for key, default in _LAW_PARAMS[name].items():
+        params[key] = number(spec.get(key, default), f"{name} law {key}")
+        if not math.isfinite(params[key]):
+            raise ValidationError(f"{name} law {key} must be a finite number,"
+                                  f" got {params[key]!r}")
+    return {"two_point": two_point_law, "uniform": uniform_law, "gaussian": gaussian_law,
+            "exponential": exponential_law}[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +403,12 @@ class FSpec:
 
 
 def f_from_spec(spec) -> FSpec:
-    if isinstance(spec, str):
-        return FSpec(spec)
-    if isinstance(spec, dict):
-        extra = set(spec) - {"kind", "knots"}
-        if extra:
-            raise ValidationError(f"unknown f keys: {sorted(extra)}")
-        try:
-            knots = tuple((float(a), float(b)) for a, b in spec.get("knots", ()))
-        except (TypeError, ValueError):
-            raise ValidationError(f"f knots must be [x, y] pairs, got {spec['knots']!r}") from None
-        return FSpec(spec.get("kind"), knots)
-    raise UnknownFunction(f"cannot parse f spec {spec!r}")
+    if not isinstance(spec, dict):
+        return FSpec(spec)  # a bare kind
+    fields(spec, "f", {"kind", "knots"})
+    knots = tuple(tuple(number(v, "f knot coordinate") for v in entries(knot, "f knot", 2))
+                  for knot in entries(spec.get("knots", ()), "f knots"))
+    return FSpec(spec.get("kind"), knots)
 
 
 # ---------------------------------------------------------------------------
@@ -773,45 +749,21 @@ class ExperimentConfig:
             raise NegativeDelta(f"fixed delta must be finite and >= 0, got {self.delta_value}")
 
 
-def _integral(value) -> int:
-    """``int(value)`` where that loses nothing (20.0 -> 20); otherwise
-    ValueError, so 20.7 is refused rather than truncated."""
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return out
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a mapping")
-    extra = set(raw) - {"law", "f", "n", "eps", "trials", "seed", "delta"}
-    if extra:
-        raise ValidationError(f"unknown config keys: {sorted(extra)}")
-    missing = {"law", "f", "n", "eps"} - set(raw)
-    if missing:
-        raise ValidationError(f"missing config keys: {sorted(missing)}")
-    delta = raw.get("delta", {"mode": "none"})
-    if not isinstance(delta, dict):
-        raise ValidationError(f"delta must be a mapping with a mode, got {delta!r}")
-    extra_d = set(delta) - {"mode", "value", "table"}
-    if extra_d:
-        raise ValidationError(f"unknown delta keys: {sorted(extra_d)}")
-    try:
-        numbers = dict(
-            n_list=tuple(_integral(n) for n in raw["n"]),
-            eps_list=tuple(float(e) for e in raw["eps"]),
-            trials=_integral(raw.get("trials", 0)),
-            seed=_integral(raw.get("seed", 0)),
-            delta_value=float(delta.get("value", 0.0)),
-            c_table=tuple((float(d), float(c)) for d, c in delta.get("table", ())),
-        )
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError("n and eps must be lists of numbers (n of integers), trials and"
-                              " seed integers, delta.value a number and delta.table [delta, c]"
-                              " rows") from None
-    return ExperimentConfig(law=law_from_spec(raw["law"]), f=f_from_spec(raw["f"]),
-                            delta_mode=delta.get("mode", "none"), **numbers)
+    fields(raw, "config", {"law", "f", "n", "eps", "trials", "seed", "delta"},
+           required={"law", "f", "n", "eps"})
+    delta = fields(raw.get("delta", {}), "delta", {"mode", "value", "table"})
+    return ExperimentConfig(
+        law=law_from_spec(raw["law"]), f=f_from_spec(raw["f"]),
+        n_list=tuple(number(n, "n entry", integral=True) for n in entries(raw["n"], "n")),
+        eps_list=tuple(number(e, "eps entry") for e in entries(raw["eps"], "eps")),
+        trials=number(raw.get("trials", 0), "trials", integral=True),
+        seed=number(raw.get("seed", 0), "seed", integral=True),
+        delta_mode=delta.get("mode", "none"),
+        delta_value=number(delta.get("value", 0.0), "delta.value"),
+        c_table=tuple(tuple(number(v, "delta.table entry")
+                            for v in entries(row, "delta.table row", 2))
+                      for row in entries(delta.get("table", ()), "delta.table")))
 
 
 @dataclass(frozen=True)
@@ -909,6 +861,8 @@ def concentration_experiment(config: ExperimentConfig,
     """
     if workers is None:
         workers = usable_cpus()
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

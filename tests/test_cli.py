@@ -24,6 +24,16 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_input_error(argv, tmp_path, capsys, message):
+    """The invocation exits 2 with one ``error:`` line naming ``message``, and
+    leaves neither output nor an ``--out`` file (nor its temporary sibling)."""
+    before = set(tmp_path.iterdir())
+    code, out, err = run_cli(argv + ["--out", str(tmp_path / "out.json")], capsys)
+    assert code == 2 and out == "" and set(tmp_path.iterdir()) == before
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture
 def two_point_file(tmp_path):
     p = tmp_path / "two_point.json"
@@ -58,6 +68,31 @@ def test_estimate_zero_delta_exit_2(two_point_file, capsys):
     code, _, err = run_cli(["estimate", "--measure", two_point_file, "--delta", "0"], capsys)
     assert code == 2
     assert "delta must be positive" in err
+
+
+_PIECE = {"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"atoms": [{"x": "abc", "w": 1.0}]}, "atom x must be a finite number, got 'abc'"),
+    ({"atoms": [{"x": 0.0}]}, "missing atom keys: ['w']"),
+    ({"atoms": [1]}, "atom must be a mapping, got 1"),
+    ({"atoms": 5}, "atoms must be a list, got 5"),
+    ({"atoms": [{"x": 0.0, "w": "1.0"}]}, "atom w must be a finite number, got '1.0'"),
+    ({"atoms": [{"x": True, "w": 1.0}]}, "atom x must be a finite number, got True"),
+    ({"pieces": [{"lo": 0.0, "hi": 1.0}]}, "missing piece keys: ['coeffs']"),
+    ({"pieces": [{**_PIECE, "coeffs": 1.0}]}, "piece coeffs must be a list, got 1.0"),
+    ({"pieces": [{**_PIECE, "coeffs": ["1"]}]}, "piece coefficient must be a finite number"),
+    ({"pieces": [{**_PIECE, "coeffs": [True]}]}, "piece coefficient must be a finite number"),
+    ({"pieces": [{**_PIECE, "lo": False}]}, "piece lo must be a finite number, got False"),
+    ({"pieces": [{**_PIECE, "hi": None}]}, "piece hi must be a finite number, got None"),
+    ([1], "measure spec must be a mapping, got [1]"),
+])
+def test_estimate_malformed_measure_exit_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(spec))
+    assert_input_error(["estimate", "--measure", str(path), "--delta", "1.0"],
+                       tmp_path, capsys, message)
 
 
 def test_estimate_missing_file_exit_1(capsys):
@@ -248,29 +283,29 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     ("f", {}, "missing config keys: ['f']"),
     ("n", {}, "missing config keys: ['n']"),
     ("eps", {}, "missing config keys: ['eps']"),
-    (None, {"delta": "none"}, "delta must be a mapping with a mode, got 'none'"),
+    (None, {"delta": "none"}, "delta must be a mapping, got 'none'"),
     (None, {"f": _REPEATED_X}, "piecewise_linear knot x values must increase"),
     (None, {"f": _DECREASING_X}, "piecewise_linear knot x values must increase"),
-    (None, {"n": 20}, "n and eps must be lists of numbers"),
-    (None, {"trials": "abc"}, "n and eps must be lists of numbers"),
+    (None, {"n": 20}, "n must be a list, got 20"),
+    (None, {"trials": "abc"}, "trials must be an integer, got 'abc'"),
     (None, {"delta": {"mode": "fixed", "value": -0.5}}, "fixed delta must be finite and >= 0"),
     (None, {"law": {"kind": "uniform", "a": "x"}, "delta": {"mode": "fixed", "value": 0.1}},
      "uniform law a must be a finite number, got 'x'"),
     (None, {"law": {"kind": "two_point", "weight_a": 1.5},
             "delta": {"mode": "fixed", "value": 0.1}},
      "two_point law needs 0 <= weight_a <= 1, got 1.5"),
-    (None, {"n": [20.7]}, "n and eps must be lists of numbers (n of integers)"),
-    (None, {"seed": 1.5}, "trials and seed integers"),
-    (None, {"trials": 2.5}, "trials and seed integers"),
+    (None, {"n": [20.7]}, "n entry must be an integer, got 20.7"),
+    (None, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (None, {"trials": 2.5}, "trials must be an integer, got 2.5"),
     (None, {"seed": -1}, "seed must be >= 0, got -1"),
+    (None, {"law": {"kind": "atom_mixture", "measure": {"atoms": [{"x": 0.0}]}},
+            "delta": {"mode": "fixed", "value": 0.1}}, "missing atom keys: ['w']"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))
     path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
                                 if k != drop}))
-    code, out, err = run_cli(["rmt", "--config", str(path)], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert_input_error(["rmt", "--config", str(path)], tmp_path, capsys, message)
 
 
 def test_rmt_csv_format(tmp_path, capsys):
@@ -301,6 +336,39 @@ def test_bakry_nonpositive_delta_exit_2(tmp_path, capsys):
         code, _, err = run_cli(["bakry", "--measure", str(p), "--delta", delta], capsys)
         assert code == 2
         assert "delta must be positive and finite" in err
+
+
+def _atom(point, w=1.0):
+    return {"point": point, "w": w}
+
+
+@pytest.mark.parametrize("cloud, message", [
+    ({"atoms": [_atom([0.0, "a"])]}, "atom point coordinate must be a finite number, got 'a'"),
+    ({"atoms": [{"point": [0.0, 0.0]}]}, "missing atom keys: ['w']"),
+    ({"atoms": [_atom([0.0, 0.0], 0.5), _atom([1.0], 0.5)]},
+     "atom point must be a list of 2 entries, got [1.0]"),
+    ({"dimension": "x", "atoms": [_atom([0.0, 0.0])]}, "dimension must be an integer, got 'x'"),
+    ({"dimension": 2.5, "atoms": [_atom([0.0, 0.0])]}, "dimension must be an integer, got 2.5"),
+    ({"dimension": True, "atoms": [_atom([0.0])]}, "dimension must be an integer, got True"),
+    ({"dimension": 3, "atoms": [_atom([0.0, 0.0])]},
+     "atom point must be a list of 3 entries, got [0.0, 0.0]"),
+    ({"center": "x", "atoms": [_atom([0.0, 0.0])]}, "center must be a list of 2 entries, got 'x'"),
+    ({"center": [0.0, "0"], "atoms": [_atom([0.0, 0.0])]},
+     "center coordinate must be a finite number, got '0'"),
+    ({"radius": "1", "atoms": [_atom([0.0, 0.0])]}, "radius must be a finite number, got '1'"),
+    ({"atoms": [_atom(5)]}, "atom point must be a list, got 5"),
+    ({"atoms": [_atom([])]}, "points need at least one coordinate"),
+    ({"dimension": 0, "atoms": [_atom([])]}, "points need at least one coordinate"),
+    ({"atoms": [_atom([0.0, 0.0], True)]}, "atom w must be a finite number, got True"),
+    ({"atoms": [1]}, "atom must be a mapping, got 1"),
+    ({"atoms": {"point": [0.0]}}, "atoms must be a list, got {'point': [0.0]}"),
+    ([1], "measure must be a mapping, got [1]"),
+])
+def test_bakry_malformed_cloud_exit_2(tmp_path, capsys, cloud, message):
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps(cloud))
+    assert_input_error(["bakry", "--measure", str(path), "--delta", "1.0"],
+                       tmp_path, capsys, message)
 
 
 @pytest.mark.parametrize("flag,value", [("--grid", "-1"), ("--grid", "0"), ("--random", "-5")])

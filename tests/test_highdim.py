@@ -66,6 +66,14 @@ def test_measure_nd_from_dict():
         measure_nd_from_dict({"atoms": [{"point": [0.0], "w": 1.0}], "shape": "x"})
 
 
+def test_measure_nd_from_dict_reads_numpy_scalars_and_whole_dimensions():
+    m = measure_nd_from_dict({
+        "dimension": 2.0, "center": [np.int64(0), 0.0], "radius": np.float32(2.0),
+        "atoms": [{"point": [np.float64(1.0), 0], "w": 0.5}, {"point": [-1, 0], "w": 0.5}]})
+    assert (m.dimension, m.radius) == (2, 2.0)
+    assert m.points.tolist() == [[1.0, 0.0], [-1.0, 0.0]]
+
+
 # ---------------------------------------------------------------------------
 # log density
 # ---------------------------------------------------------------------------

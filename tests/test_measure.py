@@ -119,6 +119,13 @@ def test_unknown_keys_rejected():
         build_measure({"atoms": [{"x": 0.0, "w": 1.0, "label": "a"}]})
 
 
+def test_numpy_scalars_are_numbers():
+    m = build_measure({"atoms": [{"x": np.float32(0.5), "w": np.float64(0.5)},
+                                 {"x": np.int64(-1), "w": 0.5}]})
+    assert m.atoms == ((0.5, 0.5), (-1.0, 0.5))
+    assert all(type(v) is float for atom in m.atoms for v in atom)
+
+
 def test_measure_from_json_roundtrip():
     m = measure_from_json('{"atoms":[{"x":-1.0,"w":0.5}],"pieces":[{"lo":0.0,"hi":1.0,"coeffs":[0.5]}]}')
     assert len(m.atoms) == 1 and len(m.pieces) == 1

@@ -108,6 +108,25 @@ def test_two_point_balance():
     assert abs(float(np.mean(vals))) < 4.0 / math.sqrt(vals.size)
 
 
+@pytest.mark.parametrize("seed, same_as", [(np.int64(5), 5), (2.0 ** 40, 2 ** 40),
+                                           ((1, np.int32(2)), [1, 2]), (7.0, (7,))])
+def test_seeds_that_are_whole_numbers_are_accepted(seed, same_as):
+    law = gaussian_law()
+    assert np.array_equal(sample_wigner(3, law, seed).upper, sample_wigner(3, law, same_as).upper)
+    y = sample_wigner(3, law, 0)
+    assert np.array_equal(mollify_ensemble(y, 0.5, seed).upper,
+                          mollify_ensemble(y, 0.5, same_as).upper)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", (1, 2.5), [np.bool_(True)], math.nan])
+def test_seeds_are_not_truncated(seed):
+    # int() would read both 1.5 and True as seed 1
+    with pytest.raises(errors.ValidationError, match="seed must be an integer"):
+        sample_wigner(3, gaussian_law(), seed)
+    with pytest.raises(errors.ValidationError, match="seed must be an integer"):
+        mollify_ensemble(sample_wigner(3, gaussian_law(), 0), 0.5, seed)
+
+
 def test_unknown_law_rejected():
     with pytest.raises(errors.UnknownLaw):
         law_from_spec("cauchy")
@@ -266,8 +285,8 @@ def test_unknown_function_rejected():
     ([[-1.0, 0.0], [1.0, 1.0], [0.5, 2.0]], "must increase"),
     ([[0.0, 0.0], [float("nan"), 1.0]], "must be finite"),
     ([[0.0, 0.0], [float("inf"), 1.0]], "must be finite"),
-    ([[0.0], [1.0, 1.0]], "pairs"),
-    ([[0.0, "a"], [1.0, 1.0]], "pairs"),
+    ([[0.0], [1.0, 1.0]], "f knot must be a list of 2 entries"),
+    ([[0.0, "a"], [1.0, 1.0]], "f knot coordinate must be a finite number"),
 ])
 def test_piecewise_linear_knots_are_validated(knots, message):
     with pytest.raises(errors.ValidationError, match=message):
@@ -510,6 +529,13 @@ def test_experiment_workers_bit_identical():
     assert json.dumps(asdict(a), sort_keys=True) == json.dumps(asdict(b), sort_keys=True)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_experiment_needs_a_worker(workers):
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("arctan"), (4,), (0.3,), trials=3, seed=3)
+    with pytest.raises(errors.ValidationError, match=f"workers must be >= 1, got {workers}"):
+        concentration_experiment(cfg, workers=workers)
+
+
 def test_experiment_mollified_two_point_trend():
     cfg = ExperimentConfig(two_point_law(), FSpec("arctan"), (20, 50, 100), (0.5,),
                            trials=150, seed=11, delta_mode="fixed", delta_value=0.25)
@@ -558,12 +584,23 @@ def test_config_delta_must_be_a_mapping(delta):
         config_from_dict(raw)
 
 
-@pytest.mark.parametrize("change", [
-    {"n": 5}, {"eps": 0.3}, {"n": ["a"]}, {"trials": "abc"}, {"seed": [1]},
-    {"delta": {"mode": "fixed", "value": "x"}}, {"delta": {"mode": "schedule", "table": [1.0]}}])
-def test_config_numbers_of_the_wrong_type_are_a_validation_error(change):
+_WRONG_TYPES = [
+    ({"n": 5}, "n must be a list, got 5"),
+    ({"eps": 0.3}, "eps must be a list, got 0.3"),
+    ({"n": ["a"]}, "n entry must be an integer, got 'a'"),
+    ({"trials": "abc"}, "trials must be an integer, got 'abc'"),
+    ({"seed": [1]}, "seed must be an integer, got [1]"),
+    ({"delta": {"mode": "fixed", "value": "x"}}, "delta.value must be a finite number, got 'x'"),
+    ({"delta": {"mode": "schedule", "table": [1.0]}},
+     "delta.table row must be a list of 2 entries, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("change, message", _WRONG_TYPES,
+                         ids=[f"change{i}" for i in range(len(_WRONG_TYPES))])
+def test_config_numbers_of_the_wrong_type_are_a_validation_error(change, message):
     raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], **change}
-    with pytest.raises(errors.ValidationError, match="n and eps must be lists of numbers"):
+    with pytest.raises(errors.ValidationError, match=re.escape(message)):
         config_from_dict(raw)
 
 
@@ -575,13 +612,46 @@ def test_config_fixed_delta_must_be_finite_and_nonnegative(value):
         config_from_dict(raw)
 
 
-@pytest.mark.parametrize("change", [
-    {"n": [20.7]}, {"n": [4, 1e999]}, {"seed": 1.5}, {"trials": 2.5}, {"trials": math.nan},
-    {"seed": "3"}])
-def test_config_integers_are_not_truncated(change):
+_NOT_INTEGERS = [
+    ({"n": [20.7]}, "n entry must be an integer, got 20.7"),
+    ({"n": [4, 1e999]}, "n entry must be an integer, got inf"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": math.nan}, "trials must be an integer, got nan"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize("change, message", _NOT_INTEGERS,
+                         ids=[f"change{i}" for i in range(len(_NOT_INTEGERS))])
+def test_config_integers_are_not_truncated(change, message):
     raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], **change}
-    with pytest.raises(errors.ValidationError, match=r"n and eps .*\(n of integers\)"):
+    with pytest.raises(errors.ValidationError, match=re.escape(message)):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"eps": [True]}, "eps entry must be a finite number, got True"),
+    ({"eps": ["0.3"]}, "eps entry must be a finite number, got '0.3'"),
+    ({"n": [True]}, "n entry must be an integer, got True"),
+    ({"delta": {"mode": "fixed", "value": "0.25"}}, "delta.value must be a finite number"),
+    ({"delta": {"mode": "schedule", "table": [[0.25, "2"]]}}, "delta.table entry must be"),
+    ({"f": {"kind": "piecewise_linear", "knots": [[0, 0], [1, False]]}},
+     "f knot coordinate must be a finite number, got False"),
+])
+def test_config_numbers_refuse_strings_and_bools(change, message):
+    raw = {"law": "gaussian", "f": "identity", "n": [4], "eps": [0.3], **change}
+    with pytest.raises(errors.ValidationError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
+def test_config_numbers_accept_numpy_scalars():
+    cfg = config_from_dict({"law": {"kind": "gaussian", "var": np.float32(2.0)}, "f": "abs",
+                            "n": [np.int64(4)], "eps": [np.float64(0.3)],
+                            "trials": np.int32(3), "seed": np.float64(7.0)})
+    assert (cfg.law.params, cfg.n_list, cfg.eps_list, cfg.trials, cfg.seed) == (
+        (0.0, 2.0), (4,), (0.3,), 3, 7)
+    assert all(type(v) is int for v in (*cfg.n_list, cfg.trials, cfg.seed))
 
 
 def test_config_integral_floats_are_integers():
