@@ -13,7 +13,9 @@ absorbed by centering), and it is cross-checked against finite
 differences of log p in the tests.  The tilted weights and log p share
 one max-shifted log-sum-exp in numpy over log weights that leave out the
 squared distance every atom shares, so probes far from the cloud keep
-their atoms apart and stay finite.
+their atoms apart and stay finite.  It runs over a stack of points, and the
+certificate runs its probes in blocks, one Hessian batch and one stacked
+eigvalsh per block, each block's temporaries held to an element budget.
 
 A uniform eigenvalue bound Hess(-log p) >= (1/c) I certifies a
 log-Sobolev inequality with constant c.  Certificates here are probe
@@ -33,6 +35,7 @@ from .errors import entries, fields, number
 
 # largest probe set ProbeSpec.generate will allocate (grid plus random points)
 MAX_PROBES = 1_000_000
+_BLOCK_ELEMENTS = 2 ** 15  # bounds a probe block's (probes, atoms, n) temporaries
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ def build_measure_nd(points, weights, center=None, radius=None) -> MeasureND:
            else np.average(pts, axis=0, weights=ws))
     dists = np.linalg.norm(pts - ctr, axis=1)
     r = float(radius) if radius is not None else float(np.max(dists))
+    for name, value in (("center", ctr.tolist()), ("radius", r)):
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if float(np.max(dists)) > r + 1e-12:
         raise ValidationError("an atom lies outside the stated ball")
     return MeasureND(dimension=n, points=pts, weights=ws, center=ctr, radius=r)
@@ -115,55 +121,64 @@ def _log_weights_at(m: MeasureND, delta: float, x: np.ndarray) -> np.ndarray:
     return _log_atom_weights(m) - sq / (2.0 * delta)
 
 
-def _tilted(m: MeasureND, delta: float, x) -> tuple[np.ndarray, float]:
-    """(tilted atom weights at x, log sum_k w_k exp(-|x - y_k|^2 / 2 delta)).
+def _tilted(m: MeasureND, delta: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(tilted atom weights (b, k), log sum_k w_k exp(-|x - y_k|^2 / 2 delta) (b,))
+    at each row x of the points xs (b, n).
 
     With u = x - c and z_k = y_k - c for the ball's centre c, the log
-    weights are log w_k + (u.z_k - |z_k|^2 / 2) / delta: the |u|^2 / 2 delta
-    every atom shares is left out of the max-shifted sum (whose largest
-    term is exactly 1) and subtracted after it.  So far from the cloud
-    x - y_k does not round y_k away, and the log-sum is -inf only where
-    |u|^2 overflows.  Where u.z_k / delta overflows too, the atoms whose
-    log weight is +inf outweigh the rest beyond the float range: they
-    share the weight equally, and the log-sum is taken over their squared
-    distances to x directly.
+    weights are log w_k + (u.z_k - |z_k|^2 / 2) / delta, one product u z^T
+    for the stack: the |u|^2 / 2 delta a row's atoms share is left out of
+    its max-shifted sum (whose largest term is exactly 1) and subtracted
+    after it.  So far from the cloud x - y_k does not round y_k away, and
+    the log-sum is -inf only where |u|^2 overflows.  In a row where
+    u.z_k / delta overflows too, the atoms whose log weight is +inf
+    outweigh the rest beyond the float range: they share the weight
+    equally, and the log-sum is taken over their squared distances to x.
     """
-    u = np.asarray(x, dtype=float) - m.center
+    u = np.asarray(xs, dtype=float) - m.center
     z = m.points - m.center
-    with np.errstate(over="ignore"):
-        logw = _log_atom_weights(m) + (z @ u - 0.5 * np.sum(z * z, axis=1)) / delta
-        top = float(np.max(logw))
-        if top == math.inf:
-            near = logw == top
-            sq = np.sum((u - z[near]) ** 2, axis=1)
-            logw = _log_atom_weights(m)[near] - sq / (2.0 * delta)
-            top = float(np.max(logw))
-            log_sum = (top + math.log(float(np.sum(np.exp(logw - top))))
-                       if top > -math.inf else -math.inf)
-            return near / float(np.count_nonzero(near)), log_sum
-        w = np.exp(logw - top)
-        total = float(np.sum(w))
-        w /= total
-        return w, top + math.log(total) - float(u @ u) / (2.0 * delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = _log_atom_weights(m) + (u @ z.T - 0.5 * np.sum(z * z, axis=1)) / delta
+        top = np.max(logw, axis=1)
+        w = np.exp(logw - top[:, None])
+        total = np.sum(w, axis=1)
+        w /= total[:, None]
+        log_sum = top + np.log(total) - np.sum(u * u, axis=1) / (2.0 * delta)
+        for i in np.flatnonzero(top == math.inf):
+            near = logw[i] == math.inf
+            near_logw = _log_atom_weights(m)[near] - np.sum((u[i] - z[near]) ** 2, axis=1) / (2.0 * delta)
+            peak = float(np.max(near_logw))
+            log_sum[i] = (peak + math.log(float(np.sum(np.exp(near_logw - peak))))
+                          if peak > -math.inf else -math.inf)
+            w[i] = near / float(np.count_nonzero(near))
+    return w, log_sum
 
 
 def log_density_nd(m: MeasureND, delta: float, x) -> float:
     """log p(x) for p = mu * gamma_delta, by log-sum-exp over the atoms."""
     _check_delta(delta)
     norm_const = 0.5 * m.dimension * math.log(2.0 * math.pi * delta)
-    return _tilted(m, delta, x)[1] - norm_const
+    return float(_tilted(m, delta, np.reshape(x, (1, -1)))[1][0]) - norm_const
 
 
 def hessian_neg_log_p(m: MeasureND, delta: float, x) -> np.ndarray:
-    """Hess(-log p)(x) = I/delta - Cov(y)/delta^2 under the tilted atom weights."""
+    """Hess(-log p) = I/delta - Cov(y)/delta^2 under the tilted atom weights:
+    (n, n) at a point x of shape (n,), (b, n, n) at each row of x of shape (b, n)."""
     _check_delta(delta)
-    w, _ = _tilted(m, delta, x)
-    mean = w @ m.points
-    centered = m.points - mean
-    cov = (centered * w[:, None]).T @ centered
+    w, _ = _tilted(m, delta, np.reshape(x, (-1, m.dimension)))
+    centered = m.points - (w @ m.points)[:, None, :]
+    cov = np.swapaxes(centered * w[:, :, None], 1, 2) @ centered
     hess = np.eye(m.dimension) / delta - cov / (delta * delta)
     # halves first: the same bits, and no overflow where entries pass 1e308
-    return 0.5 * hess + 0.5 * hess.T
+    hess = 0.5 * hess + 0.5 * np.swapaxes(hess, 1, 2)
+    return hess.reshape(np.shape(x) + (m.dimension,))
+
+
+def _min_eigs(m: MeasureND, delta: float, xs: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of Hess(-log p) at each row of xs, one eigvalsh per block."""
+    block = max(1, _BLOCK_ELEMENTS // (m.weights.size * m.dimension))
+    return np.concatenate([np.linalg.eigvalsh(hessian_neg_log_p(m, delta, xs[i:i + block]))[:, 0]
+                           for i in range(0, len(xs), block)])
 
 
 def threshold_check(radius: float, n: int, delta: float) -> bool:
@@ -243,8 +258,7 @@ def bakry_emery_certificate(m: MeasureND, delta: float,
     spec = probes if probes is not None else ProbeSpec()
     pts = spec.generate(m, delta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        eigs = np.array([np.linalg.eigvalsh(hessian_neg_log_p(m, delta, x))[0]
-                         for x in pts])
+        eigs = _min_eigs(m, delta, pts)
     min_eig = float(np.min(eigs))
     if not math.isfinite(min_eig):
         raise NumericalOverflow(f"Hessian of -log p leaves the float range at"

@@ -160,7 +160,10 @@ def _philox_keys(keys: Sequence[tuple[int, ...]], role: int) -> np.ndarray:
     have as many words; when an element crossing 2^32 breaks that, each
     key goes through ``SeedSequence`` itself.
     """
-    entropy = [[w for v in (*key, role) for w in _words(v)] for key in keys]
+    rows = [(*key, role) for key in keys]
+    # an element below 2^32 is one word, itself
+    entropy = (rows if max(map(max, rows), default=0) <= _MASK32
+               else [[w for v in row for w in _words(v)] for row in rows])
     if len({len(e) for e in entropy}) != 1:
         return np.array([np.random.SeedSequence(list(key) + [role]).generate_state(2, np.uint64)
                          for key in keys], dtype=np.uint64).reshape(-1, 2)
@@ -704,8 +707,10 @@ def delta_schedule(c_table: Sequence[tuple[float, float]], ns: Sequence[int]) ->
     n.  Raises NoFeasibleDelta when a requested n admits no row.
     """
     table = [(float(d), float(c)) for d, c in c_table]
-    if not table or any(d <= 0.0 for d, _ in table):
-        raise ValidationError("c_table needs positive deltas")
+    if not table or any(not 0.0 < d < math.inf for d, _ in table):
+        raise ValidationError("c_table needs positive finite deltas")
+    if any(not math.isfinite(c) for _, c in table):
+        raise ValidationError(f"c_table c values must be finite, got {table}")
     if len({d for d, _ in table}) != len(table):
         raise ValidationError("c_table deltas must be distinct")
     rows = []
@@ -743,8 +748,8 @@ class ExperimentConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if any(n < 1 for n in self.n_list):
             raise ValidationError("matrix sizes must be >= 1")
-        if any(e <= 0.0 for e in self.eps_list):
-            raise ValidationError("eps values must be positive")
+        if any(not 0.0 < e < math.inf for e in self.eps_list):
+            raise ValidationError(f"eps values must be positive and finite, got {self.eps_list}")
         if self.delta_mode == "fixed" and not (0.0 <= self.delta_value < math.inf):
             raise NegativeDelta(f"fixed delta must be finite and >= 0, got {self.delta_value}")
 

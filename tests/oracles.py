@@ -124,6 +124,23 @@ class MollifiedOracle:
 
 
 # ---------------------------------------------------------------------------
+# Hessian of -log p for a mollified atom cloud in R^n
+# ---------------------------------------------------------------------------
+
+def cloud_hessian(points, weights, delta: float, x) -> np.ndarray:
+    """Hess(-log p)(x) = I/delta - Cov/delta^2 for p = sum_k w_k N(y_k, delta I),
+    at one point, from the tilted weights w_k exp(-|x - y_k|^2 / 2 delta) taken
+    directly (no max shift), their mean and their covariance."""
+    points = np.asarray(points, dtype=float)
+    d = np.asarray(x, dtype=float) - points
+    tilt = np.asarray(weights, dtype=float) * np.exp(-np.sum(d * d, axis=1) / (2.0 * delta))
+    tilt = tilt / tilt.sum()
+    mean = tilt @ points
+    cov = sum(t * np.outer(y - mean, y - mean) for t, y in zip(tilt, points))
+    return np.eye(points.shape[1]) / delta - cov / (delta * delta)
+
+
+# ---------------------------------------------------------------------------
 # characteristic polynomial eigenvalue oracle
 # ---------------------------------------------------------------------------
 

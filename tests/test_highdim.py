@@ -19,6 +19,7 @@ from lsi_lab.highdim import (
 )
 from lsi_lab.measure import point_mass, two_point
 from lsi_lab.mollify import MollifiedDensity, log_density
+from oracles import cloud_hessian
 
 
 def two_atoms_2d():
@@ -384,10 +385,18 @@ def test_min_eig_location_ignores_round_off_among_tied_probes(monkeypatch):
     exact = highdim.hessian_neg_log_p
     for pattern in ([0, 1, 2], [1, 0, 2, 0]):
         ks = itertools.cycle(pattern)
-        monkeypatch.setattr(highdim, "hessian_neg_log_p",
-                            lambda m, delta, x: exact(m, delta, x) * (1 + next(ks) * 2.0 ** -52))
-        assert bakry_emery_certificate(two_atoms_2d(), 0.05).min_eig_location == \
-            cert.min_eig_location
+        scaled = []
+
+        def perturbed(m, delta, xs):
+            # each probe of a stacked block gets its own few-ulp factor
+            factors = 1 + np.array([next(ks) for _ in xs]) * 2.0 ** -52
+            scaled.extend(factors)
+            return exact(m, delta, xs) * factors[:, None, None]
+
+        monkeypatch.setattr(highdim, "hessian_neg_log_p", perturbed)
+        got = bakry_emery_certificate(two_atoms_2d(), 0.05)
+        assert got.min_eig_location == cert.min_eig_location
+        assert len(scaled) == got.probes_evaluated
 
 
 def test_hessian_of_a_translated_cloud():
@@ -402,3 +411,105 @@ def test_hessian_of_a_translated_cloud():
         h = hessian_neg_log_p(m, 0.3, x)
         got = hessian_neg_log_p(moved, 0.3, x + shift)
         assert np.max(np.abs(got - h)) <= 1e-10 * np.max(np.abs(h))
+
+
+# ---------------------------------------------------------------------------
+# stacked probes against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def _random_cloud(seed, k, n, shift=0.0):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, size=k)
+    return build_measure_nd(rng.uniform(-1.0, 1.0, size=(k, n)) + shift, w / w.sum())
+
+
+def _assert_matches_oracle(m, delta, pts, got):
+    # within 1e-13 of the larger of |I/delta| = 1/delta and |Cov/delta^2| = 1/delta - want
+    want = np.array([np.linalg.eigvalsh(cloud_hessian(m.points, m.weights, delta, x))[0]
+                     for x in pts])
+    scale = 1.0 / delta + np.maximum(-want, 0.0)
+    assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+ORACLE_CLOUDS = {
+    "2d": _random_cloud(1, 6, 2),
+    "3d": _random_cloud(2, 16, 3),
+    "5d": _random_cloud(3, 9, 5),
+    "zero_weight": build_measure_nd([[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]], [0.4, 0.6, 0.0],
+                                    center=[0.0, 0.0], radius=2.0),
+    "translated_1e4": _random_cloud(4, 8, 3, shift=np.array([1e4, -1e4, 5e3])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CLOUDS))
+@pytest.mark.parametrize("delta", [0.3, 1.0, 4.0])
+def test_stacked_min_eigs_match_the_per_probe_oracle(name, delta):
+    m = ORACLE_CLOUDS[name]
+    grid = 3 if m.dimension == 5 else 6
+    pts = ProbeSpec(grid_points_per_axis=grid, random_points=100, seed=5).generate(m, delta)
+    _assert_matches_oracle(m, delta, pts, highdim._min_eigs(m, delta, pts))
+    _assert_matches_oracle(m, delta, pts,
+                           np.linalg.eigvalsh(hessian_neg_log_p(m, delta, pts))[:, 0])
+
+
+def test_stacked_block_mixes_ordinary_and_overflowing_rows():
+    m = two_atoms_2d()
+    xs = np.array([[0.3, -0.2], [1e308, 0.0], [0.0, 0.0], [1e300, 0.0], [-1.5, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hessian_neg_log_p(m, 0.5, xs)
+        log_sums = highdim._tilted(m, 0.5, xs)[1]
+    assert h.shape == (5, 2, 2)
+    for row in (1, 3):
+        assert np.array_equal(h[row], np.eye(2) / 0.5)
+        assert log_sums[row] == -math.inf
+    ordinary = xs[[0, 2, 4]]
+    assert np.all(np.isfinite(log_sums[[0, 2, 4]]))
+    _assert_matches_oracle(m, 0.5, ordinary, np.linalg.eigvalsh(h[[0, 2, 4]])[:, 0])
+    for x, hx in zip(ordinary, h[[0, 2, 4]]):
+        want = cloud_hessian(m.points, m.weights, 0.5, x)
+        assert np.max(np.abs(hx - want)) <= 1e-13 / 0.5
+
+
+def test_per_point_calls_keep_their_shapes():
+    m = five_atom_cloud_3d()
+    x = [0.1, -0.4, 0.8]
+    assert hessian_neg_log_p(m, 0.8, x).shape == (3, 3)
+    assert hessian_neg_log_p(m, 0.8, [x]).shape == (1, 3, 3)
+    assert isinstance(log_density_nd(m, 0.8, x), float)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_blocks_of_probes_cover_every_probe(monkeypatch, extra):
+    # 5 atoms in 3-D are 15 elements a probe, so a budget of 60 makes blocks of 4
+    m = five_atom_cloud_3d()
+    monkeypatch.setattr(highdim, "_BLOCK_ELEMENTS", 60)
+    spec = ProbeSpec(grid_points_per_axis=1, random_points=4 + extra - 1, seed=3)
+    pts = spec.generate(m, 0.4)
+    assert len(pts) == 4 + extra
+    eigs = highdim._min_eigs(m, 0.4, pts)
+    assert eigs.shape == (len(pts),)
+    _assert_matches_oracle(m, 0.4, pts, eigs)
+    cert = bakry_emery_certificate(m, 0.4, spec)
+    assert cert.probes_evaluated == len(pts) and cert.min_eig == float(np.min(eigs))
+
+
+def test_probe_blocks_stay_within_the_element_budget(monkeypatch):
+    # a 300-atom cloud in 4-D is 1,200 elements a probe
+    m = _random_cloud(6, 300, 4)
+    exact = highdim.hessian_neg_log_p
+    sizes = []
+
+    def counted(m, delta, xs):
+        sizes.append(len(xs))
+        return exact(m, delta, xs)
+
+    monkeypatch.setattr(highdim, "hessian_neg_log_p", counted)
+    spec = ProbeSpec(grid_points_per_axis=2, random_points=10)  # 26 probes
+    for budget, block in [(5_000, 4), (1_200, 1), (1_000, 1)]:
+        monkeypatch.setattr(highdim, "_BLOCK_ELEMENTS", budget)
+        sizes.clear()
+        cert = bakry_emery_certificate(m, 2.0, spec)
+        assert sum(sizes) == cert.probes_evaluated == 26
+        assert max(sizes) == block
+        assert block == 1 or block * 300 * 4 <= budget
