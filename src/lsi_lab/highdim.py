@@ -35,7 +35,7 @@ from .errors import entries, fields, number
 
 # largest probe set ProbeSpec.generate will allocate (grid plus random points)
 MAX_PROBES = 1_000_000
-_BLOCK_ELEMENTS = 2 ** 15  # bounds a probe block's (probes, atoms, n) temporaries
+_BLOCK_ELEMENTS = 2 ** 14  # bounds a probe block's (probes, atoms, n) temporaries
 
 
 @dataclass(frozen=True)
