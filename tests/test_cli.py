@@ -298,12 +298,12 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     (None, {"seed": 1.5}, "seed must be an integer, got 1.5"),
     (None, {"trials": 2.5}, "trials must be an integer, got 2.5"),
     (None, {"seed": -1}, "seed must be >= 0, got -1"),
+    (None, {"law": {"kind": "atom_mixture", "measure": {"atoms": [{"x": 0.0}]}},
+            "delta": {"mode": "fixed", "value": 0.1}}, "missing atom keys: ['w']"),
     (None, {"eps": [0.5, math.inf]}, "eps values must be positive and finite, got (0.5, inf)"),
     (None, {"law": {"kind": "two_point"},
             "delta": {"mode": "schedule", "table": [[0.25, math.nan], [0.5, 2.0]]}},
      "c_table c values must be finite, got [(0.25, nan), (0.5, 2.0)]"),
-    (None, {"law": {"kind": "atom_mixture", "measure": {"atoms": [{"x": 0.0}]}},
-            "delta": {"mode": "fixed", "value": 0.1}}, "missing atom keys: ['w']"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))
@@ -360,9 +360,6 @@ def _atom(point, w=1.0):
     ({"center": [0.0, "0"], "atoms": [_atom([0.0, 0.0])]},
      "center coordinate must be a finite number, got '0'"),
     ({"radius": "1", "atoms": [_atom([0.0, 0.0])]}, "radius must be a finite number, got '1'"),
-    ({"center": [math.nan, 0.0], "atoms": [_atom([0.0, 0.0])]},
-     "center must be finite, got [nan, 0.0]"),
-    ({"radius": math.inf, "atoms": [_atom([0.0, 0.0])]}, "radius must be finite, got inf"),
     ({"atoms": [_atom(5)]}, "atom point must be a list, got 5"),
     ({"atoms": [_atom([])]}, "points need at least one coordinate"),
     ({"dimension": 0, "atoms": [_atom([])]}, "points need at least one coordinate"),
@@ -370,6 +367,9 @@ def _atom(point, w=1.0):
     ({"atoms": [1]}, "atom must be a mapping, got 1"),
     ({"atoms": {"point": [0.0]}}, "atoms must be a list, got {'point': [0.0]}"),
     ([1], "measure must be a mapping, got [1]"),
+    ({"center": [math.nan, 0.0], "atoms": [_atom([0.0, 0.0])]},
+     "center must be finite, got [nan, 0.0]"),
+    ({"radius": math.inf, "atoms": [_atom([0.0, 0.0])]}, "radius must be finite, got inf"),
 ])
 def test_bakry_malformed_cloud_exit_2(tmp_path, capsys, cloud, message):
     path = tmp_path / "cloud.json"
