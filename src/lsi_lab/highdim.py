@@ -146,7 +146,8 @@ def _tilted(m: MeasureND, delta: float, xs) -> tuple[np.ndarray, np.ndarray]:
         log_sum = top + np.log(total) - np.sum(u * u, axis=1) / (2.0 * delta)
         for i in np.flatnonzero(top == math.inf):
             near = logw[i] == math.inf
-            near_logw = _log_atom_weights(m)[near] - np.sum((u[i] - z[near]) ** 2, axis=1) / (2.0 * delta)
+            sq = np.sum((u[i] - z[near]) ** 2, axis=1)
+            near_logw = _log_atom_weights(m)[near] - sq / (2.0 * delta)
             peak = float(np.max(near_logw))
             log_sum[i] = (peak + math.log(float(np.sum(np.exp(near_logw - peak))))
                           if peak > -math.inf else -math.inf)
