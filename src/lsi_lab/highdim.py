@@ -134,6 +134,9 @@ def _tilted(m: MeasureND, delta: float, xs) -> tuple[np.ndarray, np.ndarray]:
     u.z_k / delta overflows too, the atoms whose log weight is +inf
     outweigh the rest beyond the float range: they share the weight
     equally, and the log-sum is taken over their squared distances to x.
+    In a row where every log weight overflows to -inf, the log-sum is -inf
+    and the weight goes to the atoms whose log weight, scaled down, is the
+    largest.
     """
     u = np.asarray(xs, dtype=float) - m.center
     z = m.points - m.center
@@ -144,13 +147,20 @@ def _tilted(m: MeasureND, delta: float, xs) -> tuple[np.ndarray, np.ndarray]:
         total = np.sum(w, axis=1)
         w /= total[:, None]
         log_sum = top + np.log(total) - np.sum(u * u, axis=1) / (2.0 * delta)
-        for i in np.flatnonzero(top == math.inf):
-            near = logw[i] == math.inf
-            sq = np.sum((u[i] - z[near]) ** 2, axis=1)
-            near_logw = _log_atom_weights(m)[near] - sq / (2.0 * delta)
-            peak = float(np.max(near_logw))
-            log_sum[i] = (peak + math.log(float(np.sum(np.exp(near_logw - peak))))
-                          if peak > -math.inf else -math.inf)
+        for i in np.flatnonzero(np.isinf(top)):
+            if top[i] == math.inf:
+                near = logw[i] == math.inf
+                sq = np.sum((u[i] - z[near]) ** 2, axis=1)
+                near_logw = _log_atom_weights(m)[near] - sq / (2.0 * delta)
+                peak = float(np.max(near_logw))
+                log_sum[i] = (peak + math.log(float(np.sum(np.exp(near_logw - peak))))
+                              if peak > -math.inf else -math.inf)
+            else:  # every log weight is -inf: compare them times delta / max|u|
+                scale = float(np.max(np.abs(u[i])))
+                scaled = (u[i] / scale) @ z.T + (delta * _log_atom_weights(m)
+                                                 - 0.5 * np.sum(z * z, axis=1)) / scale
+                near = scaled == np.max(scaled)
+                log_sum[i] = -math.inf
             w[i] = near / float(np.count_nonzero(near))
     return w, log_sum
 

@@ -22,6 +22,12 @@ expansion, derivatives, antiderivative, node terms and mass of a piece
 are built once, with the piece (``measure.Piece``); a kernel call does
 only the work that depends on x and delta.
 
+Term arrays are (terms, points): one row per term, one contiguous column
+per point.  All of them meet in one signed log-sum-exp that shifts each
+column's largest finite term out and adds the rows one at a time, in a
+fixed order, so a point's value does not depend on the batch it is
+evaluated in.
+
 The asymptotic report bundles the three tail quotients
 
     delta p'(x) / (-x p(x)),
@@ -89,43 +95,26 @@ def _blockwise(fn, x):
     return out.reshape(xs.shape)
 
 
-def _logsumexp(a: np.ndarray, b: np.ndarray | None = None, return_sign: bool = False):
-    """Row-wise log-sum-exp of the 2-D ``a``, weighted by ``b`` if given.
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-sum-exp down each column of the (terms, points) array
+    ``a``, weighted by ``b`` if given: (log |s|, sign s), s = sum b exp(a).
 
-    The arithmetic of ``scipy.special.logsumexp(a, axis=1, b=b,
-    return_sign=return_sign)`` for real input, bit for bit, without the
-    cost of its array-API wrapper: terms of weight 0 drop out, the row
-    maximum is shifted out and the weights of the terms tied at it are
-    summed into m, the result is log1p(s) + log(m) + max with s the
-    shifted sum over m, and rows where that is not finite fall back to
-    the log of the direct sum.  Without ``return_sign`` a negative sum
-    gives nan; with it, the log of its magnitude and its sign.
+    Each column's largest finite entry is shifted out (so +inf entries stay
+    +inf), and the rows are added in order, one at a time, so a column's
+    value does not depend on the others.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = np.array(a)  # a copy in a's memory order, as scipy's
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # over: nan columns
+        top = np.max(a, axis=0)
+        if (top == math.inf).any():
+            top = np.where(top == math.inf, np.max(np.where(a < math.inf, a, NEG_INF), axis=0), top)
+        top[~np.isfinite(top)] = 0.0
+        terms = np.exp(a - top)
         if b is not None:
-            shifted[b == 0] = NEG_INF
-        a_max = np.max(shifted, axis=1, keepdims=True)
-        at_max = shifted == a_max
-        shifted[at_max] = NEG_INF
-        at_max = at_max.astype(float)
-        m = np.sum(at_max if b is None else b * at_max, axis=1, keepdims=True)
-        terms = np.exp(shifted - a_max) if b is None else b * np.exp(shifted - a_max)
-        s = np.sum(terms, axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = (np.log1p(s) + np.log(np.abs(m)) + a_max)[:, 0]
-        sign = sign[:, 0]
-        if not return_sign:
-            out[sign < 0] = np.nan
-        bad = ~np.isfinite(out)
-        if bad.any():  # summed over all rows, in a's memory order, as scipy's
-            with np.errstate(over="ignore"):
-                direct = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=1)[bad]
-            out[bad] = np.log(np.abs(direct) if return_sign else direct)
-            sign[bad] = np.sign(direct)
-    return (out, sign) if return_sign else out
+            terms *= b
+        s = terms[0].copy()
+        for row in terms[1:]:
+            s += row
+        return np.log(np.abs(s)) + top, np.sign(s)
 
 
 def _atom_log_weights(m: Measure1D) -> np.ndarray:
@@ -134,10 +123,10 @@ def _atom_log_weights(m: Measure1D) -> np.ndarray:
 
 
 def _atom_log_terms(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
-    """log of w_k * exp(-(x - t_k)^2 / 2 delta), one row per point (no kernel norm)."""
+    """log of w_k * exp(-(x - t_k)^2 / 2 delta), one row per atom (no kernel norm)."""
     m = d.base
-    return (_atom_log_weights(m)[None, :]
-            - (xs[:, None] - m.atom_locations[None, :]) ** 2 / (2.0 * d.delta))
+    return (_atom_log_weights(m)[:, None]
+            - (xs[None, :] - m.atom_locations[:, None]) ** 2 / (2.0 * d.delta))
 
 
 def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
@@ -174,7 +163,7 @@ _H_AT_ZERO = _scaled_tail_integrals(np.zeros(1), MAX_POLY_DEGREE + 2)[:, 0]
 
 def _endpoint_terms(d: MollifiedDensity, poly: LocalPoly,
                     xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log terms, one row per point, of the integral over [lo, hi] of
+    """Signed log terms, one row per term, of the integral over [lo, hi] of
     q(t) exp(-(x-t)^2 / 2 delta), by parts: the ends c, lo of the part left
     of x, then c, hi of the part right of x, c = clip(x, lo, hi).
 
@@ -192,26 +181,26 @@ def _endpoint_terms(d: MollifiedDensity, poly: LocalPoly,
             for der in poly.derivs]
     sums = np.stack([sum((direction * d.sigma) ** k * vals[k] * hs[k] for k in range(n))
                      for vals, hs, direction in ((at_c, h_c, -1.0), (poly.at_lo, h[:, 0], -1.0),
-                                                 (at_c, h_c, 1.0), (poly.at_hi, h[:, 1], 1.0))],
-                    axis=1) * np.array([1.0, -1.0, 1.0, -1.0])
+                                                 (at_c, h_c, 1.0), (poly.at_hi, h[:, 1], 1.0))]
+                    ) * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
     with np.errstate(divide="ignore"):
         log_abs = (np.log(np.abs(sums)) + math.log(d.sigma)
-                   - 0.5 * np.stack([z_c, z[0], z_c, z[1]], axis=1) ** 2)
-    log_abs[xs <= lo, :2] = NEG_INF
-    log_abs[right, 2:] = NEG_INF
+                   - 0.5 * np.stack([z_c, z[0], z_c, z[1]]) ** 2)
+    log_abs[:2, xs <= lo] = NEG_INF
+    log_abs[2:, right] = NEG_INF
     return log_abs, np.sign(sums)
 
 
 def _node_terms(d: MollifiedDensity, poly: LocalPoly,
                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The same integral's Gauss-Legendre terms, one row per point."""
-    log_abs = poly.node_log - (xs[:, None] - poly.nodes) ** 2 / (2.0 * d.delta)
-    return log_abs, np.broadcast_to(poly.node_sign, log_abs.shape)
+    """The same integral's Gauss-Legendre terms, one row per node."""
+    log_abs = poly.node_log[:, None] - (xs[None, :] - poly.nodes[:, None]) ** 2 / (2.0 * d.delta)
+    return log_abs, poly.node_sign[:, None]
 
 
 def _log_kernel_integral(d: MollifiedDensity, poly: LocalPoly, xs: np.ndarray) -> np.ndarray:
     """log of the integral over [lo, hi] of q(t) exp(-(x-t)^2 / 2 delta), for
-    q >= 0 on [lo, hi]; -inf if rounding leaves it <= 0.
+    q >= 0 on [lo, hi]; -inf if rounding leaves it <= 0, nan at x = nan.
 
     Terms by parts cancel to a relative error of about eps (layer / width)^degree
     with layer = delta / (|x - c| + sqrt(delta)), the kernel's boundary layer;
@@ -222,38 +211,37 @@ def _log_kernel_integral(d: MollifiedDensity, poly: LocalPoly, xs: np.ndarray) -
     out = np.empty_like(xs)
     for rows, terms in ((~use_rule, _endpoint_terms), (use_rule, _node_terms)):
         if rows.any():
-            log_terms, signs = terms(d, poly, xs[rows])
-            val, sign = _logsumexp(log_terms, signs, return_sign=True)
-            out[rows] = np.where(sign > 0.0, val, NEG_INF)
+            val, sign = _logsumexp(*terms(d, poly, xs[rows]))
+            out[rows] = np.where((sign > 0.0) | np.isnan(xs[rows]), val, NEG_INF)
     return out
 
 
 def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     """log of integral of exp(-(x-t)^2 / 2 delta) over each atom, then each
-    piece, of mu: one row per point, one column per atom and per piece."""
-    return np.column_stack([_atom_log_terms(d, xs)]
-                           + [_log_kernel_integral(d, p.q, xs) for p in d.base.pieces])
+    piece, of mu: one row per atom and per piece, one column per point."""
+    return np.vstack([_atom_log_terms(d, xs)]
+                     + [_log_kernel_integral(d, p.q, xs) for p in d.base.pieces])
 
 
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
     """log p(x).  Finite for every finite x since the Gaussian kernel is positive."""
     norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
-    return _blockwise(lambda xs: _logsumexp(_log_masses(d, xs)) - norm_const, x)
+    return _blockwise(lambda xs: _logsumexp(_log_masses(d, xs))[0] - norm_const, x)
 
 
 def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     m = d.base
     masses = _log_masses(d, xs)
     n = len(m.atom_locations)
-    signs = [np.broadcast_to(np.sign(m.atom_locations), (len(xs), n))]
+    signs = [np.broadcast_to(np.sign(m.atom_locations)[:, None], (n, len(xs)))]
     with np.errstate(divide="ignore"):
-        logs = [masses[:, :n] + np.log(np.abs(m.atom_locations))]
-        for p, mass in zip(m.pieces, masses[:, n:].T):
+        logs = [masses[:n] + np.log(np.abs(m.atom_locations))[:, None]]
+        for p, mass in zip(m.pieces, masses[n:]):
             # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
             logs += [_log_kernel_integral(d, p.offset_q, xs), mass + np.log(abs(p.lo))]
             signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
-    log_num, sign = _logsumexp(np.column_stack(logs), np.column_stack(signs), return_sign=True)
-    return (sign * np.exp(log_num - _logsumexp(masses)) - xs) / d.delta
+    log_num, sign = _logsumexp(np.vstack(logs), np.vstack(signs))
+    return (sign * np.exp(log_num - _logsumexp(masses)[0]) - xs) / d.delta
 
 
 def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
@@ -269,18 +257,17 @@ def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
 def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
     m = d.base
     sgn = 1.0 if side == "left" else -1.0
-    cols = [_atom_log_weights(m)[None, :]
-            + log_ndtr(sgn * (xs[:, None] - m.atom_locations[None, :]) / d.sigma)]
+    rows = [_atom_log_weights(m)[:, None]
+            + log_ndtr(sgn * (xs[None, :] - m.atom_locations[:, None]) / d.sigma)]
     for p in m.pieces:
         # by parts: the piece's mass at its far end, plus the kernel integral
         # of its mass below t (the right tail: the left tail of the piece
         # reflected, at -x)
         below, log_mass, x = ((p.below, p.log_mass, xs) if side == "left"
                               else (p.mirror_below, p.mirror_log_mass, -xs))
-        cols.append(log_mass + log_ndtr((x - below.hi) / d.sigma)[:, None])
-        cols.append(_log_kernel_integral(d, below, x)[:, None]
-                    - 0.5 * math.log(2.0 * math.pi * d.delta))
-    return np.minimum(_logsumexp(np.concatenate(cols, axis=1)), 0.0)
+        rows.append(log_mass + log_ndtr((x - below.hi) / d.sigma))
+        rows.append(_log_kernel_integral(d, below, x) - 0.5 * math.log(2.0 * math.pi * d.delta))
+    return np.minimum(_logsumexp(np.vstack(rows))[0], 0.0)
 
 
 def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:

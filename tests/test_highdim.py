@@ -153,6 +153,23 @@ def test_hessian_where_the_tilt_overflows(x):
     assert np.array_equal(h, np.eye(2) / 0.5)
 
 
+def test_every_log_weight_underflowing_tilts_onto_the_nearest_atom():
+    # with an off-centre ball u.z_k / delta is -inf for both atoms at the
+    # far point: log p is -inf and the tilt sits on the atom at [1, 0]
+    m = build_measure_nd([[1.0, 0.0], [2.0, 0.0]], [0.5, 0.5], center=[0.0, 0.0], radius=2.0)
+    far = [-1e308, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_density_nd(m, 0.5, far) == -math.inf
+        assert np.array_equal(hessian_neg_log_p(m, 0.5, far), np.eye(2) / 0.5)
+        ordinary = np.array([[0.3, -0.2], [1.5, 1.0], [-4.0, 2.0]])
+        w, log_sums = highdim._tilted(m, 0.5, np.insert(ordinary, 1, far, axis=0))
+        alone_w, alone_log_sums = highdim._tilted(m, 0.5, ordinary)
+    assert np.array_equal(w[1], [1.0, 0.0]) and log_sums[1] == -math.inf
+    assert w[[0, 2, 3]].tobytes() == alone_w.tobytes()
+    assert log_sums[[0, 2, 3]].tobytes() == alone_log_sums.tobytes()
+
+
 def test_zero_weight_atom_is_ignored():
     pts = [[1.0, 0.0], [-1.0, 0.5], [0.2, -0.3]]
     with_zero = build_measure_nd(pts, [0.4, 0.6, 0.0], center=[0.0, 0.0], radius=2.0)
