@@ -97,7 +97,8 @@ def _blockwise(fn, x):
 
 def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Signed log-sum-exp down each column of the (terms, points) array
-    ``a``, weighted by ``b`` if given: (log |s|, sign s), s = sum b exp(a).
+    ``a``, weighted by ``b`` (broadcast against ``a``) if given: (log |s|,
+    sign s), s = sum b exp(a).
 
     Each column's largest finite entry is shifted out (so +inf entries stay
     +inf), and the rows are added in order, one at a time, so a column's
@@ -111,7 +112,7 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, 
         terms = np.exp(a - top)
         if b is not None:
             terms *= b
-        s = terms[0].copy()
+        s = terms[0]
         for row in terms[1:]:
             s += row
         return np.log(np.abs(s)) + top, np.sign(s)
@@ -233,14 +234,14 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     m = d.base
     masses = _log_masses(d, xs)
     n = len(m.atom_locations)
-    signs = [np.broadcast_to(np.sign(m.atom_locations)[:, None], (n, len(xs)))]
+    signs = list(np.sign(m.atom_locations))
     with np.errstate(divide="ignore"):
         logs = [masses[:n] + np.log(np.abs(m.atom_locations))[:, None]]
         for p, mass in zip(m.pieces, masses[n:]):
             # t q(t) = (t - lo) q(t) + lo q(t), two polynomials >= 0 on the piece
             logs += [_log_kernel_integral(d, p.offset_q, xs), mass + np.log(abs(p.lo))]
-            signs += [np.ones_like(mass), np.full_like(mass, np.sign(p.lo))]
-    log_num, sign = _logsumexp(np.vstack(logs), np.vstack(signs))
+            signs += [1.0, np.sign(p.lo)]
+    log_num, sign = _logsumexp(np.vstack(logs), np.array(signs)[:, None])
     return (sign * np.exp(log_num - _logsumexp(masses)[0]) - xs) / d.delta
 
 
