@@ -47,6 +47,7 @@ from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationErr
 from .measure import Measure1D, support_components, translate
 from .mollify import (
     MollifiedDensity,
+    _check_side,
     half_crossing,
     log_density,
     median,
@@ -126,8 +127,7 @@ def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     uses 1 - F.  Always finite on the valid side: the tail is below 1/2
     there, so log(1/tail) > 0.
     """
-    if side not in ("left", "right"):
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if side == "left" and not x < m:
         raise WrongSide(f"left integrand needs x < median, got x={x}, m={m}")
     if side == "right" and not x > m:

@@ -115,12 +115,6 @@ def _log_atom_weights(m: MeasureND) -> np.ndarray:
         return np.log(m.weights)
 
 
-def _log_weights_at(m: MeasureND, delta: float, x: np.ndarray) -> np.ndarray:
-    """Unnormalized log kernel weights of every atom at x."""
-    sq = np.sum((x[None, :] - m.points) ** 2, axis=1)
-    return _log_atom_weights(m) - sq / (2.0 * delta)
-
-
 def _tilted(m: MeasureND, delta: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """(tilted atom weights (b, k), log sum_k w_k exp(-|x - y_k|^2 / 2 delta) (b,))
     at each row x of the points xs (b, n).

@@ -68,7 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .errors import entries, fields, number
-from .measure import Measure1D, quantile
+from .measure import Measure1D, build_measure, quantile, two_point, uniform
 from .mollify import MollifiedDensity
 
 # role tags for stream derivation
@@ -294,14 +294,10 @@ class EntryLaw:
 
     def as_measure(self) -> Measure1D:
         """Compactly supported laws as a Measure1D, for the bg bracket."""
-        from .measure import build_measure
-
         if self.kind == "two_point":
-            a, b, wa = self.params
-            return build_measure({"atoms": [{"x": a, "w": wa}, {"x": b, "w": 1.0 - wa}]})
+            return two_point(*self.params)
         if self.kind == "uniform":
-            a, b = self.params
-            return build_measure({"pieces": [{"lo": a, "hi": b, "coeffs": [1.0 / (b - a)]}]})
+            return uniform(*self.params)
         if self.kind == "atom_mixture":
             return self.measure
         raise ValidationError(f"law {self.kind!r} is not compactly supported")
@@ -348,8 +344,6 @@ def law_from_spec(spec) -> EntryLaw:
         raise UnknownLaw(f"unknown entry law {name!r}")
     fields(spec, f"{name} law", {"kind", *_LAW_PARAMS[name]})
     if name == "atom_mixture":
-        from .measure import build_measure
-
         return atom_mixture_law(build_measure(spec.get("measure", {})))
     params = {}
     for key, default in _LAW_PARAMS[name].items():
@@ -608,6 +602,26 @@ def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
     return s[:, 0], s[:, -1]
 
 
+def _batch_integrals(law: EntryLaw, f: FSpec, n: int, delta: float, key: tuple[int, ...],
+                     trials: int, mapper=map) -> tuple[np.ndarray, np.ndarray]:
+    """(int f dmu_X, int f dmu_X~) for trials 0 .. trials-1 of batch ``key``.
+
+    ``mapper`` runs the chunks (``map``, or a thread pool's ``map``); the
+    parts are joined in chunk order.
+    """
+    parts = list(mapper(lambda chunk: _chunk_integrals(law, f, n, delta, key, chunk),
+                        _chunks(n, delta, trials, f.kind == "identity")))
+    return (np.concatenate([s for s, _ in parts]),
+            np.concatenate([s_moll for _, s_moll in parts]))
+
+
+def _term3(s: np.ndarray, s_moll: np.ndarray) -> tuple[float, float]:
+    """(|mean of s_moll - s|, its standard error) over a batch's trials."""
+    diffs = s_moll - s
+    stderr = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
+    return abs(float(np.mean(diffs))), stderr
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -638,13 +652,8 @@ def term3_check(n: int, epsilon: float, f: FSpec, delta: float, trials: int,
     """
     if not (n >= 1 and epsilon > 0.0 and delta >= 0.0 and trials >= 1):
         raise NonPositiveArg("term3_check needs positive arguments")
-    law = two_point_law()
-    key = _as_key(seed) + (3,)
-    parts = [_chunk_integrals(law, f, n, delta, key, chunk)
-             for chunk in _chunks(n, delta, trials, f.kind == "identity")]
-    gaps = np.concatenate([s_moll - s for s, s_moll in parts])
-    gap = abs(float(np.mean(gaps)))
-    stderr = float(np.std(gaps, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    gap, stderr = _term3(*_batch_integrals(two_point_law(), f, n, delta,
+                                           _as_key(seed) + (3,), trials))
     bound = f.lip * math.sqrt(delta)
     if gap > bound + 3.0 * stderr:
         raise ArithmeticError(
@@ -727,6 +736,11 @@ def delta_schedule(c_table: Sequence[tuple[float, float]], ns: Sequence[int]) ->
 # the concentration experiment
 # ---------------------------------------------------------------------------
 
+# the keys besides "mode" that each delta mode's JSON form takes
+_DELTA_KEYS = {"none": (), "fixed": ("value",), "schedule": ("table",)}
+DELTA_MODES = tuple(_DELTA_KEYS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     law: EntryLaw
@@ -740,7 +754,7 @@ class ExperimentConfig:
     c_table: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.delta_mode not in ("none", "fixed", "schedule"):
+        if self.delta_mode not in DELTA_MODES:
             raise ValidationError(f"unknown delta mode {self.delta_mode!r}")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
@@ -758,13 +772,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     fields(raw, "config", {"law", "f", "n", "eps", "trials", "seed", "delta"},
            required={"law", "f", "n", "eps"})
     delta = fields(raw.get("delta", {}), "delta", {"mode", "value", "table"})
+    mode = delta.get("mode", "none")
+    if mode in DELTA_MODES:  # ExperimentConfig refuses any other mode
+        fields(delta, f"{mode} delta", {"mode", *_DELTA_KEYS[mode]})
     return ExperimentConfig(
         law=law_from_spec(raw["law"]), f=f_from_spec(raw["f"]),
         n_list=tuple(number(n, "n entry", integral=True) for n in entries(raw["n"], "n")),
         eps_list=tuple(number(e, "eps entry") for e in entries(raw["eps"], "eps")),
         trials=number(raw.get("trials", 0), "trials", integral=True),
         seed=number(raw.get("seed", 0), "seed", integral=True),
-        delta_mode=delta.get("mode", "none"),
+        delta_mode=mode,
         delta_value=number(delta.get("value", 0.0), "delta.value"),
         c_table=tuple(tuple(number(v, "delta.table entry")
                             for v in entries(row, "delta.table row", 2))
@@ -802,51 +819,32 @@ class ConcentrationReport:
     cells: tuple[Cell, ...]
 
 
-def _resolve_delta_c(config: ExperimentConfig, n: int,
-                     c_cache: dict) -> tuple[float, float]:
-    """Mollification variance and LSI constant for one matrix size."""
-    if config.delta_mode == "none":
-        c = config.law.lsi_constant
-        if c is None:
-            raise ValidationError(
-                f"law {config.law.kind!r} has no LSI constant; use a delta mode"
-            )
-        return 0.0, c
-    if config.delta_mode == "fixed":
-        dl = config.delta_value
-    else:
-        schedule = delta_schedule(config.c_table, [n])
-        _, dl, c = schedule.rows[0]
-        return dl, c
-    if dl not in c_cache:
-        known = config.law.lsi_constant
-        if known is not None:
-            # Gaussian * Gaussian is Gaussian: constant is the summed variance
-            c_cache[dl] = known + dl
-        else:
-            report = _bg.compute_bg(MollifiedDensity(config.law.as_measure(), dl))
-            c_cache[dl] = report.c_upper
-    return dl, c_cache[dl]
-
-
-def _batch_integrals(config: ExperimentConfig, n: int, delta: float, batch: int,
-                     mapper) -> tuple[np.ndarray, np.ndarray]:
-    """(int f dmu_X, int f dmu_X~) for every trial of one batch, chunk by chunk.
-
-    ``mapper`` runs the chunks (``map``, or a thread pool's ``map``); the
-    parts are joined in chunk order.
+def _plan(config: ExperimentConfig) -> tuple[tuple[int, float, float], ...]:
+    """(n, delta, c) for each matrix size: the mollification variance and
+    the LSI constant of the mollified entry law.  A schedule looks every n
+    up in one ``delta_schedule`` call; the other modes share one (delta, c).
     """
-    parts = list(mapper(
-        lambda chunk: _chunk_integrals(config.law, config.f, n, delta,
-                                       (config.seed, batch), chunk),
-        _chunks(n, delta, config.trials, config.f.kind == "identity")))
-    return (np.concatenate([s for s, _ in parts]),
-            np.concatenate([s_moll for _, s_moll in parts]))
+    if config.delta_mode == "schedule":
+        return delta_schedule(config.c_table, config.n_list).rows
+    delta = config.delta_value if config.delta_mode == "fixed" else 0.0
+    known = config.law.lsi_constant
+    if known is not None:
+        # Gaussian * Gaussian is Gaussian: the constant is the summed variance
+        c = known + delta
+    elif config.delta_mode == "none":
+        raise ValidationError(f"law {config.law.kind!r} has no LSI constant; use a delta mode")
+    else:
+        c = _bg.compute_bg(MollifiedDensity(config.law.as_measure(), delta)).c_upper
+    return tuple((n, delta, c) for n in config.n_list)
 
 
 def concentration_experiment(config: ExperimentConfig,
                              workers: int | None = None) -> ConcentrationReport:
     """Estimate deviation frequencies over the (n, eps) grid.
+
+    Every n's (delta, c) is decided before any batch runs, whatever
+    ``trials`` is (``_plan``): mode ``none`` on a law with no constant of
+    its own, or an n the schedule cannot serve, raises first.
 
     The mean of int f dmu_X is estimated from an independent pilot batch
     of the same size, so the deviation count is not correlated with its
@@ -876,23 +874,18 @@ def concentration_experiment(config: ExperimentConfig,
 
 
 def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
-    lip = config.f.lip
+    plan = _plan(config)
+    law, f, trials = config.law, config.f, config.trials
+    lip = f.lip
+    if trials == 0:
+        return ConcentrationReport(law.kind, f.kind, lip, 0, config.seed, ())
     cells: list[Cell] = []
-    if config.trials == 0:
-        return ConcentrationReport(config.law.kind, config.f.kind, lip, 0,
-                                   config.seed, ())
-    c_cache: dict = {}
-    for n in config.n_list:
-        delta, c_used = _resolve_delta_c(config, n, c_cache)
-        trials = config.trials
+    for n, delta, c_used in plan:
         # only Y enters the centring, and Y's streams do not depend on delta
-        pilot, _ = _batch_integrals(config, n, 0.0, 0, mapper)
+        pilot, _ = _batch_integrals(law, f, n, 0.0, (config.seed, 0), trials, mapper)
         pilot_mean = float(np.mean(pilot))
-        s, s_moll = _batch_integrals(config, n, delta, 1, mapper)
-        diffs = s_moll - s
-        term3_gap = abs(float(np.mean(diffs)))
-        term3_stderr = (float(np.std(diffs, ddof=1) / math.sqrt(trials))
-                        if trials > 1 else 0.0)
+        s, s_moll = _batch_integrals(law, f, n, delta, (config.seed, 1), trials, mapper)
+        term3_gap, term3_stderr = _term3(s, s_moll)
 
         for eps in config.eps_list:
             dev = np.abs(s - pilot_mean) >= eps
@@ -915,5 +908,4 @@ def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
                 envelope_ok=freq <= t1_bound + t2 + t3_ind + 5.0 * stderr,
                 delta_used=delta, c_used=c_used, f_lip=lip,
             ))
-    return ConcentrationReport(config.law.kind, config.f.kind, lip,
-                               config.trials, config.seed, tuple(cells))
+    return ConcentrationReport(law.kind, f.kind, lip, trials, config.seed, tuple(cells))

@@ -127,6 +127,14 @@ class MollifiedOracle:
 # Hessian of -log p for a mollified atom cloud in R^n
 # ---------------------------------------------------------------------------
 
+def cloud_log_weights(points, weights, delta: float, x) -> np.ndarray:
+    """Unnormalized log kernel weights log w_k - |x - y_k|^2 / 2 delta of
+    every atom at one point, from the squared distances taken directly."""
+    sq = np.sum((np.asarray(x, dtype=float) - np.asarray(points, dtype=float)) ** 2, axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(weights, dtype=float)) - sq / (2.0 * delta)
+
+
 def cloud_hessian(points, weights, delta: float, x) -> np.ndarray:
     """Hess(-log p)(x) = I/delta - Cov/delta^2 for p = sum_k w_k N(y_k, delta I),
     at one point, from the tilted weights w_k exp(-|x - y_k|^2 / 2 delta) taken

@@ -304,6 +304,21 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     (None, {"law": {"kind": "two_point"},
             "delta": {"mode": "schedule", "table": [[0.25, math.nan], [0.5, 2.0]]}},
      "c_table c values must be finite, got [(0.25, nan), (0.5, 2.0)]"),
+    (None, {"delta": {"value": 0.3}}, "unknown none delta keys: ['value']"),
+    (None, {"delta": {"mode": "none", "value": 0.3, "table": [[0.5, 2.0]]}},
+     "unknown none delta keys: ['table', 'value']"),
+    (None, {"delta": {"mode": "fixed", "value": 0.3, "table": [[0.5, 2.0]]}},
+     "unknown fixed delta keys: ['table']"),
+    (None, {"delta": {"mode": "schedule", "value": 0.3, "table": [[0.5, 2.0]]}},
+     "unknown schedule delta keys: ['value']"),
+    # the plan is checked before any trial runs, also when there are none
+    (None, {"law": "uniform", "trials": 0},
+     "law 'uniform' has no LSI constant; use a delta mode"),
+    (None, {"law": "two_point", "trials": 0, "delta": {"mode": "schedule", "table": []}},
+     "c_table needs positive finite deltas"),
+    (None, {"law": "two_point", "n": [60, 4],
+            "delta": {"mode": "schedule", "table": [[0.5, 20.0]]}},
+     "no tabulated delta has c(delta) <= 4"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))

@@ -19,7 +19,7 @@ from lsi_lab.highdim import (
 )
 from lsi_lab.measure import point_mass, two_point
 from lsi_lab.mollify import MollifiedDensity, log_density
-from oracles import cloud_hessian
+from oracles import cloud_hessian, cloud_log_weights
 
 
 def two_atoms_2d():
@@ -131,7 +131,7 @@ def test_two_atom_hessian_at_midpoint():
 def test_hessian_finite_far_from_the_cloud():
     m = five_atom_cloud_3d()
     x = m.center + 1e3 * m.radius * np.array([1.0, 0.0, 0.0])
-    assert np.all(highdim._log_weights_at(m, 0.8, x) < -1e5)
+    assert np.all(cloud_log_weights(m.points, m.weights, 0.8, x) < -1e5)
     h = hessian_neg_log_p(m, 0.8, x)
     assert np.all(np.isfinite(h))
     assert np.isfinite(log_density_nd(m, 0.8, x))
@@ -190,7 +190,7 @@ def test_max_shift_agrees_with_scipy_logsumexp():
         m = build_measure_nd(rng.uniform(-1.0, 1.0, size=(k, n)), w / w.sum())
         delta = float(rng.uniform(0.05, 3.0))
         x = m.center + rng.uniform(-2.0, 2.0, size=n)
-        logw = highdim._log_weights_at(m, delta, x)
+        logw = cloud_log_weights(m.points, m.weights, delta, x)
         tilt = np.exp(logw - logsumexp(logw))
         centered = m.points - tilt @ m.points
         cov = (centered * tilt[:, None]).T @ centered

@@ -510,6 +510,34 @@ def test_experiment_zero_trials_empty():
     assert report.cells == ()
 
 
+def test_infeasible_later_n_fails_before_any_batch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rmt, "_batch_integrals", lambda *args: calls.append(args))
+    cfg = ExperimentConfig(two_point_law(), FSpec("arctan"), (60, 4), (0.3,), trials=5,
+                           seed=0, delta_mode="schedule", c_table=((0.5, 20.0),))
+    with pytest.raises(errors.NoFeasibleDelta, match=r"c\(delta\) <= 4$"):
+        concentration_experiment(cfg, workers=1)
+    assert calls == []
+
+
+def test_fixed_mode_brackets_once_for_every_n(monkeypatch):
+    real, seen = rmt._bg.compute_bg, []
+
+    def compute_bg(d):
+        seen.append(d.delta)
+        return real(d)
+
+    monkeypatch.setattr(rmt._bg, "compute_bg", compute_bg)
+    for trials in (0, 3):
+        seen.clear()
+        cfg = ExperimentConfig(two_point_law(), FSpec("arctan"), (4, 6, 8), (0.3,), trials,
+                               seed=1, delta_mode="fixed", delta_value=0.25)
+        report = concentration_experiment(cfg, workers=1)
+        assert seen == [0.25]
+        assert len(report.cells) == (3 if trials else 0)
+        assert len({cell.c_used for cell in report.cells}) <= 1
+
+
 def test_experiment_gaussian_envelope_small():
     cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (20, 40), (0.3, 0.5),
                            trials=150, seed=42)
@@ -687,23 +715,22 @@ def test_wigner_semicircle_ks():
 # chunked experiment against the per-trial loop
 # ---------------------------------------------------------------------------
 
-def _trial_stats(config, n, delta, batch, trial):
-    """(int f dmu_X, int f dmu_X~) for one trial: the per-trial reference."""
-    key = (config.seed, batch, trial)
-    y = _frozen_wigner(n, config.law, key)
+def _trial_stats(law, f, n, delta, key):
+    """(int f dmu_X, int f dmu_X~) for the trial keyed by ``key``: the
+    per-trial reference."""
+    y = _frozen_wigner(n, law, key)
     inv_root = 1.0 / math.sqrt(n)
-    s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), config.f)
+    s = empirical_law_integral(np.linalg.eigvalsh(y.scaled(inv_root).dense()), f)
     if delta == 0.0:
         return s, s
     y_moll = _frozen_mollify(y, delta, key)
-    s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()),
-                                    config.f)
+    s_moll = empirical_law_integral(np.linalg.eigvalsh(y_moll.scaled(inv_root).dense()), f)
     return s, s_moll
 
 
-def _loop_batch(config, n, delta, batch, mapper):
+def _loop_batch(law, f, n, delta, key, trials, mapper=map):
     """rmt._batch_integrals as a loop of _trial_stats; ``mapper`` is ignored."""
-    stats = [_trial_stats(config, n, delta, batch, t) for t in range(config.trials)]
+    stats = [_trial_stats(law, f, n, delta, key + (t,)) for t in range(trials)]
     return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
 
 
@@ -736,12 +763,12 @@ def _trial_counts(delta):
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("delta", [0.0, 0.25])
 def test_batch_integrals_equal_trial_loop(law, delta):
+    args = (_LAWS[law], FSpec("arctan"), _N, delta, (19, 1))
     for trials in _trial_counts(delta):
-        cfg = ExperimentConfig(_LAWS[law], FSpec("arctan"), (_N,), (0.3,), trials, seed=19)
-        want = _loop_batch(cfg, _N, delta, 1, map)
+        want = _loop_batch(*args, trials)
         for workers in (1, 3):
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                got = rmt._batch_integrals(cfg, _N, delta, 1, pool.map)
+                got = rmt._batch_integrals(*args, trials, pool.map)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -774,15 +801,16 @@ def test_pilot_decomposes_only_y(monkeypatch):
     cfg = _experiment_config("two_point", delta, k + 3, f="arctan")
     # the pilot batch at delta = 0 is batch 0's Y at the real delta, bit for bit
     for n in cfg.n_list:
-        pilot, _ = rmt._batch_integrals(cfg, n, 0.0, 0, map)
-        assert np.array_equal(pilot, _loop_batch(cfg, n, delta, 0, map)[0])
+        pilot, _ = rmt._batch_integrals(cfg.law, cfg.f, n, 0.0, (cfg.seed, 0), cfg.trials)
+        assert np.array_equal(
+            pilot, _loop_batch(cfg.law, cfg.f, n, delta, (cfg.seed, 0), cfg.trials)[0])
 
     real_batch, real_eigvalsh = rmt._batch_integrals, np.linalg.eigvalsh
     batch, matrices = [], {}
 
-    def batch_integrals(config, n, dl, b, mapper):
-        batch[:] = [(n, b)]
-        return real_batch(config, n, dl, b, mapper)
+    def batch_integrals(law, f, n, dl, key, trials, mapper=map):
+        batch[:] = [(n, key[-1])]
+        return real_batch(law, f, n, dl, key, trials, mapper)
 
     def eigvalsh(a):
         matrices[batch[0]] = matrices.get(batch[0], 0) + len(a)
@@ -812,10 +840,9 @@ def _trace_stats(law, n, delta, key):
     return tuple(float(np.sum(m.upper[diag] * (1.0 / math.sqrt(n))) / n) for m in (y, y_moll))
 
 
-def _trace_batch(config, n, delta, batch, mapper):
+def _trace_batch(law, f, n, delta, key, trials, mapper=map):
     """rmt._batch_integrals for f = identity as a loop of _trace_stats."""
-    stats = [_trace_stats(config.law, n, delta, (config.seed, batch, t))
-             for t in range(config.trials)]
+    stats = [_trace_stats(law, n, delta, key + (t,)) for t in range(trials)]
     return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
 
 
@@ -880,8 +907,8 @@ def test_identity_rows_are_the_scaled_diagonal_mean(law, delta):
     trace = trace.reshape(len(trials), -1)
     assert np.array_equal(s, trace[:, 0]) and np.array_equal(s_moll, trace[:, -1])
     # the eigenvalue sum agrees with the trace to rounding
-    cfg = ExperimentConfig(_LAWS[law], FSpec("identity"), (_N,), (0.3,), trials.stop, seed=19)
-    want = np.array([_trial_stats(cfg, _N, delta, 1, t) for t in trials])
+    want = np.array([_trial_stats(_LAWS[law], FSpec("identity"), _N, delta, key + (t,))
+                     for t in trials])
     assert np.max(np.abs(np.stack([s, s_moll], axis=1) - want)) <= 1e-12
 
 
