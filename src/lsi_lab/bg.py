@@ -12,23 +12,26 @@ the integrand tends to delta^2/x^2 * (-log p(x)), whose limit is
 delta/2, so a finite scan window plus that tail value captures the sup.
 
 The supremum search is a dense scan (2048 points per side over a window
-of width (b - a) + 30 sqrt(delta)) followed by a batched zoom on the best
-local maxima, compared against the tail value at the window edge.  The
-integrals of 1/p over the 2048 scan cells of a side are one batched
-composite quadrature (``quadrature.log_cell_integrals``: every
-refinement level of a chunk of cells is one vectorized log p call), and
-the integral from each grid point to the median is their running
-``np.logaddexp.accumulate``.  Each zoom level evaluates the integrand at
-64 equally spaced points of its bracket with one vectorized tail mass
-and one batched quadrature over the cells cut by those points and the
-scan edges between them, joined to the scan's running integral; the
-next bracket is the best point and its two neighbours.  The zoom stops
-at the search tolerance or at 4 ulps of |x|, whichever is wider, and
-after a fixed number of levels in any case.  A measure far from the
-origin is scanned as its translate next to the origin, so translation
-changes nothing but the reported positions.  Log densities and tail
-masses are the closed forms of ``mollify``, vectorized over the grid;
-the cells' tolerance is the report's ``quadrature_tol``.
+of width (b - a) + 30 sqrt(delta)) followed by a batched zoom on the
+best local maxima, compared against the tail value at the window edge.
+Both sides are searched left of the median, the right side as the left
+side of the mirror image (in u = -x), and among near-ties the point
+farthest from the median wins.  The integrals of 1/p over the 2048 scan
+cells of a side are one batched composite quadrature
+(``quadrature.log_cell_integrals``: every refinement level of a chunk of
+cells is one vectorized log p call), and the integral from each grid
+point to the median is their running ``np.logaddexp.accumulate``.  Each
+zoom level evaluates the integrand at 64 equally spaced points of its
+bracket with one vectorized tail mass and one batched quadrature over
+the cells cut by those points and the scan edges between them, joined to
+the scan's running integral; the next bracket is the best point and its
+two neighbours.  The zoom stops at the search tolerance or at 4 ulps of
+|x|, whichever is wider, and after a fixed number of levels in any case.
+A measure far from the origin is scanned as its translate next to the
+origin, so translation changes nothing but the reported positions.  Log
+densities and tail masses are the closed forms of ``mollify``,
+vectorized over the grid; the cells' tolerance is the report's
+``quadrature_tol``.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -77,7 +80,8 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     ulps of its larger end when that is wider (far from the origin float
     spacing exceeds ``xtol``), and after ``_REFINE_MAX_ITERS`` levels in
     any case.  Returns the best (x, value) seen; among equal values the
-    first seen, smallest x first.
+    first seen, smallest x first (for the bracket search, which runs left
+    of the median, the point farthest from it).
     """
     best_x, best_v = lo, NEG_INF
     for _ in range(_REFINE_MAX_ITERS):
@@ -92,12 +96,10 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return best_x, best_v
 
 
-def _to_median(cells: np.ndarray, side: str) -> np.ndarray:
-    """log integral of 1/p from each cut to the last (left side) or from the
-    first (right side), given the cells' log integrals: one value per cut."""
-    if side == "left":
-        return np.append(np.logaddexp.accumulate(cells[::-1])[::-1], NEG_INF)
-    return np.insert(np.logaddexp.accumulate(cells), 0, NEG_INF)
+def _to_median(cells: np.ndarray) -> np.ndarray:
+    """log integral of 1/p from each cut to the last, given the cells' log
+    integrals: one value per cut."""
+    return np.append(np.logaddexp.accumulate(cells[::-1])[::-1], NEG_INF)
 
 
 @dataclass(frozen=True)
@@ -139,30 +141,34 @@ def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
 
 def _side_supremum(d: MollifiedDensity, m: float, window: float,
                    side: str) -> tuple[float, float, bool]:
-    """(sup value, argmax, tail_branch_won) for one side of the median."""
-    gap_mids = support_gap_midpoints(d.base)
-    neg_log_p = lambda t: -log_density(d, t)
+    """(sup value, argmax, tail_branch_won) for one side of the median.
+
+    Both sides are searched left of the median in u = s x, s = 1 on the
+    left and -1 on the right: the right side is the left side of the
+    mirror image, so a measure symmetric about 0 gets D1 == D0.  Among
+    near-ties the point farthest from the median wins.
+    """
+    s = 1.0 if side == "left" else -1.0
+    gap_mids = [s * g for g in support_gap_midpoints(d.base)]
+    neg_log_p = lambda u: -log_density(d, s * u)
 
     def log_integrals(edges) -> np.ndarray:
         return log_cell_integrals(neg_log_p, edges, rel_tol=_CELL_TOL, seed_points=gap_mids)
 
-    # log integral of 1/p from each scan edge to the median (the median's own is -inf)
-    if side == "left":
-        edges = np.linspace(m - window, m, _SCAN_POINTS + 1)
-        xs = edges[:-1]
-    else:
-        edges = np.linspace(m, m + window, _SCAN_POINTS + 1)
-        xs = edges[1:]
-    at_edge = _to_median(log_integrals(edges), side)
-    prefix = at_edge[:-1] if side == "left" else at_edge[1:]
+    def integrand(pts: np.ndarray, to_median: np.ndarray) -> np.ndarray:
+        tails = tail_mass(d, s * pts, side)
+        with np.errstate(invalid="ignore"):
+            return tails + np.log(-tails) + to_median
 
-    tails = tail_mass(d, xs, side)
-    with np.errstate(invalid="ignore"):
-        values = tails + np.log(-tails) + prefix
-    values = np.where(np.isfinite(values), values, NEG_INF)
+    # log integral of 1/p from each scan edge to the median (the median's own is -inf)
+    m_u = s * m
+    edges = np.linspace(m_u - window, m_u, _SCAN_POINTS + 1)
+    us = edges[:-1]
+    at_edge = _to_median(log_integrals(edges))
+    v = integrand(us, at_edge[:-1])
+    v = np.where(np.isfinite(v), v, NEG_INF)
 
     # local maxima of the grid values, best few refined by batched zoom
-    v = values
     is_max = np.ones(len(v), dtype=bool)
     is_max[1:] &= v[1:] >= v[:-1]
     is_max[:-1] &= v[:-1] >= v[1:]
@@ -172,43 +178,31 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
     def objective(pts: np.ndarray) -> np.ndarray:
         # cut at the points and at the scan edges between them, up to the
         # nearest edge on the median's side, whose integral the scan has
-        if side == "left":
-            j = int(np.searchsorted(edges, pts[-1]))
-            between = edges[np.searchsorted(edges, pts[0]):j + 1]
-        else:
-            j = int(np.searchsorted(edges, pts[0], side="right")) - 1
-            between = edges[j:np.searchsorted(edges, pts[-1], side="right")]
+        j = int(np.searchsorted(edges, pts[-1]))
+        between = edges[np.searchsorted(edges, pts[0]):j + 1]
         cuts = np.unique(np.concatenate([pts, between]))
-        rec = np.logaddexp(_to_median(log_integrals(cuts), side), at_edge[j])
-        t = tail_mass(d, pts, side)
-        return t + np.log(-t) + rec[np.searchsorted(cuts, pts)]
+        rec = np.logaddexp(_to_median(log_integrals(cuts)), at_edge[j])
+        return integrand(pts, rec[np.searchsorted(cuts, pts)])
 
     best: list[tuple[float, float]] = []
     for idx in cand:
-        lo = xs[idx - 1] if idx > 0 else xs[0]
-        hi = xs[idx + 1] if idx + 1 < len(xs) else xs[-1]
-        if side == "left":
-            hi = min(hi, m - 1e-13 * max(1.0, abs(m)))
-        else:
-            lo = max(lo, m + 1e-13 * max(1.0, abs(m)))
+        lo = us[max(idx - 1, 0)]
+        hi = min(us[min(idx + 1, len(us) - 1)], m_u - 1e-13 * max(1.0, abs(m_u)))
         if lo >= hi:
-            best.append((float(v[idx]), float(xs[idx])))
+            best.append((float(v[idx]), float(us[idx])))
             continue
-        x_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
-        best.append((max(v_ref, float(v[idx])), x_ref))
+        u_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
+        best.append((max(v_ref, float(v[idx])), u_ref))
 
-    if not best:
-        interior_val, interior_x = NEG_INF, xs[0] if side == "left" else xs[-1]
-    else:
+    interior_val, interior_u = NEG_INF, us[0]
+    if best:
         top = max(val for val, _ in best)
-        # deterministic tie-break: smallest x among near-ties
-        interior_val, interior_x = min(
-            ((val, x) for val, x in best if val >= top - 1e-12),
-            key=lambda vx: vx[1],
-        )
+        # deterministic tie-break: farthest from the median among near-ties
+        interior_val, interior_u = min(((val, u) for val, u in best if val >= top - 1e-12),
+                                       key=lambda vu: vu[1])
 
-    edge = xs[0] if side == "left" else xs[-1]
-    d_tail = (d.delta / (edge - m)) ** 2 * (-log_density(d, edge))
+    edge = us[0]
+    d_tail = (d.delta / (edge - m_u)) ** 2 * (-log_density(d, s * edge))
     try:
         interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
     except OverflowError:
@@ -216,8 +210,8 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         raise NumericalOverflow(f"{name} = exp({interior_val!r}) exceeds the float range"
                                 f" at delta={d.delta!r}") from None
     if d_tail > interior_D:
-        return d_tail, float(edge), True
-    return interior_D, float(interior_x), False
+        return d_tail, float(s * edge), True
+    return interior_D, float(s * interior_u), False
 
 
 def _origin_shift(a: float, b: float, window: float) -> float:
@@ -302,8 +296,7 @@ class BlowupScan:
 def find_support_gap(m: Measure1D) -> tuple[float, float]:
     """The widest open interval of zero mass between support components."""
     comps = support_components(m)
-    gaps = [(l1 - h0, h0, l1) for (_, h0), (l1, _) in zip(comps[:-1], comps[1:])
-            if l1 > h0]
+    gaps = [(l1 - h0, h0, l1) for (_, h0), (l1, _) in zip(comps[:-1], comps[1:])]
     if not gaps:
         raise NoGap("measure has connected support; no blow-up gap")
     _, b, c = max(gaps)

@@ -242,7 +242,14 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
             logs += [_log_kernel_integral(d, p.offset_q, xs), mass + np.log(abs(p.lo))]
             signs += [1.0, np.sign(p.lo)]
     log_num, sign = _logsumexp(np.vstack(logs), np.array(signs)[:, None])
-    return (sign * np.exp(log_num - _logsumexp(masses)[0]) - xs) / d.delta
+    log_norm = _logsumexp(masses)[0]
+    score = (sign * np.exp(log_num - log_norm) - xs) / d.delta
+    # where every mass underflows, the tilt sits on the support point nearest x
+    lost = np.flatnonzero(log_norm == NEG_INF)
+    near = np.clip(xs[lost, None], *np.array(support_components(m)).T)
+    t = near[np.arange(len(lost)), np.argmin(np.abs(near - xs[lost, None]), axis=1)]
+    score[lost] = (t - xs[lost]) / d.delta
+    return score
 
 
 def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
@@ -341,7 +348,7 @@ def reciprocal_integral(d: MollifiedDensity, x: float, m: float) -> float:
 def support_gap_midpoints(base: Measure1D) -> list[float]:
     """Midpoints of the gaps between support components (local minima of p)."""
     comps = support_components(base)
-    return [0.5 * (h0 + l1) for (_, h0), (l1, _) in zip(comps[:-1], comps[1:]) if l1 > h0]
+    return [0.5 * (h0 + l1) for (_, h0), (l1, _) in zip(comps[:-1], comps[1:])]
 
 
 @dataclass(frozen=True)

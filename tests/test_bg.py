@@ -112,6 +112,15 @@ def test_symmetry_of_d_values():
         assert r.x_star_0 + r.x_star_1 == pytest.approx(2 * center, abs=1e-6)
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.25, 0.05, 0.01, 0.001])
+def test_two_point_sides_are_exact_mirror_images(delta):
+    # the right side is searched as the left side of the mirror image, and
+    # the mirrored log-sums of two atoms add the same two terms
+    r = compute_bg(MollifiedDensity(two_point(), delta))
+    assert r.D1 == r.D0
+    assert r.x_star_1 == -r.x_star_0
+
+
 # regression corpus: brute-force oracle (dense sup grid + cumulative
 # trapezoid quadrature) vs compute_bg, 1e-4 relative
 _CORPUS = [
@@ -152,10 +161,12 @@ def test_tail_limit_sanity_at_window_edges():
 
 
 def test_overflow_is_a_typed_error_naming_side_and_delta():
-    # log D0 is about 989 at delta = 5e-4, beyond exp's float range (709.78)
-    with pytest.raises(errors.NumericalOverflow,
-                       match=r"D0 = exp\(.*\) exceeds the float range at delta=0.0005"):
-        compute_bg(MollifiedDensity(two_point(), 5e-4))
+    # log D is about 989 at delta = 5e-4, beyond exp's float range (709.78);
+    # with 0.9 of the mass at -1 only D1 overflows
+    for m, name in ((two_point(), "D0"), (two_point(-1.0, 1.0, 0.9), "D1")):
+        with pytest.raises(errors.NumericalOverflow,
+                           match=name + r" = exp\(.*\) exceeds the float range at delta=0.0005"):
+            compute_bg(MollifiedDensity(m, 5e-4))
     assert issubclass(errors.NumericalOverflow, ArithmeticError)
     assert not issubclass(errors.NumericalOverflow, errors.ValidationError)
 

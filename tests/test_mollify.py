@@ -227,6 +227,23 @@ def test_score_finite_difference_probe_set():
         assert abs(score - fd) <= 1e-5 * max(1.0, abs(score))
 
 
+@pytest.mark.parametrize("m,xs", [
+    (point_mass(0.0), (-1e200, 1e200)),
+    (two_point(), (-1e200, 1e200)),
+    (uniform(0, 1), (-1e200, -1e16, 1e16, 1e200)),
+], ids=["point_mass", "two_point", "uniform"])
+def test_score_where_every_mass_underflows(m, xs):
+    # every log mass is -inf here, so the tilt sits on the nearest support
+    # point t and the score is (t - x) / delta; it was nan or +inf
+    d = MollifiedDensity(m, 1.0)
+    a, b = m.support_lo, m.support_hi
+    with np.errstate(all="ignore"):
+        for x in xs:
+            assert log_density_ratio_grad(d, x) == ((a if x < a else b) - x)
+        got = log_density_ratio_grad(d, np.array([-math.inf, math.inf, math.nan]))
+    assert got[0] == math.inf and got[1] == -math.inf and math.isnan(got[2])
+
+
 # ---------------------------------------------------------------------------
 # tail masses
 # ---------------------------------------------------------------------------
@@ -527,13 +544,15 @@ def guard_hex(name):
 
 # recorded from the kernel that sums its terms down contiguous columns with
 # one signed max-shift (numpy 2.4.6, scipy 1.17.1, x86-64); numpy's
-# vectorized log and exp may round differently on another CPU
+# vectorized log and exp may round differently on another CPU.  The score
+# row's entries at +-inf, and at +-1e16 on uniform and far_unit, come from
+# the nearest-support tilt where every mass underflows
 GUARD_HEX = {
     'atom_linear': (
         '-0x1.6afe1ead60c25p+0 -0x1.243413fdee705p+0 -0x1.008545b007084p+0 -0x1.45399c9fbd222p+2 -0x1.4541d08264f5dp+2 -0x1.90fab5591b706p+9 -0x1.3bbcf99508f31p+2 -0x1.3bc5f731f51d2p+2 -0x1.921c42daffb0bp+9 -0x1.3b8b5b5056e17p+106 -0x1.3b8b5b5056e16p+106 -inf -inf nan',
         '-0x1.5ac93850c15cep+0 -0x1.fdc064f2b4978p-1 -0x1.2254266fcbfe8p-2 -0x1.9ddc2345cf9c7p+2 -0x1.9de564bf11a0ap+2 -0x1.92ff5385831ccp+9 -0x1.b84cd02aed900p-10 -0x1.b8085dcf17600p-10 0x0.0p+0 -0x1.3b8b5b5056e17p+106 0x0.0p+0 -inf 0x0.0p+0 nan',
         '-0x1.31a031cef6146p-2 -0x1.d84f400a864e6p-2 -0x1.661c894c6e025p+0 -0x1.97d6185dd3400p-10 -0x1.979b158e03400p-10 0x0.0p+0 -0x1.98f64ae9612f5p+2 -0x1.99003c844ac38p+2 -0x1.9420f512a5f16p+9 0x0.0p+0 -0x1.3b8b5b5056e17p+106 0x0.0p+0 -inf nan',
-        '0x1.48f89e326458ep-1 0x1.5bc23a1680e3ep-1 -0x1.39370422c0df6p-1 0x1.c51ec4b182d2ep+1 0x1.c527facb904a1p+1 0x1.c48c6001f0ac0p+5 -0x1.f0a6f08ab46e5p+1 -0x1.f0afc5406ab0ep+1 -0x1.c4d364f6d6b97p+5 0x1.1c37937e08000p+54 -0x1.1c37937e08000p+54 nan nan nan',
+        '0x1.48f89e326458ep-1 0x1.5bc23a1680e3ep-1 -0x1.39370422c0df6p-1 0x1.c51ec4b182d2ep+1 0x1.c527facb904a1p+1 0x1.c48c6001f0ac0p+5 -0x1.f0a6f08ab46e5p+1 -0x1.f0afc5406ab0ep+1 -0x1.c4d364f6d6b97p+5 0x1.1c37937e08000p+54 -0x1.1c37937e08000p+54 inf -inf nan',
         '0x1.8000000000000p-5 0x1.8000000000000p-3 0x1.8000000000000p-1',
         '-0x1.0000000000000p+0 -0x1.0000000000000p+0 0x1.279a74590331cp-1 0x1.dca56432dd39bp-1',
     ),
@@ -541,7 +560,7 @@ GUARD_HEX = {
         '-0x1.07c5eec37d094p-2 -0x1.d538bf29e6db0p-1 -0x1.ad79f36f80e5cp-2 -0x1.5580447acb9a4p+2 -0x1.558989e765d93p+2 -0x1.92723e6e5fe2ep+9 -0x1.29b04fc3e4e56p+2 -0x1.29b9748143ea8p+2 -0x1.9207aaa0a83ebp+9 -0x1.8a6e32246c99cp+109 -0x1.8a6e32246c999p+109 -inf -inf nan',
         '-0x1.6161e643653a1p+0 -0x1.53595a047f8cap+1 -0x1.0ed2441c6b6d4p-3 -0x1.fddac66d060bbp+2 -0x1.fde4f23bdcc23p+2 -0x1.950a4ea3adf39p+9 -0x1.6c90c6b657510p-11 -0x1.6c577077051c0p-11 0x0.0p+0 -0x1.8a6e32246c99cp+109 0x0.0p+0 -inf 0x0.0p+0 nan',
         '-0x1.289b35cb28d62p-2 -0x1.2bc1a231aa598p-4 -0x1.0b5597d13652fp+1 -0x1.6bd00ba31afc0p-12 -0x1.6b963c20d2110p-12 0x0.0p+0 -0x1.d15f3c81a02dap+2 -0x1.d1694d3090e73p+2 -0x1.949fba8aade10p+9 0x0.0p+0 -0x1.8a6e32246c999p+109 0x0.0p+0 -inf nan',
-        '0x1.2187dd3749868p+0 0x1.d6936b8a7786ap+1 -0x1.8a434a53b77e8p+1 0x1.94e3b57284fdcp+3 0x1.94ea5db395ca7p+3 0x1.65feb6e5dc22cp+7 -0x1.8f50361de20c7p+3 -0x1.8f56fd731e40ap+3 -0x1.65fde3d32b0cdp+7 0x1.6345785d8a000p+57 -0x1.6345785d8a000p+57 nan nan nan',
+        '0x1.2187dd3749868p+0 0x1.d6936b8a7786ap+1 -0x1.8a434a53b77e8p+1 0x1.94e3b57284fdcp+3 0x1.94ea5db395ca7p+3 0x1.65feb6e5dc22cp+7 -0x1.8f50361de20c7p+3 -0x1.8f56fd731e40ap+3 -0x1.65fde3d32b0cdp+7 0x1.6345785d8a000p+57 -0x1.6345785d8a000p+57 inf -inf nan',
         '0x1.9400000000000p-3 0x1.a000000000000p-2 0x1.0000000000000p+0',
         '0x1.42105aefde112p-1 0x1.a10fa2838e303p-1 0x1.1a77e1ad2cbe8p+0 0x1.707a6dad84d4dp+0',
     ),
@@ -549,7 +568,7 @@ GUARD_HEX = {
         '-0x1.a27fd1590ece6p-3 -0x1.63b1873e58236p-1 -0x1.63b1873e58236p-1 -0x1.45351eb628aeap+2 -0x1.453e5ef7dee55p+2 -0x1.924de172326b8p+9 -0x1.45351eb628aeap+2 -0x1.453e5ef7dee55p+2 -0x1.924de172326b8p+9 -inf -inf -inf -inf nan',
         '-0x1.1dbc443d2059cp+0 -0x1.090ed38a516edp+1 -0x1.1406005a22f70p-3 -0x1.d743fe25c7c17p+2 -0x1.d74e25b2a246ep+2 -0x1.94b9950f6d302p+9 -0x1.4c7ba1d7e78a8p-11 -0x1.4c46e0f73f590p-11 0x0.0p+0 -0x1.8a6e32a8c5eb4p+108 0x0.0p+0 -inf 0x0.0p+0 nan',
         '-0x1.9654ebe2ee106p-2 -0x1.1406005a22f70p-3 -0x1.090ed38a516edp+1 -0x1.4c7ba1d7e78a8p-11 -0x1.4c46e0f73f590p-11 0x0.0p+0 -0x1.d743fe25c7c17p+2 -0x1.d74e25b2a246ep+2 -0x1.94b9950f6d302p+9 0x0.0p+0 -0x1.8a6e31a013487p+108 0x0.0p+0 -inf nan',
-        '0x1.b4dbcd0000000p-1 0x1.4149b14000000p+1 -0x1.4149ab0000000p+1 0x1.1da1d8d000000p+3 0x1.1da688d000000p+3 0x1.fa47d6fe00000p+6 -0x1.1da1cfc000000p+3 -0x1.1da6874000000p+3 -0x1.fa47c15a00000p+6 nan inf nan nan nan',
+        '0x1.b4dbcd0000000p-1 0x1.4149b14000000p+1 -0x1.4149ab0000000p+1 0x1.1da1d8d000000p+3 0x1.1da688d000000p+3 0x1.fa47d6fe00000p+6 -0x1.1da1cfc000000p+3 -0x1.1da6874000000p+3 -0x1.fa47c15a00000p+6 0x1.6345789924ca0p+56 -0x1.63457821ef360p+56 inf -inf nan',
         '0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.0000000000000p+0',
         '0x1.7d78400666667p+26 0x1.7d78401000000p+26 0x1.7d78402000000p+26 0x1.7d7840399999ap+26',
     ),
@@ -557,7 +576,7 @@ GUARD_HEX = {
         '-0x1.2af283cd112ddp+0 -0x1.634adb99ec47dp+0 -0x1.62e42ff0badb8p+0 -0x1.62e42ff0badb6p+0 -0x1.634adb99ec47dp+0 -0x1.7191a4cef6c6ep+2 -0x1.719ae4b20457ap+2 -0x1.92a69a798733cp+9 -0x1.7191a4cef6c6fp+2 -0x1.719ae4b20457cp+2 -0x1.92a69a798733cp+9 -0x1.8a6e32246c99fp+108 -0x1.8a6e32246c997p+108 -inf -inf nan',
         '-0x1.c9dd79dbffbfdp-1 -0x1.61c7df8ec7239p+1 -0x1.a7db96b9e21dbp-1 -0x1.261f1dea424afp-1 -0x1.0abae594e5ba8p-4 -0x1.01d042209a98ep+3 -0x1.01d555b3143b2p+3 -0x1.95124e16c13a6p+9 -0x1.4c6e22b792800p-12 -0x1.4c39683a58000p-12 0x0.0p+0 -0x1.8a6e32246c99cp+108 0x0.0p+0 -inf 0x0.0p+0 nan',
         '-0x1.0d33420827d29p-1 -0x1.0abae594e5ba0p-4 -0x1.261f1dea424afp-1 -0x1.a7db96b9e21dbp-1 -0x1.61c7df8ec7239p+1 -0x1.4c6e22b793000p-12 -0x1.4c39683a57800p-12 0x0.0p+0 -0x1.01d042209a98dp+3 -0x1.01d555b3143b4p+3 -0x1.95124e16c13a6p+9 0x0.0p+0 -0x1.8a6e32246c997p+108 0x0.0p+0 -inf nan',
-        '-0x1.e38a301ecc2b4p+0 0x1.4149ae315ff40p+1 -0x1.3e9bd8bc2d620p+1 0x1.3e9bd8bc2d634p+1 -0x1.4149ae315ff3ap+1 0x1.1da1d1a3a4872p+3 0x1.1da689ff806c7p+3 0x1.fa47bf137266ep+6 -0x1.1da1d1a3a4878p+3 -0x1.1da689ff806c3p+3 -0x1.fa47bf13726ebp+6 0x1.6345785d8a000p+56 -0x1.6345785d8a000p+56 nan nan nan',
+        '-0x1.e38a301ecc2b4p+0 0x1.4149ae315ff40p+1 -0x1.3e9bd8bc2d620p+1 0x1.3e9bd8bc2d634p+1 -0x1.4149ae315ff3ap+1 0x1.1da1d1a3a4872p+3 0x1.1da689ff806c7p+3 0x1.fa47bf137266ep+6 -0x1.1da1d1a3a4878p+3 -0x1.1da689ff806c3p+3 -0x1.fa47bf13726ebp+6 0x1.6345785d8a000p+56 -0x1.6345785d8a000p+56 inf -inf nan',
         '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
         '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
         '0x1.999999999999ap-3 0x1.0000000000000p-1 0x1.0000000000000p+0 0x1.6666666666667p+1',
@@ -566,7 +585,7 @@ GUARD_HEX = {
         '-0x1.f4e46670ab064p-1 -0x1.132a2d6d93370p+0 -0x1.132a2d6d93370p+0 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -0x1.47a6bc8c60cd6p+2 -0x1.47afde1e7af10p+2 -0x1.924de16d8b4aep+9 -inf -inf -inf -inf nan',
         '-0x1.b7732929cb28dp-1 -0x1.2737c55349e1ep+0 -0x1.845a9ce171068p-2 -0x1.8f7a733373e16p+2 -0x1.8f84842c3ed7bp+2 -0x1.9426377ce7a6dp+9 -0x1.feb22a1238f88p-10 -0x1.fe61c91855b60p-10 0x0.0p+0 -0x1.3b8b5b5056e18p+105 0x0.0p+0 -inf 0x0.0p+0 nan',
         '-0x1.1a56ad5b4fbfcp-1 -0x1.845a9ce171068p-2 -0x1.2737c55349e1ep+0 -0x1.feb22a1238f88p-10 -0x1.fe61c91855b60p-10 0x0.0p+0 -0x1.8f7a733373e16p+2 -0x1.8f84842c3ed7bp+2 -0x1.9426377ce7a6dp+9 0x0.0p+0 -0x1.3b8b5b5056e18p+105 0x0.0p+0 -inf nan',
-        '0x1.789c80464f9bcp-3 0x1.d6e61fcdcdad1p-2 -0x1.d6e61fcdcdad6p-2 0x1.64ac42af20461p+1 0x1.64b2738b2b5f6p+1 0x1.403322ddf1646p+5 -0x1.64ac42af20460p+1 -0x1.64b2738b2b5f8p+1 -0x1.403322ddf1646p+5 nan inf nan nan nan',
+        '0x1.789c80464f9bcp-3 0x1.d6e61fcdcdad1p-2 -0x1.d6e61fcdcdad6p-2 0x1.64ac42af20461p+1 0x1.64b2738b2b5f6p+1 0x1.403322ddf1646p+5 -0x1.64ac42af20460p+1 -0x1.64b2738b2b5f8p+1 -0x1.403322ddf1646p+5 0x1.1c37937e08000p+53 -0x1.1c37937e08000p+53 inf -inf nan',
         '0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.0000000000000p+0',
         '0x1.999999999999ap-4 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.ccccccccccccdp-1',
     ),
