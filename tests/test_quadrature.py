@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -122,16 +123,71 @@ def test_empty_and_zero_cells_are_minus_inf():
 
 def test_one_call_per_level_per_chunk():
     sizes = []
+    n = 2 * quadrature._CHUNK_CELLS
+    edges = np.linspace(-1.0, 1.0, n + 1)
+    kink = 0.5 * (edges[100] + edges[101])
 
     def log_f(t):
         sizes.append(np.size(t))
         return -0.5 * np.asarray(t) ** 2
 
-    n = 2 * quadrature._CHUNK_CELLS
-    log_cell_integrals(log_f, np.linspace(-1.0, 1.0, n + 1))
-    # a smooth integrand on narrow cells converges at the first bisection:
-    # per chunk, one call for the whole panels and one for their halves
-    assert sizes == [15 * quadrature._CHUNK_CELLS, 30 * quadrature._CHUNK_CELLS] * 2
+    log_cell_integrals(log_f, edges)
+    # a smooth integrand on narrow cells passes the K15/G7 check at once:
+    # per chunk, one call for the Kronrod nodes of every cell
+    assert sizes == [15 * quadrature._CHUNK_CELLS] * 2
+
+    # a kink at the midpoint of cell 100 fails the check on that cell alone;
+    # its two halves are smooth, so it costs one more call of 30 nodes
+    sizes.clear()
+    log_cell_integrals(lambda t: log_f(t) - 10.0 * np.abs(np.asarray(t) - kink), edges)
+    assert sizes == [15 * quadrature._CHUNK_CELLS, 30, 15 * quadrature._CHUNK_CELLS]
+
+
+@pytest.mark.parametrize("k", range(26))
+def test_kronrod_and_gauss_tables_integrate_monomials(k):
+    # K15 is exact up to degree 22 and G7 up to degree 13; beyond that only
+    # the odd powers, by symmetry
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    kronrod, gauss = quadrature._k15_g7(quadrature._K15_NODES ** k)
+    assert (abs(kronrod - exact) <= 1e-15) == (k <= 22 or k % 2 == 1)
+    assert (abs(gauss - exact) <= 1e-15) == (k <= 13 or k % 2 == 1)
+
+
+def test_gauss_nodes_are_the_odd_kronrod_nodes():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(quadrature._K15_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(quadrature._G7_WEIGHTS, weights, rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(quadrature._K15_NODES) > 0.0)
+    assert quadrature._K15_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+    assert quadrature._G7_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+def _mp_log_reciprocal_two_point(delta, lo, hi, breaks):
+    # log of the integral of 1/p for the two-point measure at +-1, to 40 digits
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+        half_c = 0.5 / mpmath.sqrt(2 * mpmath.pi * d)
+        f = lambda t: 1 / (half_c * (mpmath.exp(-(t - 1) ** 2 / (2 * d))
+                                     + mpmath.exp(-(t + 1) ** 2 / (2 * d))))
+        return mpmath.log(mpmath.quad(f, sorted({lo, hi, *breaks})))
+
+
+@pytest.mark.parametrize("delta, lo, hi, seeds", [
+    (0.05, -1.0, 1.0, [0.0]),     # across the gap, where 1/p peaks at 0
+    (0.01, -1.0, 1.0, [0.0]),
+    (1.0, -100.0, 0.0, None),     # far out to the median, log 1/p near 4900
+])
+def test_reciprocal_integrals_meet_their_tolerance(delta, lo, hi, seeds):
+    rel_tol = 1e-10
+    if seeds:
+        breaks = [s * k * delta for k in (0.25, 0.5, 1, 2, 4, 8, 16, 32) if k * delta < 1
+                  for s in (-1, 1)] + [0.0]
+    else:
+        breaks = [lo + s for s in (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)]
+    want = _mp_log_reciprocal_two_point(delta, lo, hi, breaks)
+    got = log_adaptive_quad(lambda t: neg_log_two_point(t, delta), lo, hi,
+                            rel_tol=rel_tol, seed_points=seeds)
+    assert abs(got - float(want)) <= rel_tol
 
 
 def test_unresolvable_integrand_stops_at_float_spacing():
