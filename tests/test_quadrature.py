@@ -179,6 +179,8 @@ def _mp_log_reciprocal_two_point(delta, lo, hi, breaks):
 ])
 def test_reciprocal_integrals_meet_their_tolerance(delta, lo, hi, seeds):
     rel_tol = 1e-10
+    # mpmath's partition clusters where 1/p has its mass: around the peak
+    # at 0 across the gap, and near the lower end far out
     if seeds:
         breaks = [s * k * delta for k in (0.25, 0.5, 1, 2, 4, 8, 16, 32) if k * delta < 1
                   for s in (-1, 1)] + [0.0]
