@@ -16,22 +16,19 @@ of width (b - a) + 30 sqrt(delta)) followed by a batched zoom on the
 best local maxima, compared against the tail value at the window edge.
 Both sides are searched left of the median, the right side as the left
 side of the mirror image (in u = -x), and among near-ties the point
-farthest from the median wins.  The integrals of 1/p over the 2048 scan
-cells of a side are one batched composite quadrature
-(``quadrature.log_cell_integrals``: every refinement level of a chunk of
-cells is one vectorized log p call), and the integral from each grid
-point to the median is their running ``np.logaddexp.accumulate``.  Each
-zoom level evaluates the integrand at 64 equally spaced points of its
-bracket with one vectorized tail mass and one batched quadrature over
-the cells cut by those points and the scan edges between them, joined to
-the scan's running integral; the next bracket is the best point and its
-two neighbours.  The zoom stops at the search tolerance or at 4 ulps of
-|x|, whichever is wider, and after a fixed number of levels in any case.
-A measure far from the origin is scanned as its translate next to the
-origin, so translation changes nothing but the reported positions.  Log
-densities and tail masses are the closed forms of ``mollify``,
-vectorized over the grid; the cells' tolerance is the report's
-``quadrature_tol``.
+farthest from the median wins.  Every integral of 1/p comes from
+``mollify.reciprocal_integral``, which holds the tolerance (the report's
+``quadrature_tol``), the cuts and the mirror: one batched call gives the
+integrals from a side's 2048 scan points to the median.  Each zoom level
+evaluates the integrand at 64 equally spaced points of its bracket with
+one vectorized tail mass and one batched call up to the nearest scan
+edge toward the median, joined to the scan's integral from that edge;
+the next bracket is the best point and its two neighbours.  The zoom
+stops at the search tolerance or at 4 ulps of |x|, whichever is wider,
+and after a fixed number of levels in any case.  A measure far from the
+origin is scanned as its translate next to the origin, so translation
+changes nothing but the reported positions.  Log densities and tail
+masses are the closed forms of ``mollify``, vectorized over the grid.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -49,25 +46,23 @@ from scipy.special import log_ndtr
 from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationError, WrongSide
 from .measure import Measure1D, support_components, translate
 from .mollify import (
+    RECIPROCAL_TOL,
     MollifiedDensity,
     _check_side,
     half_crossing,
     log_density,
     median,
     reciprocal_integral,
-    support_gap_midpoints,
     tail_mass,
 )
-from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_cell_integrals
+from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
 
 _SCAN_POINTS = 2048
 _REFINE_CANDIDATES = 5
 _SEARCH_TOL = 1e-10
 _REFINE_MAX_ITERS = 200
-# points per zoom level, evaluated with one tail_mass and one log_cell_integrals call
+# points per zoom level, evaluated with one tail_mass and one reciprocal_integral call
 _ZOOM_POINTS = 64
-# tolerance (in log) of the scan cells' integrals of 1/p, which governs the bracket
-_CELL_TOL = 1e-10
 
 
 def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -96,12 +91,6 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return best_x, best_v
 
 
-def _to_median(cells: np.ndarray) -> np.ndarray:
-    """log integral of 1/p from each cut to the last, given the cells' log
-    integrals: one value per cut."""
-    return np.append(np.logaddexp.accumulate(cells[::-1])[::-1], NEG_INF)
-
-
 @dataclass(frozen=True)
 class BGReport:
     """Bracket on the log-Sobolev constant of one mollified measure."""
@@ -125,9 +114,10 @@ class BGReport:
 def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     """log of F log(1/F) * (reciprocal integral to the median), one side.
 
-    ``side='left'`` needs x < m and uses F; ``'right'`` needs x > m and
-    uses 1 - F.  Always finite on the valid side: the tail is below 1/2
-    there, so log(1/tail) > 0.
+    The search's integrand at one point, the reference the batched search
+    is checked against.  ``side='left'`` needs x < m and uses F;
+    ``'right'`` needs x > m and uses 1 - F.  Always finite on the valid
+    side: the tail is below 1/2 there, so log(1/tail) > 0.
     """
     _check_side(side)
     if side == "left" and not x < m:
@@ -146,14 +136,10 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
     Both sides are searched left of the median in u = s x, s = 1 on the
     left and -1 on the right: the right side is the left side of the
     mirror image, so a measure symmetric about 0 gets D1 == D0.  Among
-    near-ties the point farthest from the median wins.
+    near-ties the point farthest from the median wins.  Raises
+    ``NumericalOverflow`` unless the sup is a positive finite number.
     """
     s = 1.0 if side == "left" else -1.0
-    gap_mids = [s * g for g in support_gap_midpoints(d.base)]
-    neg_log_p = lambda u: -log_density(d, s * u)
-
-    def log_integrals(edges) -> np.ndarray:
-        return log_cell_integrals(neg_log_p, edges, rel_tol=_CELL_TOL, seed_points=gap_mids)
 
     def integrand(pts: np.ndarray, to_median: np.ndarray) -> np.ndarray:
         tails = tail_mass(d, s * pts, side)
@@ -164,7 +150,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
     m_u = s * m
     edges = np.linspace(m_u - window, m_u, _SCAN_POINTS + 1)
     us = edges[:-1]
-    at_edge = _to_median(log_integrals(edges))
+    at_edge = reciprocal_integral(d, s * edges, m)
     v = integrand(us, at_edge[:-1])
     v = np.where(np.isfinite(v), v, NEG_INF)
 
@@ -180,9 +166,8 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         # nearest edge on the median's side, whose integral the scan has
         j = int(np.searchsorted(edges, pts[-1]))
         between = edges[np.searchsorted(edges, pts[0]):j + 1]
-        cuts = np.unique(np.concatenate([pts, between]))
-        rec = np.logaddexp(_to_median(log_integrals(cuts)), at_edge[j])
-        return integrand(pts, rec[np.searchsorted(cuts, pts)])
+        rec = reciprocal_integral(d, s * np.concatenate([pts, between]), s * edges[j])
+        return integrand(pts, np.logaddexp(rec[:len(pts)], at_edge[j]))
 
     best: list[tuple[float, float]] = []
     for idx in cand:
@@ -201,17 +186,20 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         interior_val, interior_u = min(((val, u) for val, u in best if val >= top - 1e-12),
                                        key=lambda vu: vu[1])
 
+    name = "D0" if side == "left" else "D1"
     edge = us[0]
-    d_tail = (d.delta / (edge - m_u)) ** 2 * (-log_density(d, s * edge))
+    d_tail = float((d.delta / (edge - m_u)) ** 2 * (-log_density(d, s * edge)))
     try:
         interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
     except OverflowError:
-        name = "D0" if side == "left" else "D1"
         raise NumericalOverflow(f"{name} = exp({interior_val!r}) exceeds the float range"
                                 f" at delta={d.delta!r}") from None
-    if d_tail > interior_D:
-        return d_tail, float(s * edge), True
-    return interior_D, float(s * interior_u), False
+    from_tail = d_tail > interior_D
+    D, u = (d_tail, edge) if from_tail else (interior_D, interior_u)
+    if not 0.0 < D < math.inf:
+        raise NumericalOverflow(f"{name} = {D!r} is not a positive finite number at delta="
+                                f"{d.delta!r}: log p leaves the float range in the window")
+    return D, float(s * u), from_tail
 
 
 def _origin_shift(a: float, b: float, window: float) -> float:
@@ -260,7 +248,7 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         c_upper=468.0 * total,
         tail_limit_estimate=d.delta / 2.0,
         search_window=(m - window + shift, m + window + shift),
-        quadrature_tol=_CELL_TOL,
+        quadrature_tol=RECIPROCAL_TOL,
         search_tol=_SEARCH_TOL,
         median=m + shift,
         d0_from_tail=tail0,

@@ -8,7 +8,9 @@ variance delta, the mollified density is
 Everything here is carried in log space: by x ~ a - 40 sqrt(delta) the
 reciprocal 1/p already exceeds exp((x-a)^2 / 2 delta) and double
 precision is long gone.  ``log_density``, ``tail_mass`` and
-``log_density_ratio_grad`` take a scalar or an array of points.
+``log_density_ratio_grad`` take a scalar or an array of points, and so
+does ``reciprocal_integral``, the one routine for integrals of 1/p: the
+bracket's scan and zoom and the third tail quotient all call it.
 
 Atoms contribute closed-form Gaussian densities and CDFs.  A polynomial
 piece, split at c = clip(x, lo, hi) and integrated by parts, is a sum
@@ -46,9 +48,9 @@ from typing import Callable, Literal
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError
+from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError, WrongSide
 from .measure import MAX_POLY_DEGREE, LocalPoly, Measure1D, support_components
-from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
+from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_cell_integrals
 
 Side = Literal["left", "right"]
 
@@ -57,6 +59,8 @@ _BLOCK = 4096  # points per kernel evaluation, which bounds the temporaries
 _FORWARD_MAX_Z = 2.5
 _BACKWARD_STEPS = 50
 _WIDE_KERNEL = 4.0  # the rule takes kernels whose boundary layer exceeds width / 4
+# tolerance (in log) of every integral of 1/p, which governs the bracket
+RECIPROCAL_TOL = 1e-10
 
 
 def _check_side(side: str) -> str:
@@ -316,33 +320,41 @@ def median(d: MollifiedDensity) -> float:
                          a - 20.0 * d.sigma, b + 20.0 * d.sigma)
 
 
-def reciprocal_integral(d: MollifiedDensity, x: float, m: float) -> float:
-    """log of the integral of 1/p between x and m (order-insensitive).
+def reciprocal_integral(d: MollifiedDensity, x, m: float) -> float | np.ndarray:
+    """log of the integral of 1/p from x to m, for a scalar x or at each point
+    of an array x on one side of m (-inf where x == m).
 
-    Computed by adaptive panels in log space with each panel maximum
-    factored out: 1/p grows like exp((x - a)^2 / 2 delta), far beyond
-    double range.  Returns -inf for the empty interval x == m.
+    A scalar is one interval.  An array is one batched ``log_cell_integrals``
+    over the cells between its sorted points and m, summed toward m.  Points
+    right of m are integrated as the left side of the mirror image, in
+    u = -x, so a measure symmetric about 0 gets the same bits on both sides.
+    1/p grows like exp((x - a)^2 / 2 delta), far beyond double range, so the
+    panels run in log space with each panel maximum factored out.
     """
-    x, m = float(x), float(m)
-    if x == m:
-        return NEG_INF
-    lo, hi = (x, m) if x < m else (m, x)
-
-    def neg_log_p(t):
-        return -log_density(d, t)
-
-    # 1/p peaks at the interval ends away from the support and at interior
-    # support gaps; seed all of them.
+    m = float(m)
+    xs = np.asarray(x, dtype=float)
+    s = -1.0 if (xs > m).any() else 1.0
+    if s < 0.0 and (xs < m).any():
+        raise WrongSide(f"points on both sides of the median m={m}")
+    us, m_u = s * xs, s * m
+    lo = float(us.min())
+    # cut at the gap midpoints (peaks of 1/p), and from each end outside the
+    # support geometrically away from it, over 1/p's boundary layer there
     a, b = d.support()
-    seeds: list[float] = []
-    for end in (lo, hi):
-        ref = min(max(end, a), b)
-        layer = d.delta / (abs(end - ref) + d.sigma)
-        seeds.extend(geometric_seeds(end, layer, lo, hi))
-    for gap_mid in support_gap_midpoints(d.base):
-        if lo < gap_mid < hi:
-            seeds.extend(geometric_seeds(gap_mid, max(d.delta, 1e-12), lo, hi))
-    return log_adaptive_quad(neg_log_p, lo, hi, rel_tol=1e-9, seed_points=seeds)
+    cuts = [s * g for g in support_gap_midpoints(d.base)]
+    for end in (lo, m_u):
+        distance = max(a - s * end, s * end - b)
+        if distance > 0.0:
+            cuts += geometric_seeds(end, d.delta / (distance + d.sigma), lo, m_u)
+    neg_log_p = lambda u: -log_density(d, s * u)
+    if xs.ndim == 0:
+        return log_adaptive_quad(neg_log_p, lo, m_u, RECIPROCAL_TOL, cuts) if lo < m_u else NEG_INF
+    # the cell from each sorted point to the next (the last to m), summed toward m
+    order = np.argsort(us, kind="stable")
+    cells = log_cell_integrals(neg_log_p, np.append(us[order], m_u), RECIPROCAL_TOL, cuts)
+    out = np.empty_like(us)
+    out[order] = np.logaddexp.accumulate(cells[::-1])[::-1]
+    return out
 
 
 def support_gap_midpoints(base: Measure1D) -> list[float]:

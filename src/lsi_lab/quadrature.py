@@ -13,9 +13,11 @@ There is one log-space engine, ``log_cell_integrals``: it computes
 ``log(integral of exp(log_f))`` over many cells at once, with each
 panel's maximum factored out before exponentiating, so integrands whose
 logarithm spans thousands of units (reciprocal mollified densities grow
-like exp((x-a)^2 / 2 delta)) never overflow.  ``log_adaptive_quad`` is
-its one-cell case.  ``adaptive_quad`` integrates signed integrands in
-linear space with the same panel rule.
+like exp((x-a)^2 / 2 delta)) never overflow.  Each refinement level is
+one ``log_f`` call over the live panels of every cell; the integrand
+bounds its own temporaries (``mollify`` evaluates in fixed blocks).
+``log_adaptive_quad`` is its one-cell case.  ``adaptive_quad``
+integrates signed integrands in linear space with the same panel rule.
 """
 from __future__ import annotations
 
@@ -51,8 +53,6 @@ NEG_INF = float("-inf")
 _FLOOR_GAP = 46.0
 # bisections after which a panel is accepted as it stands
 _MAX_DEPTH = 60
-# cells per batch in log_cell_integrals
-_CHUNK_CELLS = 256
 # relative agreement at which adaptive_quad accepts a panel
 _LINEAR_REL_TOL = 1e-12
 
@@ -130,11 +130,31 @@ def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     return np.where(live, kronrod, NEG_INF), np.where(live, gauss, NEG_INF)
 
 
-def _log_cells_chunk(log_f, edges: np.ndarray, seeds: np.ndarray,
-                     rel_tol: float) -> np.ndarray:
+def log_cell_integrals(
+    log_f: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
+    rel_tol: float = 1e-10,
+    seed_points: Sequence[float] | None = None,
+) -> np.ndarray:
+    """``log(integral of exp(log_f))`` over every cell ``[edges[i], edges[i+1]]``.
+
+    All live panels of a refinement level, over every cell, are evaluated
+    with one ``log_f`` call at their Kronrod nodes.  A panel is accepted
+    with its K15 value when its K15 and G7 estimates agree to ``rel_tol``
+    (in log), and otherwise bisected, at most ``_MAX_DEPTH`` times; a panel
+    more than ``_FLOOR_GAP`` below the largest of its cell is accepted as it
+    stands.  Cells containing a ``seed_point`` are split there first.  A
+    panel whose width is within a few ulps of its midpoint is accepted as it
+    stands, so the work stays bounded far from the origin, where float
+    spacing limits what bisection can resolve.  ``edges`` must be
+    nondecreasing; an empty cell gives ``-inf``, and a cell with a node
+    where ``log_f`` is ``+inf`` gives ``+inf``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    seeds = np.asarray(seed_points if seed_points is not None else [], dtype=float)
     n = len(edges) - 1
     cuts = np.unique(np.concatenate([edges, seeds[(seeds > edges[0]) & (seeds < edges[-1])]]))
-    if cuts.size == 1:  # every cell of the chunk is empty
+    if cuts.size == 1:  # every cell is empty
         return np.full(n, NEG_INF)
     a, b = cuts[:-1], cuts[1:]
     cell = np.minimum(np.searchsorted(edges, a, side="right") - 1, n - 1)
@@ -169,37 +189,6 @@ def _log_cells_chunk(log_f, edges: np.ndarray, seeds: np.ndarray,
         total = shift + np.log(np.bincount(cells, weights=np.exp(vals - shift[cells]),
                                            minlength=n))
     return np.where(finite, total, top)
-
-
-def log_cell_integrals(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
-    rel_tol: float = 1e-10,
-    seed_points: Sequence[float] | None = None,
-) -> np.ndarray:
-    """``log(integral of exp(log_f))`` over every cell ``[edges[i], edges[i+1]]``.
-
-    All live panels of a refinement level are evaluated with one
-    ``log_f`` call at their Kronrod nodes.  A panel is accepted with its
-    K15 value when its K15 and G7 estimates agree to ``rel_tol`` (in log),
-    and otherwise bisected, at most ``_MAX_DEPTH`` times; a panel more than
-    ``_FLOOR_GAP`` below the largest of its cell is accepted as it stands.
-    Cells containing a ``seed_point`` are split there first.  A panel whose
-    width is within a few ulps of its midpoint is accepted as it stands, so
-    the work stays bounded far from the origin, where float spacing limits
-    what bisection can resolve.
-    Cells are processed ``_CHUNK_CELLS`` at a time, which keeps peak
-    memory flat.  ``edges`` must be nondecreasing; an empty cell gives
-    ``-inf``, and a cell with a node where ``log_f`` is ``+inf`` gives ``+inf``.
-    """
-    edges = np.asarray(edges, dtype=float)
-    seeds = np.asarray(seed_points if seed_points is not None else [], dtype=float)
-    n = len(edges) - 1
-    out = np.empty(max(n, 0))
-    for start in range(0, n, _CHUNK_CELLS):
-        stop = min(start + _CHUNK_CELLS, n)
-        out[start:stop] = _log_cells_chunk(log_f, edges[start:stop + 1], seeds, rel_tol)
-    return out
 
 
 def geometric_seeds(center: float, scale: float, lo: float, hi: float) -> list[float]:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from lsi_lab import bg, errors, measure
+from lsi_lab import bg, errors, measure, mollify
 from lsi_lab.bg import (
     bg_integrand,
     blowup_scan,
@@ -179,6 +179,11 @@ def test_c_upper_overflow_is_a_typed_error():
         compute_bg(MollifiedDensity(two_point(), 7e-4))
 
 
+def test_quadrature_tol_is_the_reciprocal_integral_tolerance():
+    r = compute_bg(MollifiedDensity(two_point(), 1.0))
+    assert r.quadrature_tol == mollify.RECIPROCAL_TOL == 1e-10
+
+
 def test_huge_delta_keeps_the_d0_over_delta_limit():
     # delta^2 alone overflows above about 1.3e154; D0 / delta does not move
     want = compute_bg(MollifiedDensity(two_point(), 1e20)).D0 / 1e20
@@ -258,7 +263,7 @@ def test_zoom_matches_dense_integrand_scan(name, m, delta):
 def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
     # per side: one call for the scan, one per zoom level of each refined
     # candidate; one scalar call per refinement step would be some 80
-    counts = {"tail_mass": 0, "log_cell_integrals": 0}
+    counts = {"tail_mass": 0, "reciprocal_integral": 0}
 
     def counted(name):
         inner = getattr(bg, name)
@@ -272,7 +277,7 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
         monkeypatch.setattr(bg, name, counted(name))
     compute_bg(MollifiedDensity(m, delta))
     assert 2 <= counts["tail_mass"] <= 30
-    assert 2 <= counts["log_cell_integrals"] <= 30
+    assert 2 <= counts["reciprocal_integral"] <= 30
 
 
 # the bracket-pieces benchmark measures: uniform at delta 1, and an atom

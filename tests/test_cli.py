@@ -140,6 +140,20 @@ def test_estimate_c_upper_overflow_exit_2(two_point_file, tmp_path, capsys):
     assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
+@pytest.mark.parametrize("at,delta,value", [
+    (1.0, "1e-310", "0.0"), (1e300, "1", "0.0"), (1e160, "1", "inf")])
+def test_estimate_zero_or_infinite_bracket_exit_2(tmp_path, capsys, at, delta, value):
+    # log p leaves the float range across the search window, so D0 is not a
+    # positive finite number: a typed error naming it as a float, not a bracket
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"atoms": [{"x": -at, "w": 0.5}, {"x": at, "w": 0.5}]}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert_input_error(["estimate", "--measure", str(path), "--delta", delta], out_dir, capsys,
+                       f"error: D0 = {value} is not a positive finite number"
+                       f" at delta={float(delta)!r}")
+
+
 def test_estimate_byte_stable(two_point_file, capsys):
     _, out1, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)
     _, out2, _ = run_cli(["estimate", "--measure", two_point_file, "--delta", "0.5"], capsys)

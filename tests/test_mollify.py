@@ -21,6 +21,7 @@ from lsi_lab.mollify import (
 from oracles import MollifiedOracle, log_trapezoid
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+NEG_INF = float("-inf")
 
 
 def mixed_measure():
@@ -366,6 +367,42 @@ def test_reciprocal_order_insensitive():
     d = MollifiedDensity(two_point(), 0.5)
     assert reciprocal_integral(d, -2.0, 0.0) == pytest.approx(
         reciprocal_integral(d, 0.0, -2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec,delta", [
+    ({"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}, 0.05),
+    ({"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.5]},
+                 {"lo": 2.0, "hi": 3.0, "coeffs": [0.5]}]}, 0.1),
+    ({"atoms": [{"x": -1.0, "w": 0.25}],
+      "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}, 0.5),
+], ids=["two_point", "two_uniforms", "atom_degree1"])
+def test_reciprocal_array_matches_scalar_calls(spec, delta):
+    # one batched call over the cells between the points equals one interval
+    # per point, on either side of the median
+    d = MollifiedDensity(build_measure(spec), delta)
+    m = median(d)
+    a, b = d.support()
+    for xs in (np.linspace(a - 2.0, m, 41)[:-1], np.linspace(b + 2.0, m, 41)[:-1]):
+        got = reciprocal_integral(d, xs, m)
+        want = [reciprocal_integral(d, x, m) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert reciprocal_integral(d, np.array([m, a - 1.0, m]), m)[[0, 2]].tolist() == [NEG_INF] * 2
+
+
+def test_reciprocal_is_mirror_exact_on_two_point():
+    # the right side is integrated as the left side of the mirror image
+    d = MollifiedDensity(two_point(), 0.5)
+    xs = np.linspace(-4.0, 0.0, 101)[:-1]
+    np.testing.assert_array_equal(reciprocal_integral(d, xs, 0.0),
+                                  reciprocal_integral(d, -xs, 0.0))
+    for x in xs[::10]:
+        assert reciprocal_integral(d, x, 0.0) == reciprocal_integral(d, -x, 0.0)
+
+
+def test_reciprocal_points_on_both_sides_are_rejected():
+    d = MollifiedDensity(two_point(), 0.5)
+    with pytest.raises(errors.WrongSide):
+        reciprocal_integral(d, np.array([-1.0, 1.0]), 0.0)
 
 
 def test_reciprocal_huge_dynamic_range():

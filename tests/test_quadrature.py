@@ -112,18 +112,18 @@ def test_empty_and_zero_cells_are_minus_inf():
                              [0.0, 0.5, 0.5, 2.0])
     assert out[0] == NEG_INF and out[1] == NEG_INF
     assert out[2] == pytest.approx(0.0, abs=1e-12)    # log of the length 1 of [1, 2]
-    # a chunk whose cells are all empty: the whole call, and the trailing chunk
+    # a call whose cells are all empty, and an empty cell trailing live ones
     log_phi = lambda t: -0.5 * np.asarray(t) ** 2
     assert log_cell_integrals(log_phi, [1.0, 1.0])[0] == NEG_INF
     assert log_adaptive_quad(log_phi, 1.0, 1.0) == NEG_INF
-    tail = log_cell_integrals(log_phi, np.r_[np.linspace(0.0, 1.0, quadrature._CHUNK_CELLS + 1), 1.0])
-    assert tail.size == quadrature._CHUNK_CELLS + 1
+    tail = log_cell_integrals(log_phi, np.r_[np.linspace(0.0, 1.0, 257), 1.0])
+    assert tail.size == 257
     assert tail[-1] == NEG_INF and np.all(np.isfinite(tail[:-1]))
 
 
-def test_one_call_per_level_per_chunk():
+def test_one_call_per_level_over_all_cells():
     sizes = []
-    n = 2 * quadrature._CHUNK_CELLS
+    n = 512
     edges = np.linspace(-1.0, 1.0, n + 1)
     kink = 0.5 * (edges[100] + edges[101])
 
@@ -133,14 +133,15 @@ def test_one_call_per_level_per_chunk():
 
     log_cell_integrals(log_f, edges)
     # a smooth integrand on narrow cells passes the K15/G7 check at once:
-    # per chunk, one call for the Kronrod nodes of every cell
-    assert sizes == [15 * quadrature._CHUNK_CELLS] * 2
+    # one call for the Kronrod nodes of every cell
+    assert sizes == [15 * n]
 
     # a kink at the midpoint of cell 100 fails the check on that cell alone;
-    # its two halves are smooth, so it costs one more call of 30 nodes
+    # its two halves are smooth, so it costs one more call of 30 nodes, and
+    # the other cells are not evaluated again
     sizes.clear()
     log_cell_integrals(lambda t: log_f(t) - 10.0 * np.abs(np.asarray(t) - kink), edges)
-    assert sizes == [15 * quadrature._CHUNK_CELLS, 30, 15 * quadrature._CHUNK_CELLS]
+    assert sizes == [15 * n, 30]
 
 
 def test_kronrod_and_gauss_tables_integrate_monomials():
