@@ -14,12 +14,13 @@ delta/2, so a finite scan window plus that tail value captures the sup.
 The supremum search is a dense scan (2048 points per side over a window
 of width (b - a) + 30 sqrt(delta)) followed by a batched zoom on the
 best local maxima, compared against the tail value at the window edge.
-Both sides are searched left of the median, the right side as the left
-side of the mirror image (in u = -x), and among near-ties the point
-farthest from the median wins.  Every integral of 1/p comes from
+One search, left of the median, serves both sides: D1 is D0 of the
+mirror image ``d.mirror`` at -m, so a measure symmetric about 0 and
+listed left to right gets D1 == D0.  Among near-ties the point farthest
+from the median wins.  Every integral of 1/p comes from
 ``mollify.reciprocal_integral``, which holds the tolerance (the report's
-``quadrature_tol``), the cuts and the mirror: one batched call gives the
-integrals from a side's 2048 scan points to the median.  Each zoom level
+``quadrature_tol``) and the cuts: one batched call gives the integrals
+from a side's 2048 scan points to the median.  Each zoom level
 evaluates the integrand at 64 equally spaced points of its bracket with
 one vectorized tail mass and one batched call up to the nearest scan
 edge toward the median, joined to the scan's integral from that edge;
@@ -119,39 +120,30 @@ def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     ``'right'`` needs x > m and uses 1 - F.  Always finite on the valid
     side: the tail is below 1/2 there, so log(1/tail) > 0.
     """
-    _check_side(side)
-    if side == "left" and not x < m:
-        raise WrongSide(f"left integrand needs x < median, got x={x}, m={m}")
-    if side == "right" and not x > m:
-        raise WrongSide(f"right integrand needs x > median, got x={x}, m={m}")
-    tail = tail_mass(d, x, side)
-    recip = reciprocal_integral(d, x, m)
-    return tail + math.log(-tail) + recip
+    if not (x < m if _check_side(side) == "left" else x > m):
+        raise WrongSide(f"{side} integrand needs x on the {side} of the median, got x={x}, m={m}")
+    if side == "right":  # the left side of the mirror image
+        return bg_integrand(d.mirror, -m, -x, "left")
+    tail = tail_mass(d, x, "left")
+    return tail + math.log(-tail) + reciprocal_integral(d, x, m)
 
 
 def _side_supremum(d: MollifiedDensity, m: float, window: float,
-                   side: str) -> tuple[float, float, bool]:
-    """(sup value, argmax, tail_branch_won) for one side of the median.
-
-    Both sides are searched left of the median in u = s x, s = 1 on the
-    left and -1 on the right: the right side is the left side of the
-    mirror image, so a measure symmetric about 0 gets D1 == D0.  Among
-    near-ties the point farthest from the median wins.  Raises
-    ``NumericalOverflow`` unless the sup is a positive finite number.
+                   name: str) -> tuple[float, float, bool]:
+    """(sup value, argmax, tail_branch_won) left of the median ``m``: D0 of
+    ``d``, or D1 of its mirror image.  Among near-ties the point farthest from
+    the median wins.  Raises ``NumericalOverflow`` unless the sup is positive and finite.
     """
-    s = 1.0 if side == "left" else -1.0
-
     def integrand(pts: np.ndarray, to_median: np.ndarray) -> np.ndarray:
-        tails = tail_mass(d, s * pts, side)
+        tails = tail_mass(d, pts, "left")
         with np.errstate(invalid="ignore"):
             return tails + np.log(-tails) + to_median
 
     # log integral of 1/p from each scan edge to the median (the median's own is -inf)
-    m_u = s * m
-    edges = np.linspace(m_u - window, m_u, _SCAN_POINTS + 1)
-    us = edges[:-1]
-    at_edge = reciprocal_integral(d, s * edges, m)
-    v = integrand(us, at_edge[:-1])
+    edges = np.linspace(m - window, m, _SCAN_POINTS + 1)
+    xs = edges[:-1]
+    at_edge = reciprocal_integral(d, edges, m)
+    v = integrand(xs, at_edge[:-1])
     v = np.where(np.isfinite(v), v, NEG_INF)
 
     # local maxima of the grid values, best few refined by batched zoom
@@ -166,40 +158,40 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         # nearest edge on the median's side, whose integral the scan has
         j = int(np.searchsorted(edges, pts[-1]))
         between = edges[np.searchsorted(edges, pts[0]):j + 1]
-        rec = reciprocal_integral(d, s * np.concatenate([pts, between]), s * edges[j])
+        rec = reciprocal_integral(d, np.concatenate([pts, between]), edges[j])
         return integrand(pts, np.logaddexp(rec[:len(pts)], at_edge[j]))
 
     best: list[tuple[float, float]] = []
     for idx in cand:
-        lo = us[max(idx - 1, 0)]
-        hi = min(us[min(idx + 1, len(us) - 1)], m_u - 1e-13 * max(1.0, abs(m_u)))
+        lo = xs[max(idx - 1, 0)]
+        hi = min(xs[min(idx + 1, len(xs) - 1)], m - 1e-13 * max(1.0, abs(m)))
         if lo >= hi:
-            best.append((float(v[idx]), float(us[idx])))
+            best.append((float(v[idx]), float(xs[idx])))
             continue
-        u_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
-        best.append((max(v_ref, float(v[idx])), u_ref))
+        x_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
+        best.append((max(v_ref, float(v[idx])), x_ref))
 
-    interior_val, interior_u = NEG_INF, us[0]
+    interior_val, interior_x = NEG_INF, xs[0]
     if best:
         top = max(val for val, _ in best)
         # deterministic tie-break: farthest from the median among near-ties
-        interior_val, interior_u = min(((val, u) for val, u in best if val >= top - 1e-12),
-                                       key=lambda vu: vu[1])
+        interior_val, interior_x = min(((val, x) for val, x in best if val >= top - 1e-12),
+                                       key=lambda vx: vx[1])
 
-    name = "D0" if side == "left" else "D1"
-    edge = us[0]
-    d_tail = float((d.delta / (edge - m_u)) ** 2 * (-log_density(d, s * edge)))
+    edge = xs[0]
+    with np.errstate(invalid="ignore"):  # 0 * inf where log p leaves the float range
+        d_tail = float((d.delta / (edge - m)) ** 2 * (-log_density(d, edge)))
     try:
         interior_D = math.exp(interior_val) if interior_val > NEG_INF else 0.0
     except OverflowError:
         raise NumericalOverflow(f"{name} = exp({interior_val!r}) exceeds the float range"
                                 f" at delta={d.delta!r}") from None
     from_tail = d_tail > interior_D
-    D, u = (d_tail, edge) if from_tail else (interior_D, interior_u)
+    D, x = (d_tail, edge) if from_tail else (interior_D, interior_x)
     if not 0.0 < D < math.inf:
         raise NumericalOverflow(f"{name} = {D!r} is not a positive finite number at delta="
                                 f"{d.delta!r}: log p leaves the float range in the window")
-    return D, float(s * u), from_tail
+    return D, float(x), from_tail
 
 
 def _origin_shift(a: float, b: float, window: float) -> float:
@@ -230,8 +222,8 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     if shift != 0.0:
         d = MollifiedDensity(translate(d.base, -shift), d.delta)
     m = median(d)
-    D0, x0, tail0 = _side_supremum(d, m, window, "left")
-    D1, x1, tail1 = _side_supremum(d, m, window, "right")
+    D0, x0, tail0 = _side_supremum(d, m, window, "D0")
+    D1, x1, tail1 = _side_supremum(d.mirror, -m, window, "D1")
     total = D0 + D1
     if not math.isfinite(468.0 * total):
         big, small = max(D0, D1), min(D0, D1)
@@ -243,7 +235,7 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         D0=D0,
         D1=D1,
         x_star_0=x0 + shift,
-        x_star_1=x1 + shift,
+        x_star_1=-x1 + shift,
         c_lower=total / 150.0,
         c_upper=468.0 * total,
         tail_limit_estimate=d.delta / 2.0,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,10 +105,8 @@ class Piece:
     The constructor re-expands the density in powers of ``t - lo`` (so a
     piece far from the origin loses nothing to cancellation) and builds,
     once, the ``LocalPoly`` of every polynomial the mollifier integrates:
-    ``q`` (the density), ``offset_q`` ((t - lo) q(t)), ``below`` (the mass
-    below t) and ``mirror_below`` (the mass below t of the mirror image
-    t -> -t, on [-hi, -lo], for right tails); and ``mass``, with its log
-    in either frame as ``log_mass`` and ``mirror_log_mass``.
+    ``q`` (the density), ``offset_q`` ((t - lo) q(t)) and ``below`` (the
+    mass below t); and ``mass``, with its log as ``log_mass``.
     """
 
     lo: float
@@ -118,15 +117,11 @@ class Piece:
         poly = np.polynomial.polynomial
         lo, hi = self.lo, self.hi
         local = expanded(self.coeffs, lo)
-        mirror = expanded(np.multiply(self.coeffs, (-1.0) ** np.arange(len(self.coeffs))), -hi)
         below = LocalPoly(poly.polyint(local), lo, hi)
-        mirror_below = LocalPoly(poly.polyint(mirror), -hi, -lo)
         built = {"q": LocalPoly(local, lo, hi), "offset_q": LocalPoly(poly.polymulx(local), lo, hi),
-                 "below": below, "mirror_below": mirror_below,
-                 "mass": float(below.at_hi[0])}
+                 "below": below, "mass": float(below.at_hi[0])}
         with np.errstate(divide="ignore", invalid="ignore"):  # built before its sign check
             built["log_mass"] = np.log(below.at_hi[0])
-            built["mirror_log_mass"] = np.log(mirror_below.at_hi[0])
         for name, value in built.items():
             object.__setattr__(self, name, value)
 
@@ -156,6 +151,17 @@ class Measure1D:
     @property
     def atom_weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)
+
+    @cached_property
+    def mirror(self) -> Measure1D:
+        """The image under t -> -t, atoms and pieces in reverse order: a measure
+        listed left to right and symmetric about 0 is its own mirror, term by term."""
+        pieces = tuple(Piece(-p.hi, -p.lo, tuple(c * (-1.0) ** k for k, c in enumerate(p.coeffs)))
+                       for p in reversed(self.pieces))
+        mirror = Measure1D(tuple((-x, w) for x, w in reversed(self.atoms)), pieces,
+                           -self.support_hi, -self.support_lo)
+        object.__setattr__(mirror, "mirror", self)
+        return mirror
 
 
 def _check_piece_nonnegative(lo: float, hi: float, coeffs: tuple[float, ...]) -> None:
@@ -235,12 +241,10 @@ def build_measure(spec: dict) -> Measure1D:
     pieces = [Piece(lo, hi, tuple(c / mass for c in coeffs)) for lo, hi, coeffs in pieces]
 
     points = [x for x, _ in atoms] + [p.lo for p in pieces] + [p.hi for p in pieces]
-    return Measure1D(
-        atoms=tuple(atoms),
-        pieces=tuple(pieces),
-        support_lo=min(points),
-        support_hi=max(points),
-    )
+    m = Measure1D(atoms=tuple(atoms), pieces=tuple(pieces),
+                  support_lo=min(points), support_hi=max(points))
+    m.mirror  # built here, once, so that no search builds piece constants
+    return m
 
 
 def measure_from_json(text: str) -> Measure1D:

@@ -37,7 +37,7 @@ The asymptotic report bundles the three tail quotients
     (reciprocal integral to the median) / (-delta / (x p(x))),
 
 each of which tends to 1 as x recedes from the support, at rate
-max(|a|,|b|) / |x|.  Right-side versions mirror these.
+max(|a|,|b|) / |x|.  Right-side values are the mirror image's at -x.
 """
 from __future__ import annotations
 
@@ -87,6 +87,11 @@ class MollifiedDensity:
     def support(self) -> tuple[float, float]:
         return self.base.support_lo, self.base.support_hi
 
+    @property
+    def mirror(self) -> MollifiedDensity:
+        """p(-x), whose left side is the one home of every right-side quantity."""
+        return MollifiedDensity(self.base.mirror, self.delta)
+
 
 def _blockwise(fn, x):
     """``fn`` over the points of ``x`` in blocks; a float for a scalar ``x``."""
@@ -130,8 +135,9 @@ def _atom_log_weights(m: Measure1D) -> np.ndarray:
 def _atom_log_terms(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     """log of w_k * exp(-(x - t_k)^2 / 2 delta), one row per atom (no kernel norm)."""
     m = d.base
-    return (_atom_log_weights(m)[:, None]
-            - (xs[None, :] - m.atom_locations[:, None]) ** 2 / (2.0 * d.delta))
+    with np.errstate(over="ignore"):  # -inf where (x - t)^2 / 2 delta overflows
+        return (_atom_log_weights(m)[:, None]
+                - (xs[None, :] - m.atom_locations[:, None]) ** 2 / (2.0 * d.delta))
 
 
 def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
@@ -266,26 +272,23 @@ def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
     return _blockwise(lambda xs: _score(d, xs), x)
 
 
-def _log_tail(d: MollifiedDensity, xs: np.ndarray, side: str) -> np.ndarray:
+def _log_tail(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     m = d.base
-    sgn = 1.0 if side == "left" else -1.0
     rows = [_atom_log_weights(m)[:, None]
-            + log_ndtr(sgn * (xs[None, :] - m.atom_locations[:, None]) / d.sigma)]
+            + log_ndtr((xs[None, :] - m.atom_locations[:, None]) / d.sigma)]
     for p in m.pieces:
-        # by parts: the piece's mass at its far end, plus the kernel integral
-        # of its mass below t (the right tail: the left tail of the piece
-        # reflected, at -x)
-        below, log_mass, x = ((p.below, p.log_mass, xs) if side == "left"
-                              else (p.mirror_below, p.mirror_log_mass, -xs))
-        rows.append(log_mass + log_ndtr((x - below.hi) / d.sigma))
-        rows.append(_log_kernel_integral(d, below, x) - 0.5 * math.log(2.0 * math.pi * d.delta))
+        # by parts: the piece's mass at its far end, plus the kernel integral of its mass below t
+        rows.append(p.log_mass + log_ndtr((xs - p.hi) / d.sigma))
+        rows.append(_log_kernel_integral(d, p.below, xs) - 0.5 * math.log(2.0 * math.pi * d.delta))
     return np.minimum(_logsumexp(np.vstack(rows))[0], 0.0)
 
 
 def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:
-    """log F(x) (left) or log(1 - F(x)) (right) of the mollified measure."""
-    _check_side(side)
-    return _blockwise(lambda xs: _log_tail(d, xs, side), x)
+    """log F(x) (left) or log(1 - F(x)) (right) of the mollified measure; the
+    right tail is the left tail of the mirror image at -x."""
+    if _check_side(side) == "right":
+        d, x = d.mirror, np.negative(x)
+    return _blockwise(lambda xs: _log_tail(d, xs), x)
 
 
 def half_crossing(excess: Callable[[float], float], lo: float, hi: float) -> float:
@@ -326,33 +329,33 @@ def reciprocal_integral(d: MollifiedDensity, x, m: float) -> float | np.ndarray:
 
     A scalar is one interval.  An array is one batched ``log_cell_integrals``
     over the cells between its sorted points and m, summed toward m.  Points
-    right of m are integrated as the left side of the mirror image, in
-    u = -x, so a measure symmetric about 0 gets the same bits on both sides.
-    1/p grows like exp((x - a)^2 / 2 delta), far beyond double range, so the
-    panels run in log space with each panel maximum factored out.
+    right of m are the mirror image's, from -x to -m, so a measure symmetric
+    about 0 gets the same bits on both sides.  1/p grows like
+    exp((x - a)^2 / 2 delta), far beyond double range, so the panels run in
+    log space with each panel maximum factored out.
     """
     m = float(m)
     xs = np.asarray(x, dtype=float)
-    s = -1.0 if (xs > m).any() else 1.0
-    if s < 0.0 and (xs < m).any():
-        raise WrongSide(f"points on both sides of the median m={m}")
-    us, m_u = s * xs, s * m
-    lo = float(us.min())
+    if (xs > m).any():
+        if (xs < m).any():
+            raise WrongSide(f"points on both sides of the median m={m}")
+        return reciprocal_integral(d.mirror, -xs, -m)
+    lo = float(xs.min())
     # cut at the gap midpoints (peaks of 1/p), and from each end outside the
     # support geometrically away from it, over 1/p's boundary layer there
     a, b = d.support()
-    cuts = [s * g for g in support_gap_midpoints(d.base)]
-    for end in (lo, m_u):
-        distance = max(a - s * end, s * end - b)
+    cuts = support_gap_midpoints(d.base)
+    for end in (lo, m):
+        distance = max(a - end, end - b)
         if distance > 0.0:
-            cuts += geometric_seeds(end, d.delta / (distance + d.sigma), lo, m_u)
-    neg_log_p = lambda u: -log_density(d, s * u)
+            cuts += geometric_seeds(end, d.delta / (distance + d.sigma), lo, m)
+    neg_log_p = lambda t: -log_density(d, t)
     if xs.ndim == 0:
-        return log_adaptive_quad(neg_log_p, lo, m_u, RECIPROCAL_TOL, cuts) if lo < m_u else NEG_INF
+        return log_adaptive_quad(neg_log_p, lo, m, RECIPROCAL_TOL, cuts) if lo < m else NEG_INF
     # the cell from each sorted point to the next (the last to m), summed toward m
-    order = np.argsort(us, kind="stable")
-    cells = log_cell_integrals(neg_log_p, np.append(us[order], m_u), RECIPROCAL_TOL, cuts)
-    out = np.empty_like(us)
+    order = np.argsort(xs, kind="stable")
+    cells = log_cell_integrals(neg_log_p, np.append(xs[order], m), RECIPROCAL_TOL, cuts)
+    out = np.empty_like(xs)
     out[order] = np.logaddexp.accumulate(cells[::-1])[::-1]
     return out
 

@@ -112,11 +112,27 @@ def test_symmetry_of_d_values():
         assert r.x_star_0 + r.x_star_1 == pytest.approx(2 * center, abs=1e-6)
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.25, 0.05, 0.01, 0.001])
-def test_two_point_sides_are_exact_mirror_images(delta):
-    # the right side is searched as the left side of the mirror image, and
-    # the mirrored log-sums of two atoms add the same two terms
-    r = compute_bg(MollifiedDensity(two_point(), delta))
+# measures symmetric about 0, listed left to right, so each is its own mirror
+# image term by term
+SYMMETRIC = {
+    "three_atoms": {"atoms": [{"x": x, "w": 1.0 / 3.0} for x in (-1.0, 0.0, 1.0)]},
+    "three_atoms_030_040": {"atoms": [{"x": -1.0, "w": 0.3}, {"x": 0.0, "w": 0.4},
+                                      {"x": 1.0, "w": 0.3}]},
+    "uniform_sym": {"pieces": [{"lo": -1.0, "hi": 1.0, "coeffs": [0.5]}]},
+    "two_uniforms_sym": {"pieces": [{"lo": -2.0, "hi": -1.0, "coeffs": [0.5]},
+                                    {"lo": 1.0, "hi": 2.0, "coeffs": [0.5]}]},
+}
+
+
+@pytest.mark.parametrize("spec,delta", [
+    pytest.param({"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}, delta, id=str(delta))
+    for delta in (1.0, 0.25, 0.05, 0.01, 0.001)] + [
+    pytest.param(spec, delta, id=f"{name}-{delta}")
+    for name, spec in SYMMETRIC.items() for delta in (1.0, 0.1, 0.02)])
+def test_two_point_sides_are_exact_mirror_images(spec, delta):
+    # the right side is the left side of the mirror image, which for these
+    # measures sums the same terms in the same order
+    r = compute_bg(MollifiedDensity(build_measure(spec), delta))
     assert r.D1 == r.D0
     assert r.x_star_1 == -r.x_star_0
 

@@ -495,6 +495,19 @@ def test_asymptotics_out_of_float_range_exit_2_in_bounded_time(two_point_file, s
     assert proc.stderr.startswith(f"error: {want}"), proc.stderr
 
 
+@pytest.mark.parametrize("a,delta", [(1.0, "1e-308"), (1.0, "1e-310"), (1e160, "1"), (1e300, "1")])
+def test_estimate_out_of_float_range_prints_only_its_error_line(tmp_path, source_env, a, delta):
+    # log p leaves the float range in the window: numpy's overflow and invalid
+    # warnings stay out of stderr, and the bracket's check still raises
+    measure_file = tmp_path / "atoms.json"
+    measure_file.write_text(json.dumps({"atoms": [{"x": -a, "w": 0.5}, {"x": a, "w": 0.5}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsi_lab", "estimate", "--measure", str(measure_file),
+         "--delta", delta], capture_output=True, text=True, env=source_env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # declared entry point
 # ---------------------------------------------------------------------------

@@ -77,8 +77,34 @@ def test_build_measure_builds_each_piece_once(monkeypatch):
     m = build_measure({"atoms": [{"x": -1.0, "w": 0.25}],
                        "pieces": [{"lo": 2.0, "hi": 3.0, "coeffs": [0.25 + 5e-10]},
                                   {"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.0]}]})
-    assert [(lo, hi) for lo, hi, _ in built] == [(0.0, 1.0), (2.0, 3.0)]
-    assert [p.coeffs for p in m.pieces] == [c for _, _, c in built]
+    # each piece once in the measure's frame, then once mirrored, right to left
+    assert [(lo, hi) for lo, hi, _ in built] == [(0.0, 1.0), (2.0, 3.0), (-3.0, -2.0), (-1.0, 0.0)]
+    assert [p.coeffs for p in m.pieces + m.mirror.pieces] == [c for _, _, c in built]
+    assert m.mirror.pieces[1].coeffs == (-0.0, -m.pieces[0].coeffs[1])
+
+
+def test_mirror_reflects_and_reverses_and_is_its_own_inverse():
+    m = build_measure({"atoms": [{"x": -1.5, "w": 0.2}, {"x": 2.0, "w": 0.4}],
+                       "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 0.0, 1.2]}]})
+    r = m.mirror
+    assert r.atoms == ((-2.0, 0.4), (1.5, 0.2))
+    assert [(p.lo, p.hi) for p in r.pieces] == [(-1.0, -0.0)]
+    assert (r.support_lo, r.support_hi) == (-2.0, 1.5)
+    t = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_array_equal(r.pieces[0].density(-t), m.pieces[0].density(t))
+    assert r.mirror is m and r.mirror == m
+    assert r.pieces[0].mass == pytest.approx(m.pieces[0].mass, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    {"atoms": [{"x": -1.0, "w": 0.3}, {"x": 0.0, "w": 0.4}, {"x": 1.0, "w": 0.3}]},
+    {"pieces": [{"lo": -1.0, "hi": 1.0, "coeffs": [0.5]}]},
+    {"pieces": [{"lo": -2.0, "hi": -1.0, "coeffs": [0.5]},
+                {"lo": 1.0, "hi": 2.0, "coeffs": [0.5]}]},
+])
+def test_symmetric_measure_listed_left_to_right_is_its_own_mirror(spec):
+    m = build_measure(spec)
+    assert m.mirror == m
 
 
 def test_mass_mismatch_rejected():

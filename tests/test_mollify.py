@@ -399,6 +399,36 @@ def test_reciprocal_is_mirror_exact_on_two_point():
         assert reciprocal_integral(d, x, 0.0) == reciprocal_integral(d, -x, 0.0)
 
 
+def test_right_side_is_the_left_side_of_the_mirror():
+    # three unequal atoms and a degree-2 piece: the right tail and the right
+    # integral of 1/p are those of the mirror image, bit for bit
+    d = MollifiedDensity(build_measure({
+        "atoms": [{"x": -1.5, "w": 0.2}, {"x": -0.5, "w": 0.1}, {"x": 2.0, "w": 0.3}],
+        "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 0.0, 1.2]}]}), 0.3)
+    m = median(d)
+    xs = np.linspace(-4.0, 5.0, 37)
+    np.testing.assert_array_equal(tail_mass(d, xs, "right"), tail_mass(d.mirror, -xs, "left"))
+    right = np.linspace(m + 4.0, m, 21)[:-1]
+    np.testing.assert_array_equal(reciprocal_integral(d, right, m),
+                                  reciprocal_integral(d.mirror, -right, -m))
+    assert reciprocal_integral(d, 3.0, m) == reciprocal_integral(d.mirror, -3.0, -m)
+
+
+@pytest.mark.parametrize("spec", [
+    {"atoms": [{"x": -1.0, "w": 0.3}, {"x": 0.0, "w": 0.4}, {"x": 1.0, "w": 0.3}]},
+    {"pieces": [{"lo": -1.0, "hi": 1.0, "coeffs": [0.5]}]},
+], ids=["three_atoms", "uniform_sym"])
+def test_tails_and_reciprocal_are_mirror_exact_on_symmetric_measures(spec):
+    # a symmetric measure listed left to right is its own mirror, so the
+    # right side at x gives the left side's bits at -x
+    d = MollifiedDensity(build_measure(spec), 1.0)
+    xs = np.linspace(-3.0, -0.01, 2000)
+    assert median(d) == 0.0
+    np.testing.assert_array_equal(tail_mass(d, -xs, "right"), tail_mass(d, xs, "left"))
+    np.testing.assert_array_equal(reciprocal_integral(d, -xs, 0.0),
+                                  reciprocal_integral(d, xs, 0.0))
+
+
 def test_reciprocal_points_on_both_sides_are_rejected():
     d = MollifiedDensity(two_point(), 0.5)
     with pytest.raises(errors.WrongSide):
@@ -583,7 +613,8 @@ def guard_hex(name):
 # one signed max-shift (numpy 2.4.6, scipy 1.17.1, x86-64); numpy's
 # vectorized log and exp may round differently on another CPU.  The score
 # row's entries at +-inf, and at +-1e16 on uniform and far_unit, come from
-# the nearest-support tilt where every mass underflows
+# the nearest-support tilt where every mass underflows.  The right-tail row
+# is the mirror image's left tail, its piece rows summed right to left
 GUARD_HEX = {
     'atom_linear': (
         '-0x1.6afe1ead60c25p+0 -0x1.243413fdee705p+0 -0x1.008545b007084p+0 -0x1.45399c9fbd222p+2 -0x1.4541d08264f5dp+2 -0x1.90fab5591b706p+9 -0x1.3bbcf99508f31p+2 -0x1.3bc5f731f51d2p+2 -0x1.921c42daffb0bp+9 -0x1.3b8b5b5056e17p+106 -0x1.3b8b5b5056e16p+106 -inf -inf nan',
@@ -612,7 +643,7 @@ GUARD_HEX = {
     'two_uniforms': (
         '-0x1.2af283cd112ddp+0 -0x1.634adb99ec47dp+0 -0x1.62e42ff0badb8p+0 -0x1.62e42ff0badb6p+0 -0x1.634adb99ec47dp+0 -0x1.7191a4cef6c6ep+2 -0x1.719ae4b20457ap+2 -0x1.92a69a798733cp+9 -0x1.7191a4cef6c6fp+2 -0x1.719ae4b20457cp+2 -0x1.92a69a798733cp+9 -0x1.8a6e32246c99fp+108 -0x1.8a6e32246c997p+108 -inf -inf nan',
         '-0x1.c9dd79dbffbfdp-1 -0x1.61c7df8ec7239p+1 -0x1.a7db96b9e21dbp-1 -0x1.261f1dea424afp-1 -0x1.0abae594e5ba8p-4 -0x1.01d042209a98ep+3 -0x1.01d555b3143b2p+3 -0x1.95124e16c13a6p+9 -0x1.4c6e22b792800p-12 -0x1.4c39683a58000p-12 0x0.0p+0 -0x1.8a6e32246c99cp+108 0x0.0p+0 -inf 0x0.0p+0 nan',
-        '-0x1.0d33420827d29p-1 -0x1.0abae594e5ba0p-4 -0x1.261f1dea424afp-1 -0x1.a7db96b9e21dbp-1 -0x1.61c7df8ec7239p+1 -0x1.4c6e22b793000p-12 -0x1.4c39683a57800p-12 0x0.0p+0 -0x1.01d042209a98dp+3 -0x1.01d555b3143b4p+3 -0x1.95124e16c13a6p+9 0x0.0p+0 -0x1.8a6e32246c997p+108 0x0.0p+0 -inf nan',
+        '-0x1.0d33420827d29p-1 -0x1.0abae594e5ba0p-4 -0x1.261f1dea424afp-1 -0x1.a7db96b9e21dbp-1 -0x1.61c7df8ec7239p+1 -0x1.4c6e22b792800p-12 -0x1.4c39683a58000p-12 0x0.0p+0 -0x1.01d042209a98dp+3 -0x1.01d555b3143b4p+3 -0x1.95124e16c13a6p+9 0x0.0p+0 -0x1.8a6e32246c997p+108 0x0.0p+0 -inf nan',
         '-0x1.e38a301ecc2b4p+0 0x1.4149ae315ff40p+1 -0x1.3e9bd8bc2d620p+1 0x1.3e9bd8bc2d634p+1 -0x1.4149ae315ff3ap+1 0x1.1da1d1a3a4872p+3 0x1.1da689ff806c7p+3 0x1.fa47bf137266ep+6 -0x1.1da1d1a3a4878p+3 -0x1.1da689ff806c3p+3 -0x1.fa47bf13726ebp+6 0x1.6345785d8a000p+56 -0x1.6345785d8a000p+56 inf -inf nan',
         '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
         '0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.0000000000000p-1',
