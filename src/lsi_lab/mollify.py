@@ -77,8 +77,9 @@ class MollifiedDensity:
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise NonPositiveDelta(f"delta must be positive and finite, got {self.delta!r}")
+        if not 2.0 ** -1022 <= self.delta < math.inf:  # a subnormal delta keeps too few digits
+            raise NonPositiveDelta(
+                f"delta must be positive, finite and >= 2**-1022, got {self.delta!r}")
 
     @property
     def sigma(self) -> float:

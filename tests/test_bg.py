@@ -296,6 +296,26 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
     assert 2 <= counts["reciprocal_integral"] <= 30
 
 
+@pytest.mark.parametrize("m", [two_point(), uniform(0, 1)], ids=["two_point", "uniform"])
+def test_bracket_log_p_points_stay_few(monkeypatch, m):
+    # a 256-point scan and a 1e-8 zoom stop: about 17,500 points of log p
+    # per bracket at delta 1, where a 2048-point scan took some 73,000
+    points = [0]
+
+    def counted(module):
+        inner = module.log_density
+
+        def call(d, x):
+            points[0] += np.size(x)
+            return inner(d, x)
+        monkeypatch.setattr(module, "log_density", call)
+
+    counted(mollify)
+    counted(bg)
+    compute_bg(MollifiedDensity(m, 1.0))
+    assert 0 < points[0] <= 25_000
+
+
 # the bracket-pieces benchmark measures: uniform at delta 1, and an atom
 # plus a degree-1 piece at delta 0.5
 @pytest.mark.parametrize("spec,delta", [
@@ -352,6 +372,38 @@ def mapped(spec, scale=1.0, shift=0):
 
 def bracket(spec, delta):
     return compute_bg(MollifiedDensity(build_measure(spec), delta))
+
+
+_RNG = np.random.default_rng(2024)
+_REFERENCE_CASES = {
+    "two_point": atom_spec([(-1.0, 1.0), (1.0, 1.0)]),
+    "two_point_090": atom_spec([(-1.0, 0.9), (1.0, 0.1)]),
+    "three_atoms_030_030_040": atom_spec([(-1.0, 0.3), (0.0, 0.3), (1.0, 0.4)]),
+    "uniform": {"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]},
+    "atom_degree1": {"atoms": [{"x": -1.0, "w": 0.25}],
+                     "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]},
+    "two_uniforms": {"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.5]},
+                                {"lo": 2.0, "hi": 3.0, "coeffs": [0.5]}]},
+    "comb_20": atom_spec([(x, 1.0) for x in np.linspace(-1.0, 1.0, 20).tolist()]),
+    **{f"random_{k}": atom_spec(list(zip(np.sort(_RNG.uniform(-2.0, 2.0, k)).tolist(),
+                                         _RNG.uniform(0.2, 1.0, k).tolist())))
+       for k in (7, 12, 19)},
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("delta", [1.0, 0.1, 0.01])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_scan_matches_a_dense_reference_scan(monkeypatch, name, delta):
+    # the integrand is smooth on the window's scale, so 256 scan points and
+    # the zoom find the sup that a 16,384-point scan finds
+    r = bracket(_REFERENCE_CASES[name], delta)
+    monkeypatch.setattr(bg, "_SCAN_POINTS", 16_384)
+    ref = bracket(_REFERENCE_CASES[name], delta)
+    assert r.D0 == pytest.approx(ref.D0, rel=1e-12)
+    assert r.D1 == pytest.approx(ref.D1, rel=1e-12)
+    assert r.x_star_0 == pytest.approx(ref.x_star_0, abs=1e-3)
+    assert r.x_star_1 == pytest.approx(ref.x_star_1, abs=1e-3)
 
 
 GRID = st.integers(-128, 128).map(lambda k: k / 64.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -499,6 +500,14 @@ def test_inside_support_rejected():
 def test_delta_must_be_positive():
     with pytest.raises(errors.NonPositiveDelta):
         MollifiedDensity(point_mass(0.0), 0.0)
+
+
+def test_delta_must_be_a_normal_double():
+    # the smallest normal double is accepted, the subnormals below it are not
+    MollifiedDensity(point_mass(0.0), sys.float_info.min)
+    for delta in (math.nextafter(sys.float_info.min, 0.0), 1e-310, 5e-324):
+        with pytest.raises(errors.NonPositiveDelta, match=f"got {delta!r}"):
+            MollifiedDensity(point_mass(0.0), delta)
 
 
 # ---------------------------------------------------------------------------
