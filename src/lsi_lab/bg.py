@@ -17,9 +17,11 @@ tail value at the window edge.  The integrand, a product of two cumulative
 quantities, is smooth on the window's scale: 256 points find the maxima a
 16,384-point scan finds.  One search, left of the median, serves both sides:
 D1 is D0 of the mirror image ``d.mirror`` at -m, so a measure symmetric
-about 0 and listed left to right gets D1 == D0.  Among near-ties the point
-farthest from the median wins.  Every integral of 1/p comes from
-``mollify.reciprocal_integral``, which holds the tolerance (the report's
+about 0 and listed left to right gets D1 == D0.  Such a measure is its own
+mirror and is searched once: the median bisection's first midpoint is
+exactly 0, so the second search's inputs would equal the first's.  Among
+near-ties the point farthest from the median wins.  Every integral of 1/p
+comes from ``mollify.reciprocal_integral``, which holds the tolerance (the report's
 ``quadrature_tol``) and the cuts: one batched call gives the integrals from
 a side's scan points to the median.  Each zoom level evaluates the integrand
 at 64 equally spaced points of its bracket with one vectorized tail mass and
@@ -208,7 +210,10 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     The sup on each side is the larger of (i) the refined interior scan
     maximum and (ii) the analytic tail value delta^2/x^2 * (-log p) at
     the window edge (the integrand's x -> infinity equivalent, limit
-    delta/2).  The report notes which branch won.
+    delta/2).  The report notes which branch won.  When the median is 0
+    and the measure is its own mirror (symmetric about 0, listed left to
+    right), the right search would repeat the left one bit for bit, so D1
+    and x*_1 reuse it.
 
     A measure far from the origin is bracketed as its translate next to
     the origin, and the positions are moved back: at |x| = 1e8 float
@@ -223,7 +228,10 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         d = MollifiedDensity(translate(d.base, -shift), d.delta)
     m = median(d)
     D0, x0, tail0 = _side_supremum(d, m, window, "D0")
-    D1, x1, tail1 = _side_supremum(d.mirror, -m, window, "D1")
+    if m == 0.0 and d.base.mirror == d.base:  # the right search's inputs are the left's
+        D1, x1, tail1 = D0, x0, tail0
+    else:
+        D1, x1, tail1 = _side_supremum(d.mirror, -m, window, "D1")
     total = D0 + D1
     if not math.isfinite(468.0 * total):
         big, small = max(D0, D1), min(D0, D1)

@@ -194,7 +194,8 @@ def build_measure(spec: dict) -> Measure1D:
     ``spec`` has the JSON shape
     ``{"atoms": [{"x": ..., "w": ...}], "pieces": [{"lo": ..., "hi": ..., "coeffs": [...]}]}``,
     with every key of an atom or piece required.  Total mass must be within
-    1e-9 of 1 and is rescaled to exactly 1.
+    1e-9 of 1 and is rescaled to exactly 1.  Atoms of weight 0 and pieces of
+    mass 0 are checked, then dropped: they do not set the support.
     """
     fields(spec, "measure spec", {"atoms", "pieces"})
 
@@ -233,7 +234,11 @@ def build_measure(spec: dict) -> Measure1D:
         if nxt_lo < hi:
             raise OverlappingPieces(f"pieces [{lo}, {hi}] and [{nxt_lo}, {nxt_hi}] overlap")
 
-    mass = sum(w for _, w in atoms) + sum(_piece_mass(*p) for p in pieces)
+    # terms without mass are checked but not kept: they would widen the support
+    atoms = [(x, w) for x, w in atoms if w > 0.0]
+    masses = [_piece_mass(*p) for p in pieces]
+    pieces = [p for p, pm in zip(pieces, masses) if pm > 0.0]
+    mass = sum(w for _, w in atoms) + sum(pm for pm in masses if pm > 0.0)
     if abs(mass - 1.0) > MASS_RESCALE_TOL:
         raise MassMismatch(f"total mass {mass!r} differs from 1 by more than 1e-9")
     atoms = [(x, w / mass) for x, w in atoms]

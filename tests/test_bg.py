@@ -132,9 +132,38 @@ SYMMETRIC = {
 def test_two_point_sides_are_exact_mirror_images(spec, delta):
     # the right side is the left side of the mirror image, which for these
     # measures sums the same terms in the same order
-    r = compute_bg(MollifiedDensity(build_measure(spec), delta))
+    d = MollifiedDensity(build_measure(spec), delta)
+    r = compute_bg(d)
     assert r.D1 == r.D0
     assert r.x_star_1 == -r.x_star_0
+    # compute_bg reuses the left search here; the mirrored search it skips
+    # gives the same tuple
+    window = r.median - r.search_window[0]
+    assert (bg._side_supremum(d.mirror, -r.median, window, "D1")
+            == (r.D0, r.x_star_0, r.d0_from_tail))
+
+
+@pytest.mark.parametrize("m,searches", [
+    pytest.param(two_point(), 1, id="two_point"),
+    pytest.param(two_point(1.0, -1.0), 1, id="two_point_listed_right_to_left"),
+    pytest.param(two_point(1e8 - 1.0, 1e8 + 1.0), 1, id="two_point_at_1e8"),
+] + [pytest.param(build_measure(spec), 1, id=name) for name, spec in SYMMETRIC.items()] + [
+    pytest.param(uniform(0.0, 1.0), 2, id="uniform_0_1"),
+    pytest.param(two_point(weight_a=0.9), 2, id="weight_a_0.9"),
+    pytest.param(build_measure({"atoms": [{"x": x, "w": 1.0 / 3.0} for x in (0.0, -1.0, 1.0)]}),
+                 2, id="three_atoms_out_of_order"),
+])
+def test_a_measure_that_is_its_own_mirror_is_searched_once(monkeypatch, m, searches):
+    # with the median at 0 the right search would repeat the left one
+    calls = []
+    inner = bg._side_supremum
+
+    def counted(*args):
+        calls.append(args[-1])
+        return inner(*args)
+    monkeypatch.setattr(bg, "_side_supremum", counted)
+    compute_bg(MollifiedDensity(m, 1.0))
+    assert calls == ["D0", "D1"][:searches]
 
 
 # regression corpus: brute-force oracle (dense sup grid + cumulative
@@ -299,7 +328,8 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
 @pytest.mark.parametrize("m", [two_point(), uniform(0, 1)], ids=["two_point", "uniform"])
 def test_bracket_log_p_points_stay_few(monkeypatch, m):
     # a 256-point scan and a 1e-8 zoom stop: about 17,500 points of log p
-    # per bracket at delta 1, where a 2048-point scan took some 73,000
+    # per bracket at delta 1 (uniform), where a 2048-point scan took some
+    # 73,000; two-point, its own mirror, is searched once, about 8,700
     points = [0]
 
     def counted(module):

@@ -173,6 +173,26 @@ def test_estimate_byte_stable(two_point_file, capsys):
     assert out1 == out2
 
 
+POINT_MASS_ATOM = {"x": 0.0, "w": 1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    {"atoms": [POINT_MASS_ATOM, {"x": 1e6, "w": 0.0}]},
+    {"atoms": [POINT_MASS_ATOM, {"x": 1e300, "w": 0.0}]},
+    {"atoms": [POINT_MASS_ATOM], "pieces": [{"lo": 1e6, "hi": 2e6, "coeffs": [0.0]}]},
+], ids=["atom_1e6", "atom_1e300", "piece_1e6"])
+def test_estimate_ignores_terms_without_mass(tmp_path, capsys, spec):
+    # a term of mass 0 must not widen the support, and so the scan window
+    outs = []
+    for name, s in (("alone", {"atoms": [POINT_MASS_ATOM]}), ("with_zero_mass", spec)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(s))
+        code, out, err = run_cli(["estimate", "--measure", str(path), "--delta", "1"], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[1] == outs[0]
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_mass_rescale_within_tolerance():
     assert sum(w for _, w in m.atoms) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_terms_without_mass_are_checked_then_dropped():
+    m = build_measure({"atoms": [{"x": 0.0, "w": 1.0}, {"x": 1e300, "w": 0.0}],
+                       "pieces": [{"lo": 1e6, "hi": 2e6, "coeffs": [0.0, 0.0]}]})
+    assert m == point_mass(0.0)
+    with pytest.raises(errors.ValidationError):
+        build_measure({"atoms": [{"x": 0.0, "w": 1.0}],
+                       "pieces": [{"lo": 2e6, "hi": 1e6, "coeffs": [0.0]}]})
+
+
 @pytest.mark.parametrize("lo, hi, coeffs", [
     (0.0, 1.0, (1.0,)), (0.0, 1.0, (0.0, 1.5)), (-3.25, 7.5, (0.1, 0.02, 0.003)),
     (1e6, 1e6 + 2.0, (0.5,)), (-2.0, -1.0, (1.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625))])
