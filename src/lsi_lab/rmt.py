@@ -18,24 +18,26 @@ per-cell diagnostics of the experiment report:
 Randomness is counter-based: every (seed, batch, trial, role) tuple keys
 an independent Philox stream, and each matrix entry consumes exactly one
 uniform from its stream in a fixed order.  A stream's key is numpy's
-``SeedSequence`` derivation from that tuple, computed for all of a
-block's streams together, and one Philox is re-keyed for each stream in
-turn.
+``SeedSequence`` derivation from that tuple.  It does not depend on how
+the trials are split, so the keys of a batch are derived once per role,
+for all of its trials together, and not once per chunk or block; one
+Philox is then re-keyed for each stream in turn.
 
 The experiment runs each batch as chunks of consecutive trials.  Every
-trial keeps its own streams, but a chunk's draws are taken into one
-block: the block is mapped to uniforms and through the entry law once,
-and the Gaussian block of the mollifier goes through one ``ndtri``.  The
-chunk's matrices then go to LAPACK as one stacked eigen-decomposition of
-their lower triangles, at most ``CHUNK_BYTES`` of dense matrices at a
-time.  For f = identity no matrix is built or decomposed:
-(1/n) sum lambda_i = tr X / n, so the sampler keeps only the n diagonal
-entries of each triangle, selected from the raw draws of streams still
-read to full length, so they carry the bits they have in the full
-matrix; a chunk then holds ``CHUNK_BYTES`` of diagonals.
-``sample_wigner`` and ``mollify_ensemble`` are one-row calls of the same
-block sampler.  With several workers, the chunks of a batch are
-split across threads and reassembled in chunk order; each matrix's
+trial keeps its own streams, and a chunk takes its rows of the batch's
+keys, but a chunk's draws are taken into one block: the block is mapped
+to uniforms and through the entry law once, and the Gaussian block of
+the mollifier goes through one ``ndtri``.  The chunk's matrices then go
+to LAPACK as one stacked eigen-decomposition of their lower triangles,
+at most ``CHUNK_BYTES`` of dense matrices at a time.  For f = identity
+no matrix is built or decomposed: (1/n) sum lambda_i = tr X / n, so the
+sampler keeps only the n diagonal entries of each triangle, selected
+from the raw draws of streams still read to full length, so they carry
+the bits they have in the full matrix; a chunk then holds
+``CHUNK_BYTES`` of diagonals.  ``sample_wigner`` and
+``mollify_ensemble`` are one-row calls of the same block sampler, each
+deriving its one key row.  With several workers, the chunks of a batch
+are split across threads and reassembled in chunk order; each matrix's
 eigenvalues are computed alone either way, so results are bit-identical
 regardless of worker count.  The workers are the one level of
 parallelism: numpy's OpenBLAS runs each ``eigvalsh`` on one thread, so
@@ -195,26 +197,26 @@ def _philox_keys(keys: Sequence[tuple[int, ...]], role: int) -> np.ndarray:
     return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=1)
 
 
-def _draws(keys: Sequence[tuple[int, ...]], role: int, count: int,
-           ranks: np.ndarray | None = None) -> np.ndarray:
-    """The first `count` 53-bit draws of the Philox stream keyed by
-    ``key + (role,)``, one row per key; only those at the indices ``ranks``
-    when given.
+def _draws(keys: np.ndarray, count: int, ranks: np.ndarray | None = None) -> np.ndarray:
+    """The first `count` 53-bit draws of the Philox stream of each key row
+    in ``keys`` (an (m, 2) uint64 array from ``_philox_keys``), one row per
+    key; only those at the indices ``ranks`` when given.
 
-    The streams' keys are derived together (``_philox_keys``), and one
-    Philox is re-keyed for each row: counter 0 and an empty buffer, the
-    state ``Philox(SeedSequence(list(key) + [role]))`` starts in.  Each
-    stream is read to ``count`` either way, so a kept draw has the bits it
-    has in the full row.  ``random_raw() >> 11`` is the draw
-    ``Generator.integers(0, 2**53)`` makes from the same stream: at a
-    power-of-two range Lemire's method keeps the top 53 bits and never
-    rejects.
+    The caller derives the keys, once per batch and role, not once per
+    chunk or block: a stream's key depends only on its (seed, batch,
+    trial, role) tuple.  One Philox is re-keyed for each row: counter 0
+    and an empty buffer, the state ``Philox(SeedSequence(list(key) +
+    [role]))`` starts in.  Each stream is read to ``count`` either way, so
+    a kept draw has the bits it has in the full row.  ``random_raw() >>
+    11`` is the draw ``Generator.integers(0, 2**53)`` makes from the same
+    stream: at a power-of-two range Lemire's method keeps the top 53 bits
+    and never rejects.
     """
     out = np.empty((len(keys), count if ranks is None else len(ranks)), dtype=np.uint64)
     bitgen = np.random.Philox(0)  # its seed is replaced by each row's key
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(out, _philox_keys(keys, role).tolist()):
+    for row, key in zip(out, keys.tolist()):
         state["state"]["key"] = key
         bitgen.state = state
         raw = bitgen.random_raw(count)
@@ -292,15 +294,20 @@ class EntryLaw:
             return self.params[1]
         return None
 
+    @property
+    def compactly_supported(self) -> bool:
+        """Whether the law has bounded support, so ``as_measure`` applies."""
+        return self.kind in ("two_point", "uniform", "atom_mixture")
+
     def as_measure(self) -> Measure1D:
         """Compactly supported laws as a Measure1D, for the bg bracket."""
+        if not self.compactly_supported:
+            raise ValidationError(f"law {self.kind!r} is not compactly supported")
         if self.kind == "two_point":
             return two_point(*self.params)
         if self.kind == "uniform":
             return uniform(*self.params)
-        if self.kind == "atom_mixture":
-            return self.measure
-        raise ValidationError(f"law {self.kind!r} is not compactly supported")
+        return self.measure
 
 
 def two_point_law(a: float = -1.0, b: float = 1.0, weight_a: float = 0.5) -> EntryLaw:
@@ -469,21 +476,22 @@ def _diagonal_ranks(n: int) -> np.ndarray:
     return i * n - i * (i - 1) // 2
 
 
-def _entries(n: int, law: EntryLaw, keys: Sequence[tuple[int, ...]],
+def _entries(n: int, law: EntryLaw, keys: np.ndarray,
              ranks: np.ndarray | None = None) -> np.ndarray:
-    """Upper triangles of Y, one row per key, with i.i.d. entries from
-    ``law``; only the entries at the triangle ``ranks`` when given."""
-    u = _unit(_draws(keys, _ROLE_ENTRIES, n * (n + 1) // 2, ranks))
+    """Upper triangles of Y, one row per entry-stream key row in ``keys``,
+    with i.i.d. entries from ``law``; only the entries at the triangle
+    ``ranks`` when given."""
+    u = _unit(_draws(keys, n * (n + 1) // 2, ranks))
     return np.asarray(law.transform(u.ravel()), dtype=float).reshape(u.shape)
 
 
-def _mollified(n: int, upper: np.ndarray, delta: float, keys: Sequence[tuple[int, ...]],
+def _mollified(n: int, upper: np.ndarray, delta: float, keys: np.ndarray,
                ranks: np.ndarray | None = None) -> np.ndarray:
     """Each row of ``upper`` (the entries at ``ranks`` of an n x n upper
     triangle, all of them by default) plus sqrt(delta) times the same
-    entries of a standard Gaussian triangle drawn from its key's Gaussian
-    stream."""
-    g = ndtri(_unit(_draws(keys, _ROLE_GAUSS, n * (n + 1) // 2, ranks)))
+    entries of a standard Gaussian triangle drawn from the Gaussian stream
+    of its row in ``keys``."""
+    g = ndtri(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
     return upper + math.sqrt(delta) * g
 
 
@@ -497,7 +505,7 @@ def sample_wigner(n: int, law: EntryLaw, seed) -> SymmetricMatrix:
     """
     if n < 1:
         raise ValidationError("matrix size must be >= 1")
-    return SymmetricMatrix(n, _entries(n, law, [_as_key(seed)])[0])
+    return SymmetricMatrix(n, _entries(n, law, _philox_keys([_as_key(seed)], _ROLE_ENTRIES))[0])
 
 
 def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
@@ -506,7 +514,8 @@ def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
         raise NegativeDelta(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return y
-    return SymmetricMatrix(y.n, _mollified(y.n, y.upper[None, :], delta, [_as_key(seed)])[0])
+    keys = _philox_keys([_as_key(seed)], _ROLE_GAUSS)
+    return SymmetricMatrix(y.n, _mollified(y.n, y.upper[None, :], delta, keys)[0])
 
 
 def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
@@ -568,23 +577,34 @@ def _chunks(n: int, delta: float, trials: int, diagonal: bool = False) -> list[r
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-def _chunk_draws(law: EntryLaw, n: int, delta: float, key: tuple[int, ...],
-                 trials: range, ranks: np.ndarray | None = None) -> np.ndarray:
-    """Upper triangles of each trial's Y and, when delta > 0, its Y~ right
-    after it, cut to the triangle ``ranks`` when given; trial t's streams
-    are keyed by ``key + (t,)``."""
+def _stream_keys(key: tuple[int, ...], trials: range, delta: float) -> np.ndarray:
+    """Philox key rows of the streams of batch ``key``'s ``trials``, shape
+    (trials, roles, 2): the entry stream's key, then, when delta > 0, the
+    Gaussian one's; trial t's streams are keyed by ``key + (t,)``.  One
+    ``_philox_keys`` call per role."""
     keys = [key + (t,) for t in trials]
-    y = _entries(n, law, keys, ranks)
+    roles = (_ROLE_ENTRIES, _ROLE_GAUSS) if delta > 0.0 else (_ROLE_ENTRIES,)
+    return np.stack([_philox_keys(keys, role) for role in roles], axis=1)
+
+
+def _chunk_draws(law: EntryLaw, n: int, delta: float, keys: np.ndarray,
+                 ranks: np.ndarray | None = None) -> np.ndarray:
+    """Upper triangles of each trial's Y and, when delta > 0, its Y~ right
+    after it, cut to the triangle ``ranks`` when given; ``keys`` holds the
+    trials' key rows, as ``_stream_keys`` lays them out."""
+    y = _entries(n, law, keys[:, 0], ranks)
     if delta == 0.0:
         return y
-    return np.stack([y, _mollified(n, y, delta, keys, ranks)], axis=1).reshape(-1, y.shape[-1])
+    return np.stack([y, _mollified(n, y, delta, keys[:, 1], ranks)],
+                    axis=1).reshape(-1, y.shape[-1])
 
 
-def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
-                     key: tuple[int, ...], trials: range) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float, key: tuple[int, ...],
+                     trials: range, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(int f dmu_X, int f dmu_X~) for each trial of a chunk; X~ = X when delta = 0.
 
-    Trial t's matrices are drawn as ``sample_wigner(n, law, key + (t,))``
+    ``keys`` holds the chunk's rows of ``_stream_keys(key, ...)``, so
+    trial t's matrices are drawn as ``sample_wigner(n, law, key + (t,))``
     and ``mollify_ensemble`` with the same key would draw them, bit for
     bit.  For the identity, (1/n) sum lambda_i = tr X / n, so only the
     diagonal is drawn and its mean is the integral: no matrix is built.
@@ -593,7 +613,7 @@ def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float,
     last tag) and the trial.
     """
     diagonal = f.kind == "identity"
-    upper = _chunk_draws(law, n, delta, key, trials, _diagonal_ranks(n) if diagonal else None)
+    upper = _chunk_draws(law, n, delta, keys, _diagonal_ranks(n) if diagonal else None)
     upper *= 1.0 / math.sqrt(n)
     per_trial = len(upper) // len(trials)
     w = upper if diagonal else _spectra(
@@ -606,10 +626,15 @@ def _batch_integrals(law: EntryLaw, f: FSpec, n: int, delta: float, key: tuple[i
                      trials: int, mapper=map) -> tuple[np.ndarray, np.ndarray]:
     """(int f dmu_X, int f dmu_X~) for trials 0 .. trials-1 of batch ``key``.
 
-    ``mapper`` runs the chunks (``map``, or a thread pool's ``map``); the
-    parts are joined in chunk order.
+    The batch's stream keys are derived once, and each chunk takes its
+    rows: the derivation is many small numpy calls that hold the GIL, so
+    per chunk it would keep the workers from overlapping their
+    ``eigvalsh`` calls.  ``mapper`` runs the chunks (``map``, or a thread pool's
+    ``map``); the parts are joined in chunk order.
     """
-    parts = list(mapper(lambda chunk: _chunk_integrals(law, f, n, delta, key, chunk),
+    keys = _stream_keys(key, range(trials), delta)
+    parts = list(mapper(lambda chunk: _chunk_integrals(law, f, n, delta, key, chunk,
+                                                       keys[chunk.start:chunk.stop]),
                         _chunks(n, delta, trials, f.kind == "identity")))
     return (np.concatenate([s for s, _ in parts]),
             np.concatenate([s_moll for _, s_moll in parts]))
@@ -823,11 +848,19 @@ def _plan(config: ExperimentConfig) -> tuple[tuple[int, float, float], ...]:
     """(n, delta, c) for each matrix size: the mollification variance and
     the LSI constant of the mollified entry law.  A schedule looks every n
     up in one ``delta_schedule`` call; the other modes share one (delta, c).
+
+    A schedule's c values stand for LSI constants, so it is refused for a
+    law with neither a closed-form constant nor compact support (the
+    exponential): its mollified law has no LSI constant at all.
     """
+    known = config.law.lsi_constant
     if config.delta_mode == "schedule":
+        if known is None and not config.law.compactly_supported:
+            raise ValidationError(
+                f"law {config.law.kind!r} has no closed-form LSI constant and is not"
+                " compactly supported, so no delta schedule gives it one")
         return delta_schedule(config.c_table, config.n_list).rows
     delta = config.delta_value if config.delta_mode == "fixed" else 0.0
-    known = config.law.lsi_constant
     if known is not None:
         # Gaussian * Gaussian is Gaussian: the constant is the summed variance
         c = known + delta
@@ -844,7 +877,8 @@ def concentration_experiment(config: ExperimentConfig,
 
     Every n's (delta, c) is decided before any batch runs, whatever
     ``trials`` is (``_plan``): mode ``none`` on a law with no constant of
-    its own, or an n the schedule cannot serve, raises first.
+    its own, a schedule for a law that cannot have one, or an n the
+    schedule cannot serve, raises first.
 
     The mean of int f dmu_X is estimated from an independent pilot batch
     of the same size, so the deviation count is not correlated with its

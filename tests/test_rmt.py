@@ -197,11 +197,16 @@ def test_mollify_entry_distribution_ks():
     # entry (1,2) of (Y~ - Y)/sqrt(delta) is standard normal
     n, delta, trials = 3, 0.5, 10_000
     idx = 1  # row 0, col 1 in upper-triangle storage
-    draws = np.empty(trials)
-    for t in range(trials):
-        y = sample_wigner(n, two_point_law(), (8, t))
-        y2 = mollify_ensemble(y, delta, (8, t))
-        draws[t] = (y2.upper[idx] - y.upper[idx]) / math.sqrt(delta)
+    # one block-sampler call: row 2t is trial t's Y, row 2t + 1 its Y~
+    upper = rmt._chunk_draws(two_point_law(), n, delta,
+                             rmt._stream_keys((8,), range(trials), delta))
+    y, y2 = upper[0::2], upper[1::2]
+    # the same bits as the one-row calls
+    for t in range(3):
+        one = sample_wigner(n, two_point_law(), (8, t))
+        assert np.array_equal(y[t], one.upper)
+        assert np.array_equal(y2[t], mollify_ensemble(one, delta, (8, t)).upper)
+    draws = (y2[:, idx] - y[:, idx]) / math.sqrt(delta)
     assert kstest(draws, "norm").pvalue > 1e-3
 
 
@@ -520,6 +525,22 @@ def test_infeasible_later_n_fails_before_any_batch(monkeypatch):
     assert calls == []
 
 
+def test_schedule_needs_a_law_that_can_have_a_constant(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rmt, "_batch_integrals", lambda *args: calls.append(args))
+    cfg = ExperimentConfig(exponential_law(1.0), FSpec("arctan"), (10,), (0.5,), trials=20,
+                           seed=1, delta_mode="schedule", c_table=((0.5, 3.0),))
+    # the mollified exponential has no LSI constant, so no table row can be one
+    with pytest.raises(errors.ValidationError,
+                       match="law 'exponential' has no closed-form LSI constant"):
+        concentration_experiment(cfg, workers=1)
+    assert calls == []
+    # a closed-form constant or compact support keeps the schedule
+    for law in (gaussian_law(0, 1), two_point_law(), uniform_law(-1.0, 1.0),
+                atom_mixture_law(_ATOMS)):
+        assert rmt._plan(replace(cfg, law=law)) == ((10, 0.5, 3.0),)
+
+
 def test_fixed_mode_brackets_once_for_every_n(monkeypatch):
     real, seen = rmt._bg.compute_bg, []
 
@@ -772,6 +793,41 @@ def test_batch_integrals_equal_trial_loop(law, delta):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("f", ["arctan", "identity"])
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_stream_keys_are_derived_once_per_batch_and_role(f, delta, monkeypatch):
+    # small chunks: every batch runs as many chunks
+    monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
+    trials = 40
+    assert len(rmt._chunks(_N, delta, trials, f == "identity")) >= 4
+    real, calls = rmt._philox_keys, []
+
+    def philox_keys(keys, role):
+        calls.append((len(keys), role))
+        return real(keys, role)
+
+    monkeypatch.setattr(rmt, "_philox_keys", philox_keys)
+    cfg = replace(_experiment_config("gaussian", delta, trials, f=f), n_list=(_N,))
+    for workers in (1, 2):
+        calls.clear()
+        concentration_experiment(cfg, workers=workers)
+        # the pilot's entry streams, then the main batch's entry and Gaussian ones
+        entries, gauss = (trials, rmt._ROLE_ENTRIES), (trials, rmt._ROLE_GAUSS)
+        assert calls == ([entries, entries, gauss] if delta > 0.0 else [entries, entries])
+
+
+@pytest.mark.parametrize("law, delta", [("gaussian", 0.0), ("two_point", 0.25)])
+@pytest.mark.parametrize("f", ["arctan", "identity"])
+def test_report_does_not_depend_on_chunk_size_or_workers(law, delta, f, monkeypatch):
+    cfg = _experiment_config(law, delta, 60, f=f)
+    want = asdict(concentration_experiment(cfg, workers=1))
+    assert asdict(concentration_experiment(cfg, workers=2)) == want
+    monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
+    assert len(rmt._chunks(_N, delta, 60, f == "identity")) >= 6
+    for workers in (1, 2):
+        assert asdict(concentration_experiment(cfg, workers=workers)) == want
+
+
 def _experiment_config(law, delta, trials, f="abs"):
     if delta == 0.0:
         mode = {"delta_mode": "none"}
@@ -900,9 +956,11 @@ def test_identity_decomposes_no_matrix(delta, monkeypatch):
 @pytest.mark.parametrize("delta", [0.0, 0.25])
 def test_identity_rows_are_the_scaled_diagonal_mean(law, delta):
     key, trials = (19, 1), range(3, 3 + _chunk_size(_N, delta))
-    s, s_moll = rmt._chunk_integrals(_LAWS[law], FSpec("identity"), _N, delta, key, trials)
+    keys = rmt._stream_keys(key, trials, delta)
+    s, s_moll = rmt._chunk_integrals(_LAWS[law], FSpec("identity"), _N, delta, key, trials,
+                                     keys)
     rows, cols = rmt._triu(_N)
-    diag = rmt._chunk_draws(_LAWS[law], _N, delta, key, trials)[:, rows == cols]
+    diag = rmt._chunk_draws(_LAWS[law], _N, delta, keys)[:, rows == cols]
     trace = np.array([np.sum(d * (1.0 / math.sqrt(_N))) / _N for d in diag])
     trace = trace.reshape(len(trials), -1)
     assert np.array_equal(s, trace[:, 0]) and np.array_equal(s_moll, trace[:, -1])
@@ -979,7 +1037,10 @@ def test_draws_equal_frozen_oracle(law, n, monkeypatch):
                 want.append(y.upper)
                 if moll > 0.0:
                     want.append(_frozen_mollify(y, moll, key + (t,)).upper)
-            got = np.concatenate([rmt._chunk_draws(_ALL_LAWS[law], n, moll, key, chunk)
+            # the batch's keys, derived once; each chunk takes its rows
+            keys = rmt._stream_keys(key, range(trials), moll)
+            got = np.concatenate([rmt._chunk_draws(_ALL_LAWS[law], n, moll,
+                                                   keys[chunk.start:chunk.stop])
                                   for chunk in rmt._chunks(n, moll, trials)])
             assert np.array_equal(got, np.stack(want))
     for t in (0, 5):
@@ -1031,8 +1092,9 @@ def test_draws_equal_per_key_philox(n):
         for role in (rmt._ROLE_ENTRIES, rmt._ROLE_GAUSS):
             want = np.array([np.random.Philox(np.random.SeedSequence(list(key) + [role]))
                              .random_raw(count) for key in keys]) >> np.uint64(11)
-            assert np.array_equal(rmt._draws(keys, role, count), want)
-            assert np.array_equal(rmt._draws(keys, role, count, ranks), want[:, ranks])
+            rows = rmt._philox_keys(keys, role)
+            assert np.array_equal(rmt._draws(rows, count), want)
+            assert np.array_equal(rmt._draws(rows, count, ranks), want[:, ranks])
 
 
 def test_unit_stays_inside_the_open_interval():
