@@ -363,13 +363,13 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
      "law 'uniform' has no LSI constant; use a delta mode"),
     (None, {"law": "two_point", "trials": 0, "delta": {"mode": "schedule", "table": []}},
      "c_table needs positive finite deltas"),
+    (None, {"law": "two_point", "n": [60, 4],
+            "delta": {"mode": "schedule", "table": [[0.5, 20.0]]}},
+     "no tabulated delta has c(delta) <= 4"),
     # the mollified exponential has no LSI constant for a schedule to give
     (None, {"law": "exponential", "f": "arctan", "n": [10], "eps": [0.5], "trials": 20,
             "seed": 1, "delta": {"mode": "schedule", "table": [[0.5, 3.0]]}},
      "law 'exponential' has no closed-form LSI constant and is not compactly supported"),
-    (None, {"law": "two_point", "n": [60, 4],
-            "delta": {"mode": "schedule", "table": [[0.5, 20.0]]}},
-     "no tabulated delta has c(delta) <= 4"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))
