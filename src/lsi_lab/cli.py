@@ -116,7 +116,7 @@ def _dump_json(obj) -> str:
 _BG_COLUMNS = ("delta", "D0", "D1", "x_star_0", "x_star_1", "c_lower", "c_upper")
 _RMT_COLUMNS = ("n", "eps", "trials", "empirical_freq", "mc_stderr", "guionnet_bound",
                 "term1_bound", "term3_gap", "delta_used", "c_used")
-_RMT_HEADER = "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper"
+_RMT_HEADER = "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_used"
 _BAKRY_COLUMNS = ("delta", "R", "n", "min_eig", "c_candidate", "threshold_ok",
                   "perturbation_bound", "probes_evaluated")
 _ASYMPTOTICS_COLUMNS = ("x", "ratio_lemma1", "ratio_lemma2", "ratio_lemma3", "side")

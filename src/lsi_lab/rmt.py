@@ -21,23 +21,28 @@ uniform from its stream in a fixed order.  A stream's key is numpy's
 ``SeedSequence`` derivation from that tuple.  It does not depend on how
 the trials are split, so the keys of a batch are derived once per role,
 for all of its trials together, and not once per chunk or block; one
-Philox is then re-keyed for each stream in turn.
+Philox is then re-keyed for each stream in turn.  Nor does it depend on
+n: an n x n triangle is the first n(n+1)/2 draws of its stream, so one
+batch serves every matrix size of the experiment, and each stream is read
+once per batch, to the largest size, each size taking its triangle as the
+stream's prefix.
 
 The experiment runs each batch as chunks of consecutive trials.  Every
 trial keeps its own streams, and a chunk takes its rows of the batch's
 keys, but a chunk's draws are taken into one block: the block is mapped
 to uniforms and through the entry law once, and the Gaussian block of
-the mollifier goes through one ``ndtri``.  The chunk's matrices then go
-to LAPACK as one stacked eigen-decomposition of their lower triangles,
-at most ``CHUNK_BYTES`` of dense matrices at a time.  For f = identity
-no matrix is built or decomposed: (1/n) sum lambda_i = tr X / n, so the
-sampler keeps only the n diagonal entries of each triangle, selected
-from the raw draws of streams still read to full length, so they carry
-the bits they have in the full matrix; a chunk then holds
-``CHUNK_BYTES`` of diagonals.  ``sample_wigner`` and
-``mollify_ensemble`` are one-row calls of the same block sampler, each
-deriving its one key row.  With several workers, the chunks of a batch
-are split across threads and reassembled in chunk order; each matrix's
+the mollifier goes through one ``ndtri``.  Each size's matrices then go
+to LAPACK as one stacked eigen-decomposition of their lower triangles, a
+chunk holding at most ``CHUNK_BYTES`` of the largest size's dense
+matrices.  For f = identity no matrix is built or decomposed: (1/n) sum
+lambda_i = tr X / n, so the sampler keeps only the diagonal entries of
+the triangles, the union of every size's, selected from the raw draws of
+streams still read to the largest triangle's length, so they carry the
+bits they have in the full matrix; a chunk then holds ``CHUNK_BYTES`` of
+those.  ``sample_wigner`` and ``mollify_ensemble`` are one-row calls of
+the same samplers, each deriving its one key row.  With several workers,
+the chunks of a batch are split across threads and reassembled in chunk
+order; each matrix's
 eigenvalues are computed alone either way, so results are bit-identical
 regardless of worker count.  The workers are the one level of
 parallelism: numpy's OpenBLAS runs each ``eigvalsh`` on one thread, so
@@ -77,7 +82,7 @@ from .mollify import MollifiedDensity
 _ROLE_ENTRIES = 1
 _ROLE_GAUSS = 2
 
-# dense matrices per eigen-decomposition call (kept diagonals per chunk
+# dense matrices of the largest size per chunk (kept diagonals per chunk
 # for f = identity).  Larger chunks save little more time, and with
 # several workers the allocator keeps every thread's chunk, so peak memory
 # grows with this.
@@ -204,10 +209,12 @@ def _draws(keys: np.ndarray, count: int, ranks: np.ndarray | None = None) -> np.
 
     The caller derives the keys, once per batch and role, not once per
     chunk or block: a stream's key depends only on its (seed, batch,
-    trial, role) tuple.  One Philox is re-keyed for each row: counter 0
-    and an empty buffer, the state ``Philox(SeedSequence(list(key) +
-    [role]))`` starts in.  Each stream is read to ``count`` either way, so
-    a kept draw has the bits it has in the full row.  ``random_raw() >>
+    trial, role) tuple.  It reads each stream once per batch, with
+    ``count`` the largest triangle, whose prefixes are the smaller ones.
+    One Philox is re-keyed for each row: counter 0 and an empty buffer,
+    the state ``Philox(SeedSequence(list(key) + [role]))`` starts in.
+    Each stream is read to ``count`` either way, so a kept draw has the
+    bits it has in the full row.  ``random_raw() >>
     11`` is the draw ``Generator.integers(0, 2**53)`` makes from the same
     stream: at a power-of-two range Lemire's method keeps the top 53 bits
     and never rejects.
@@ -485,14 +492,10 @@ def _entries(n: int, law: EntryLaw, keys: np.ndarray,
     return np.asarray(law.transform(u.ravel()), dtype=float).reshape(u.shape)
 
 
-def _mollified(n: int, upper: np.ndarray, delta: float, keys: np.ndarray,
-               ranks: np.ndarray | None = None) -> np.ndarray:
-    """Each row of ``upper`` (the entries at ``ranks`` of an n x n upper
-    triangle, all of them by default) plus sqrt(delta) times the same
-    entries of a standard Gaussian triangle drawn from the Gaussian stream
-    of its row in ``keys``."""
-    g = ndtri(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
-    return upper + math.sqrt(delta) * g
+def _gaussians(n: int, keys: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
+    """Standard Gaussian upper triangles, one row per Gaussian-stream key
+    row in ``keys``; only the entries at the triangle ``ranks`` when given."""
+    return ndtri(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
 
 
 def sample_wigner(n: int, law: EntryLaw, seed) -> SymmetricMatrix:
@@ -514,8 +517,8 @@ def mollify_ensemble(y: SymmetricMatrix, delta: float, seed) -> SymmetricMatrix:
         raise NegativeDelta(f"delta must be >= 0, got {delta}")
     if delta == 0.0:
         return y
-    keys = _philox_keys([_as_key(seed)], _ROLE_GAUSS)
-    return SymmetricMatrix(y.n, _mollified(y.n, y.upper[None, :], delta, keys)[0])
+    g = _gaussians(y.n, _philox_keys([_as_key(seed)], _ROLE_GAUSS))[0]
+    return SymmetricMatrix(y.n, y.upper + math.sqrt(delta) * g)
 
 
 def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
@@ -568,12 +571,14 @@ def hoffman_wielandt_gap(a: SymmetricMatrix, b: SymmetricMatrix) -> tuple[float,
 # chunked trials
 # ---------------------------------------------------------------------------
 
-def _chunks(n: int, delta: float, trials: int, diagonal: bool = False) -> list[range]:
+def _chunks(sizes: Sequence[tuple[int, float]], trials: int,
+            ranks: np.ndarray | None = None) -> list[range]:
     """Consecutive trials in ranges holding at most CHUNK_BYTES of what
-    they keep: a dense n x n matrix per matrix, or its n diagonal entries
-    when ``diagonal``; one matrix per trial, two when delta > 0."""
-    kept = n if diagonal else n * n
-    size = max(1, CHUNK_BYTES // (8 * kept * (2 if delta > 0.0 else 1)))
+    they keep: a dense n x n matrix of the largest n of ``sizes`` per
+    matrix, or the triangle ``ranks`` when given (f = identity); one
+    matrix per trial, two when a delta of ``sizes`` is > 0."""
+    kept = max(n * n for n, _ in sizes) if ranks is None else len(ranks)
+    size = max(1, CHUNK_BYTES // (8 * kept * (2 if any(d > 0.0 for _, d in sizes) else 1)))
     return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
@@ -587,57 +592,88 @@ def _stream_keys(key: tuple[int, ...], trials: range, delta: float) -> np.ndarra
     return np.stack([_philox_keys(keys, role) for role in roles], axis=1)
 
 
-def _chunk_draws(law: EntryLaw, n: int, delta: float, keys: np.ndarray,
-                 ranks: np.ndarray | None = None) -> np.ndarray:
-    """Upper triangles of each trial's Y and, when delta > 0, its Y~ right
-    after it, cut to the triangle ``ranks`` when given; ``keys`` holds the
-    trials' key rows, as ``_stream_keys`` lays them out."""
-    y = _entries(n, law, keys[:, 0], ranks)
-    if delta == 0.0:
-        return y
-    return np.stack([y, _mollified(n, y, delta, keys[:, 1], ranks)],
-                    axis=1).reshape(-1, y.shape[-1])
+def _chunk_draws(law: EntryLaw, sizes: Sequence[tuple[int, float]], keys: np.ndarray,
+                 ranks: np.ndarray | None = None):
+    """For each (n, delta) of ``sizes`` in turn, yield the upper triangles
+    of each trial's Y and, when delta > 0, its Y~ right after it; ``keys``
+    holds the trials' key rows, as ``_stream_keys`` lays them out.
+
+    An n x n triangle is the first n(n+1)/2 draws of its stream, so each
+    role's streams are read and transformed once, to the largest triangle
+    of ``sizes``, and each size takes its triangle as their prefix.  With
+    ``ranks`` (sorted triangle ranks holding every size's diagonal) only
+    those draws are kept, and each size takes its n diagonal entries.
+    Each yielded array is the caller's to change in place.
+    """
+    top = max(n for n, _ in sizes)
+    y = _entries(top, law, keys[:, 0], ranks)
+    z = _gaussians(top, keys[:, 1], ranks) if keys.shape[1] > 1 else None
+    for i, (n, delta) in enumerate(sizes):
+        last = i == len(sizes) - 1
+        cols = (slice(n * (n + 1) // 2) if ranks is None
+                else np.searchsorted(ranks, _diagonal_ranks(n)))
+        # ``take`` lays the diagonals out row by row, as the row means read
+        # them (a fancy index would give columns, and sums rounded otherwise)
+        upper = y[:, cols] if ranks is None else y.take(cols, axis=1)
+        if delta > 0.0:
+            upper = np.stack([upper, upper + math.sqrt(delta) * z[:, cols]],
+                             axis=1).reshape(-1, upper.shape[-1])
+        elif ranks is None and not last:
+            upper = upper.copy()  # a prefix of y, which the next sizes read
+        if last:
+            del y, z  # the last size holds all that is still needed
+        yield upper
 
 
-def _chunk_integrals(law: EntryLaw, f: FSpec, n: int, delta: float, key: tuple[int, ...],
-                     trials: range, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(int f dmu_X, int f dmu_X~) for each trial of a chunk; X~ = X when delta = 0.
+def _chunk_integrals(law: EntryLaw, f: FSpec, sizes: Sequence[tuple[int, float]],
+                     key: tuple[int, ...], trials: range, keys: np.ndarray,
+                     ranks: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(int f dmu_X, int f dmu_X~) for each trial of a chunk, one pair per
+    (n, delta) of ``sizes``; X~ = X when delta = 0.
 
     ``keys`` holds the chunk's rows of ``_stream_keys(key, ...)``, so
     trial t's matrices are drawn as ``sample_wigner(n, law, key + (t,))``
     and ``mollify_ensemble`` with the same key would draw them, bit for
     bit.  For the identity, (1/n) sum lambda_i = tr X / n, so only the
-    diagonal is drawn and its mean is the integral: no matrix is built.
-    Otherwise the chunk's spectra come from one stacked
+    diagonals are drawn (``ranks``) and their means are the integrals: no
+    matrix is built.  Otherwise each size's spectra come from one stacked
     eigen-decomposition, whose trace guard names n, the batch (the key's
     last tag) and the trial.
     """
-    diagonal = f.kind == "identity"
-    upper = _chunk_draws(law, n, delta, keys, _diagonal_ranks(n) if diagonal else None)
-    upper *= 1.0 / math.sqrt(n)
-    per_trial = len(upper) // len(trials)
-    w = upper if diagonal else _spectra(
-        n, upper, lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
-    s = empirical_law_integral(w, f).reshape(-1, per_trial)
-    return s[:, 0], s[:, -1]
+    out = []
+    for (n, _), upper in zip(sizes, _chunk_draws(law, sizes, keys, ranks)):
+        upper *= 1.0 / math.sqrt(n)
+        per_trial = len(upper) // len(trials)
+        w = upper if ranks is not None else _spectra(
+            n, upper, lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
+        s = empirical_law_integral(w, f).reshape(-1, per_trial)
+        out.append((s[:, 0], s[:, -1]))
+    return out
 
 
-def _batch_integrals(law: EntryLaw, f: FSpec, n: int, delta: float, key: tuple[int, ...],
-                     trials: int, mapper=map) -> tuple[np.ndarray, np.ndarray]:
-    """(int f dmu_X, int f dmu_X~) for trials 0 .. trials-1 of batch ``key``.
+def _batch_integrals(law: EntryLaw, f: FSpec, sizes: Sequence[tuple[int, float]],
+                     key: tuple[int, ...], trials: int,
+                     mapper=map) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(int f dmu_X, int f dmu_X~) for trials 0 .. trials-1 of batch
+    ``key``, one pair per (n, delta) of ``sizes``.
 
-    The batch's stream keys are derived once, and each chunk takes its
-    rows: the derivation is many small numpy calls that hold the GIL, so
-    per chunk it would keep the workers from overlapping their
-    ``eigvalsh`` calls.  ``mapper`` runs the chunks (``map``, or a thread pool's
-    ``map``); the parts are joined in chunk order.
+    A stream's key has no n in it, so one batch serves every size: its
+    stream keys are derived once, each chunk takes its rows, and a chunk
+    reads each stream once, to the largest size, for all of them.  The
+    derivation is many small numpy calls that hold the GIL, so per chunk
+    it would keep the workers from overlapping their ``eigvalsh`` calls.
+    For f = identity a chunk keeps the union of the sizes' diagonals.
+    ``mapper`` runs the chunks (``map``, or a thread pool's ``map``); the
+    parts are joined in chunk order.
     """
-    keys = _stream_keys(key, range(trials), delta)
-    parts = list(mapper(lambda chunk: _chunk_integrals(law, f, n, delta, key, chunk,
-                                                       keys[chunk.start:chunk.stop]),
-                        _chunks(n, delta, trials, f.kind == "identity")))
-    return (np.concatenate([s for s, _ in parts]),
-            np.concatenate([s_moll for _, s_moll in parts]))
+    keys = _stream_keys(key, range(trials), max(delta for _, delta in sizes))
+    ranks = (np.unique(np.concatenate([_diagonal_ranks(n) for n, _ in sizes]))
+             if f.kind == "identity" else None)
+    parts = list(mapper(lambda chunk: _chunk_integrals(law, f, sizes, key, chunk,
+                                                       keys[chunk.start:chunk.stop], ranks),
+                        _chunks(sizes, trials, ranks)))
+    # per size, its (s, s_moll) of every chunk, joined
+    return [tuple(map(np.concatenate, zip(*per_size))) for per_size in zip(*parts)]
 
 
 def _term3(s: np.ndarray, s_moll: np.ndarray) -> tuple[float, float]:
@@ -677,8 +713,8 @@ def term3_check(n: int, epsilon: float, f: FSpec, delta: float, trials: int,
     """
     if not (n >= 1 and epsilon > 0.0 and delta >= 0.0 and trials >= 1):
         raise NonPositiveArg("term3_check needs positive arguments")
-    gap, stderr = _term3(*_batch_integrals(two_point_law(), f, n, delta,
-                                           _as_key(seed) + (3,), trials))
+    [batch] = _batch_integrals(two_point_law(), f, [(n, delta)], _as_key(seed) + (3,), trials)
+    gap, stderr = _term3(*batch)
     bound = f.lip * math.sqrt(delta)
     if gap > bound + 3.0 * stderr:
         raise ArithmeticError(
@@ -913,12 +949,14 @@ def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
     lip = f.lip
     if trials == 0:
         return ConcentrationReport(law.kind, f.kind, lip, 0, config.seed, ())
+    # only Y enters the centring, and Y's streams do not depend on delta
+    pilots = _batch_integrals(law, f, [(n, 0.0) for n, _, _ in plan], (config.seed, 0),
+                              trials, mapper)
+    batches = _batch_integrals(law, f, [(n, delta) for n, delta, _ in plan], (config.seed, 1),
+                               trials, mapper)
     cells: list[Cell] = []
-    for n, delta, c_used in plan:
-        # only Y enters the centring, and Y's streams do not depend on delta
-        pilot, _ = _batch_integrals(law, f, n, 0.0, (config.seed, 0), trials, mapper)
+    for (n, delta, c_used), (pilot, _), (s, s_moll) in zip(plan, pilots, batches):
         pilot_mean = float(np.mean(pilot))
-        s, s_moll = _batch_integrals(law, f, n, delta, (config.seed, 1), trials, mapper)
         term3_gap, term3_stderr = _term3(s, s_moll)
 
         for eps in config.eps_list:

@@ -382,8 +382,16 @@ def test_rmt_csv_format(tmp_path, capsys):
     code, out, _ = run_cli(["rmt", "--config", rmt_config(tmp_path), "--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper"
+    assert lines[0] == "n,eps,trials,freq,stderr,bound,term1,term3,delta,c_used"
     assert len(lines) == 5
+    # the last column is the constant used: a schedule's table value, which
+    # need not be the bracket's c_upper at that delta
+    scheduled = rmt_config(tmp_path, law="two_point", f="arctan", n=[10], eps=[0.5],
+                           trials=20, seed=1, delta={"mode": "schedule", "table": [[0.5, 3.0]]})
+    code, out, _ = run_cli(["rmt", "--config", scheduled, "--format", "csv"], capsys)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    assert header.split(",")[-2:] == ["delta", "c_used"] and row.split(",")[-2:] == ["0.5", "3"]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +735,7 @@ delta,D0,D1,x_star_0,x_star_1,c_lower,c_upper
 }
 """,
     ("rmt", "csv"): """\
-n,eps,trials,freq,stderr,bound,term1,term3,delta,c_upper
+n,eps,trials,freq,stderr,bound,term1,term3,delta,c_used
 20,0.29999999999999999,7,0.33333333333333331,0.10000000000000001,2,0,0.66666666666666663,0.25,156
 """,
     ("scan", "json"): """\

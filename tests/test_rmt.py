@@ -198,8 +198,8 @@ def test_mollify_entry_distribution_ks():
     n, delta, trials = 3, 0.5, 10_000
     idx = 1  # row 0, col 1 in upper-triangle storage
     # one block-sampler call: row 2t is trial t's Y, row 2t + 1 its Y~
-    upper = rmt._chunk_draws(two_point_law(), n, delta,
-                             rmt._stream_keys((8,), range(trials), delta))
+    [upper] = rmt._chunk_draws(two_point_law(), [(n, delta)],
+                               rmt._stream_keys((8,), range(trials), delta))
     y, y2 = upper[0::2], upper[1::2]
     # the same bits as the one-row calls
     for t in range(3):
@@ -749,10 +749,14 @@ def _trial_stats(law, f, n, delta, key):
     return s, s_moll
 
 
-def _loop_batch(law, f, n, delta, key, trials, mapper=map):
-    """rmt._batch_integrals as a loop of _trial_stats; ``mapper`` is ignored."""
-    stats = [_trial_stats(law, f, n, delta, key + (t,)) for t in range(trials)]
-    return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
+def _loop_batch(law, f, sizes, key, trials, mapper=map):
+    """rmt._batch_integrals as a loop of _trial_stats, one size at a time;
+    ``mapper`` is ignored."""
+    out = []
+    for n, delta in sizes:
+        stats = [_trial_stats(law, f, n, delta, key + (t,)) for t in range(trials)]
+        out.append((np.array([a for a, _ in stats]), np.array([b for _, b in stats])))
+    return out
 
 
 def _loop_report(config, monkeypatch):
@@ -762,7 +766,12 @@ def _loop_report(config, monkeypatch):
 
 
 def _chunk_size(n, delta):
-    return len(rmt._chunks(n, delta, 10_000)[0])
+    return len(rmt._chunks([(n, delta)], 10_000)[0])
+
+
+def _diagonal(f, n):
+    """The triangle ranks a one-size batch keeps for ``f``."""
+    return rmt._diagonal_ranks(n) if f == "identity" else None
 
 
 _ATOMS = build_measure({"atoms": [{"x": -1.5, "w": 0.3}, {"x": 0.5, "w": 0.7}]})
@@ -784,12 +793,12 @@ def _trial_counts(delta):
 @pytest.mark.parametrize("law", sorted(_LAWS))
 @pytest.mark.parametrize("delta", [0.0, 0.25])
 def test_batch_integrals_equal_trial_loop(law, delta):
-    args = (_LAWS[law], FSpec("arctan"), _N, delta, (19, 1))
+    args = (_LAWS[law], FSpec("arctan"), [(_N, delta)], (19, 1))
     for trials in _trial_counts(delta):
-        want = _loop_batch(*args, trials)
+        [want] = _loop_batch(*args, trials)
         for workers in (1, 3):
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                got = rmt._batch_integrals(*args, trials, pool.map)
+                [got] = rmt._batch_integrals(*args, trials, pool.map)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -799,7 +808,7 @@ def test_stream_keys_are_derived_once_per_batch_and_role(f, delta, monkeypatch):
     # small chunks: every batch runs as many chunks
     monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
     trials = 40
-    assert len(rmt._chunks(_N, delta, trials, f == "identity")) >= 4
+    assert len(rmt._chunks([(_N, delta)], trials, _diagonal(f, _N))) >= 4
     real, calls = rmt._philox_keys, []
 
     def philox_keys(keys, role):
@@ -823,9 +832,82 @@ def test_report_does_not_depend_on_chunk_size_or_workers(law, delta, f, monkeypa
     want = asdict(concentration_experiment(cfg, workers=1))
     assert asdict(concentration_experiment(cfg, workers=2)) == want
     monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
-    assert len(rmt._chunks(_N, delta, 60, f == "identity")) >= 6
+    assert len(rmt._chunks([(_N, delta)], 60, _diagonal(f, _N))) >= 6
     for workers in (1, 2):
         assert asdict(concentration_experiment(cfg, workers=workers)) == want
+
+
+# per delta mode, a law and its settings; the schedule gives each n its own
+# delta: 0.5 at n = 3, 0.2 at n = 7 and 0.05 at n = 11
+_SIZE_MODES = {
+    "none": (gaussian_law(0.5, 2.0), {"delta_mode": "none"}),
+    "fixed": (gaussian_law(0.5, 2.0), {"delta_mode": "fixed", "delta_value": 0.25}),
+    "schedule": (two_point_law(-1.0, 1.0, 0.4),
+                 {"delta_mode": "schedule", "c_table": ((0.5, 3.0), (0.2, 7.0), (0.05, 11.0))}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_SIZE_MODES))
+@pytest.mark.parametrize("f", ["arctan", "identity"])
+def test_multi_size_report_equals_single_size_reports(mode, f, monkeypatch):
+    law, settings = _SIZE_MODES[mode]
+    cfg = ExperimentConfig(law, FSpec(f), (11, 3, 7), (0.05, 0.3), trials=40, seed=29,
+                           **settings)
+    # each size alone, one worker, default chunks
+    want = [asdict(cell) for n in cfg.n_list
+            for cell in concentration_experiment(replace(cfg, n_list=(n,)), workers=1).cells]
+    deltas = {"none": [0.0] * 3, "fixed": [0.25] * 3, "schedule": [0.05, 0.5, 0.2]}[mode]
+    assert [cell["delta_used"] for cell in want[::2]] == deltas
+    for chunk_bytes in (rmt.CHUNK_BYTES, 2048):
+        monkeypatch.setattr(rmt, "CHUNK_BYTES", chunk_bytes)
+        for workers in (1, 2):
+            got = concentration_experiment(cfg, workers=workers)
+            # bit for bit: repr round-trips every float
+            assert json.dumps([asdict(cell) for cell in got.cells]) == json.dumps(want)
+
+
+@pytest.mark.parametrize("f", ["arctan", "identity"])
+@pytest.mark.parametrize("delta", [0.0, 0.25])
+def test_streams_are_read_once_per_batch_and_role(f, delta, monkeypatch):
+    # small chunks: every batch runs as many chunks, for three sizes
+    monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
+    sizes, trials = (9, _N, 4), 40
+    top = _N * (_N + 1) // 2
+    real_keys, real_draws = rmt._philox_keys, rmt._draws
+    derived, owner, reads = [], {}, []
+
+    def philox_keys(keys, role):
+        out = real_keys(keys, role)
+        batch = keys[0][1]  # the experiment keys a stream by (seed, batch, trial)
+        derived.append((batch, role, len(keys)))
+        owner.update({tuple(row): (batch, role) for row in out.tolist()})
+        return out
+
+    def draws(keys, count, ranks=None):
+        reads.append((count, [tuple(row) for row in keys.tolist()]))
+        return real_draws(keys, count, ranks)
+
+    monkeypatch.setattr(rmt, "_philox_keys", philox_keys)
+    monkeypatch.setattr(rmt, "_draws", draws)
+    mode = {"delta_mode": "fixed", "delta_value": delta} if delta > 0.0 else {}
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec(f), sizes, (0.3,), trials, seed=3, **mode)
+    roles = [(0, rmt._ROLE_ENTRIES), (1, rmt._ROLE_ENTRIES)]
+    roles += [(1, rmt._ROLE_GAUSS)] if delta > 0.0 else []
+    for workers in (1, 2):
+        derived.clear()
+        reads.clear()
+        concentration_experiment(cfg, workers=workers)
+        # keys once per batch and role, for all of its trials
+        assert sorted(derived) == [(batch, role, trials) for batch, role in roles]
+        # every read is to the largest triangle, and each stream is read once
+        assert {count for count, _ in reads} == {top}
+        streams = [row for _, rows in reads for row in rows]
+        assert len(set(streams)) == len(streams)
+        read = [owner[row] for row in streams]
+        assert {at: read.count(at) for at in roles} == {at: trials for at in roles}
+        assert len(read) == trials * len(roles)
+        # in chunks of a few trials, each reading each of its roles once
+        assert len(reads) >= 4 * len(roles)
 
 
 def _experiment_config(law, delta, trials, f="abs"):
@@ -856,20 +938,24 @@ def test_pilot_decomposes_only_y(monkeypatch):
     k = _chunk_size(_N, delta)
     cfg = _experiment_config("two_point", delta, k + 3, f="arctan")
     # the pilot batch at delta = 0 is batch 0's Y at the real delta, bit for bit
-    for n in cfg.n_list:
-        pilot, _ = rmt._batch_integrals(cfg.law, cfg.f, n, 0.0, (cfg.seed, 0), cfg.trials)
-        assert np.array_equal(
-            pilot, _loop_batch(cfg.law, cfg.f, n, delta, (cfg.seed, 0), cfg.trials)[0])
+    pilots = rmt._batch_integrals(cfg.law, cfg.f, [(n, 0.0) for n in cfg.n_list],
+                                  (cfg.seed, 0), cfg.trials)
+    want = _loop_batch(cfg.law, cfg.f, [(n, delta) for n in cfg.n_list], (cfg.seed, 0),
+                       cfg.trials)
+    for (pilot, _), (y, _) in zip(pilots, want, strict=True):
+        assert np.array_equal(pilot, y)
 
     real_batch, real_eigvalsh = rmt._batch_integrals, np.linalg.eigvalsh
     batch, matrices = [], {}
 
-    def batch_integrals(law, f, n, dl, key, trials, mapper=map):
-        batch[:] = [(n, key[-1])]
-        return real_batch(law, f, n, dl, key, trials, mapper)
+    def batch_integrals(law, f, sizes, key, trials, mapper=map):
+        batch[:] = [key[-1]]
+        return real_batch(law, f, sizes, key, trials, mapper)
 
     def eigvalsh(a):
-        matrices[batch[0]] = matrices.get(batch[0], 0) + len(a)
+        # a stack of n x n matrices, from batch batch[0]
+        at = (a.shape[-1], batch[0])
+        matrices[at] = matrices.get(at, 0) + len(a)
         return real_eigvalsh(a)
 
     monkeypatch.setattr(rmt, "_batch_integrals", batch_integrals)
@@ -884,7 +970,7 @@ def test_pilot_decomposes_only_y(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _identity_chunk_size(n, delta):
-    return len(rmt._chunks(n, delta, 100_000, diagonal=True)[0])
+    return len(rmt._chunks([(n, delta)], 100_000, rmt._diagonal_ranks(n))[0])
 
 
 def _trace_stats(law, n, delta, key):
@@ -896,20 +982,38 @@ def _trace_stats(law, n, delta, key):
     return tuple(float(np.sum(m.upper[diag] * (1.0 / math.sqrt(n))) / n) for m in (y, y_moll))
 
 
-def _trace_batch(law, f, n, delta, key, trials, mapper=map):
-    """rmt._batch_integrals for f = identity as a loop of _trace_stats."""
-    stats = [_trace_stats(law, n, delta, key + (t,)) for t in range(trials)]
-    return np.array([a for a, _ in stats]), np.array([b for _, b in stats])
+def _trace_batch(law, f, sizes, key, trials, mapper=map):
+    """rmt._batch_integrals for f = identity as a loop of _trace_stats, one
+    size at a time."""
+    out = []
+    for n, delta in sizes:
+        stats = [_trace_stats(law, n, delta, key + (t,)) for t in range(trials)]
+        out.append((np.array([a for a, _ in stats]), np.array([b for _, b in stats])))
+    return out
 
 
-def test_identity_chunks_are_sized_by_the_diagonal():
+def test_identity_chunks_are_sized_by_the_diagonal(monkeypatch):
     for delta in (0.0, 0.25):
         for n in (1, _N, 100):
             k = _identity_chunk_size(n, delta)
             assert k == rmt.CHUNK_BYTES // (8 * n * (2 if delta > 0.0 else 1))
-    # the criterion-7 config: 2000 trials at n = 20, 50, 100, a pilot and a main batch
-    calls = 2 * sum(len(rmt._chunks(n, 0.0, 2000, diagonal=True)) for n in (20, 50, 100))
-    assert calls == 26
+    # the criterion-7 config: 2000 trials at n = 20, 50, 100, a pilot and a
+    # main batch, each run as chunks that keep the 168 distinct diagonal
+    # ranks of the three sizes (all three diagonals start at rank 0)
+    sizes = [(20, 0.0), (50, 0.0), (100, 0.0)]
+    union = np.unique(np.concatenate([rmt._diagonal_ranks(n) for n, _ in sizes]))
+    assert len(union) == 168
+    k = len(rmt._chunks(sizes, 2000, union)[0])
+    assert k == rmt.CHUNK_BYTES // (8 * 168)
+    calls = 2 * len(rmt._chunks(sizes, 2000, union))
+    assert calls == 22
+    real, seen = rmt._chunk_integrals, []
+    monkeypatch.setattr(rmt, "_chunk_integrals",
+                        lambda *args: seen.append(len(args[4])) or real(*args))
+    cfg = ExperimentConfig(gaussian_law(0, 1), FSpec("identity"), (20, 50, 100), (0.3,),
+                           trials=2000, seed=42)
+    concentration_experiment(cfg, workers=1)
+    assert len(seen) == calls and seen[:11] == [k] * 10 + [2000 - 10 * k]
 
 
 @pytest.mark.parametrize("law, delta", [("gaussian", 0.0), ("gaussian", 0.25),
@@ -957,10 +1061,11 @@ def test_identity_decomposes_no_matrix(delta, monkeypatch):
 def test_identity_rows_are_the_scaled_diagonal_mean(law, delta):
     key, trials = (19, 1), range(3, 3 + _chunk_size(_N, delta))
     keys = rmt._stream_keys(key, trials, delta)
-    s, s_moll = rmt._chunk_integrals(_LAWS[law], FSpec("identity"), _N, delta, key, trials,
-                                     keys)
+    [(s, s_moll)] = rmt._chunk_integrals(_LAWS[law], FSpec("identity"), [(_N, delta)], key,
+                                         trials, keys, rmt._diagonal_ranks(_N))
     rows, cols = rmt._triu(_N)
-    diag = rmt._chunk_draws(_LAWS[law], _N, delta, keys)[:, rows == cols]
+    [upper] = rmt._chunk_draws(_LAWS[law], [(_N, delta)], keys)
+    diag = upper[:, rows == cols]
     trace = np.array([np.sum(d * (1.0 / math.sqrt(_N))) / _N for d in diag])
     trace = trace.reshape(len(trials), -1)
     assert np.array_equal(s, trace[:, 0]) and np.array_equal(s_moll, trace[:, -1])
@@ -1029,7 +1134,7 @@ def test_draws_equal_frozen_oracle(law, n, monkeypatch):
     monkeypatch.setattr(rmt, "CHUNK_BYTES", 2048)
     key, delta = (31, 1), 0.3
     for moll in (0.0, delta):
-        k = len(rmt._chunks(n, moll, 10_000)[0])
+        k = len(rmt._chunks([(n, moll)], 10_000)[0])
         for trials in sorted({1, k - 1, k, k + 1} - {0}):
             want = []
             for t in range(trials):
@@ -1039,9 +1144,9 @@ def test_draws_equal_frozen_oracle(law, n, monkeypatch):
                     want.append(_frozen_mollify(y, moll, key + (t,)).upper)
             # the batch's keys, derived once; each chunk takes its rows
             keys = rmt._stream_keys(key, range(trials), moll)
-            got = np.concatenate([rmt._chunk_draws(_ALL_LAWS[law], n, moll,
-                                                   keys[chunk.start:chunk.stop])
-                                  for chunk in rmt._chunks(n, moll, trials)])
+            got = np.concatenate([upper for chunk in rmt._chunks([(n, moll)], trials)
+                                  for upper in rmt._chunk_draws(_ALL_LAWS[law], [(n, moll)],
+                                                                keys[chunk.start:chunk.stop])])
             assert np.array_equal(got, np.stack(want))
     for t in (0, 5):
         y = sample_wigner(n, _ALL_LAWS[law], key + (t,))
@@ -1141,7 +1246,7 @@ def test_trace_guard_names_the_trial(monkeypatch):
     # The second chunk of batch 1 holds trials k .. 2k-1, two matrices each;
     # row 5 is trial k + 2's mollified matrix.  One worker, so that the
     # eigvalsh calls run in chunk order
-    pilot = [len(chunk) for chunk in rmt._chunks(_N, 0.0, 3 * k)]
+    pilot = [len(chunk) for chunk in rmt._chunks([(_N, 0.0)], 3 * k)]
     calls = _corrupting_eigvalsh(monkeypatch, call=len(pilot) + 2, row=5)
     with pytest.raises(ArithmeticError,
                        match=rf"trace at n={_N}, batch 1, trial {k + 2}$"):
