@@ -19,7 +19,10 @@ quantities, is smooth on the window's scale: 256 points find the maxima a
 D1 is D0 of the mirror image ``d.mirror`` at -m, so a measure symmetric
 about 0 and listed left to right gets D1 == D0.  Such a measure is its own
 mirror and is searched once: the median bisection's first midpoint is
-exactly 0, so the second search's inputs would equal the first's.  Among
+exactly 0, so the second search's inputs would equal the first's.  A
+measure whose translate to the centre c of its support is its own mirror
+(``Measure1D.centred``, built with the measure) is bracketed as that
+translate, so it too is searched once.  Among
 near-ties the point farthest from the median wins.  Every integral of 1/p
 comes from ``mollify.reciprocal_integral``, which holds the tolerance (the report's
 ``quadrature_tol``) and the cuts: one batched call gives the integrals from
@@ -29,9 +32,9 @@ one batched call up to the nearest scan edge toward the median, joined to
 the scan's integral from that edge; the next bracket is the best point and
 its two neighbours.  The zoom stops at the search tolerance (1e-8, about
 sqrt(eps): values alone place a smooth maximum no finer) or at 4 ulps of
-|x|, whichever is wider, and after a fixed number of levels.  A measure far
-from the origin is scanned as its translate next to the origin, so
-translation changes nothing but the reported positions.
+|x|, whichever is wider, and after a fixed number of levels.  Any other
+measure far from the origin is scanned as its translate next to the
+origin, so translation changes nothing but the reported positions.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -215,17 +218,25 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     right), the right search would repeat the left one bit for bit, so D1
     and x*_1 reuse it.
 
-    A measure far from the origin is bracketed as its translate next to
-    the origin, and the positions are moved back: at |x| = 1e8 float
-    spacing alone puts the median 1e-8 off, and the integrals of 1/p
-    would resolve nothing finer than their rounding noise.  D0, D1 or
-    c_upper beyond the float range raises ``NumericalOverflow``.
+    A measure whose translate by the centre c = (a + b) / 2 of its support
+    is its own mirror (``d.base.centred``) is bracketed as that translate:
+    its median's first midpoint is 0, so it is searched once, and the
+    positions are moved back by c.  Any other measure far from the origin
+    is bracketed as its translate next to the origin, and the positions
+    are moved back: at |x| = 1e8 float spacing alone puts the median 1e-8
+    off, and the integrals of 1/p would resolve nothing finer than their
+    rounding noise.  D0, D1 or c_upper beyond the float range raises
+    ``NumericalOverflow``.
     """
     a, b = d.support()
     window = (b - a) + 30.0 * d.sigma
-    shift = _origin_shift(a, b, window)
-    if shift != 0.0:
-        d = MollifiedDensity(translate(d.base, -shift), d.delta)
+    if d.base.centred is not None:  # searched once, about the centre of its support
+        shift = 0.5 * (a + b)
+        d = MollifiedDensity(d.base.centred, d.delta)
+    else:
+        shift = _origin_shift(a, b, window)
+        if shift != 0.0:
+            d = MollifiedDensity(translate(d.base, -shift), d.delta)
     m = median(d)
     D0, x0, tail0 = _side_supremum(d, m, window, "D0")
     if m == 0.0 and d.base.mirror == d.base:  # the right search's inputs are the left's

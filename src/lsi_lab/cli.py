@@ -182,7 +182,8 @@ def _cmd_asymptotics(args) -> str:
     xs = _parse_floats(args.xs)
     if not xs:
         raise ValidationError("need at least one probe point")
-    reports = [mollify.asymptotic_ratios(density, x, args.side) for x in xs]
+    m = mollify.median(density)  # once per command, not once per probe point
+    reports = [mollify.asymptotic_ratios(density, x, args.side, m) for x in xs]
     if args.format == "csv":
         return _csv(_ASYMPTOTICS_COLUMNS, reports)
     return _dump_json(reports)

@@ -163,6 +163,21 @@ class Measure1D:
         object.__setattr__(mirror, "mirror", self)
         return mirror
 
+    @cached_property
+    def centred(self) -> Measure1D | None:
+        """The translate by -c, c = (support_lo + support_hi) / 2, when that
+        translate is its own mirror (so symmetric about 0 and listed left to
+        right); else None.  Atoms and piece ends must pair off about c first,
+        a check that builds nothing.  Where the translate is not exact the
+        check or the comparison fails, and the answer is None."""
+        c = 0.5 * (self.support_lo + self.support_hi)
+        atoms, pieces = self.atoms, self.pieces
+        if (any(x - c != c - y or w != v for (x, w), (y, v) in zip(atoms, reversed(atoms)))
+                or any(p.lo - c != c - q.hi for p, q in zip(pieces, reversed(pieces)))):
+            return None
+        moved = self if c == 0.0 else translate(self, -c)
+        return moved if moved.mirror == moved else None
+
 
 def _check_piece_nonnegative(lo: float, hi: float, coeffs: tuple[float, ...]) -> None:
     """Sign test on a refinement grid plus root analysis of the polynomial."""
@@ -248,7 +263,7 @@ def build_measure(spec: dict) -> Measure1D:
     points = [x for x, _ in atoms] + [p.lo for p in pieces] + [p.hi for p in pieces]
     m = Measure1D(atoms=tuple(atoms), pieces=tuple(pieces),
                   support_lo=min(points), support_hi=max(points))
-    m.mirror  # built here, once, so that no search builds piece constants
+    m.mirror, m.centred  # built here, once, so that no search builds piece constants
     return m
 
 

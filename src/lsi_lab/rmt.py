@@ -887,7 +887,10 @@ def _plan(config: ExperimentConfig) -> tuple[tuple[int, float, float], ...]:
 
     A schedule's c values stand for LSI constants, so it is refused for a
     law with neither a closed-form constant nor compact support (the
-    exponential): its mollified law has no LSI constant at all.
+    exponential): its mollified law has no LSI constant at all.  For a
+    compactly supported law, a row the plan uses is refused when its c lies
+    below ``compute_bg``'s ``c_lower`` at its delta, a bound every LSI
+    constant of the mollified law meets: one bracket per distinct delta.
     """
     known = config.law.lsi_constant
     if config.delta_mode == "schedule":
@@ -895,7 +898,17 @@ def _plan(config: ExperimentConfig) -> tuple[tuple[int, float, float], ...]:
             raise ValidationError(
                 f"law {config.law.kind!r} has no closed-form LSI constant and is not"
                 " compactly supported, so no delta schedule gives it one")
-        return delta_schedule(config.c_table, config.n_list).rows
+        rows = delta_schedule(config.c_table, config.n_list).rows
+        if config.law.compactly_supported:
+            measure = config.law.as_measure()
+            for delta, c in dict((delta, c) for _, delta, c in rows).items():
+                c_lower = _bg.compute_bg(MollifiedDensity(measure, delta)).c_lower
+                if c < c_lower:
+                    raise ValidationError(
+                        f"delta schedule row delta={delta!r} has c={c!r}, below the"
+                        f" bracket's c_lower={c_lower!r}, which every LSI constant of"
+                        f" the mollified {config.law.kind!r} law meets")
+        return rows
     delta = config.delta_value if config.delta_mode == "fixed" else 0.0
     if known is not None:
         # Gaussian * Gaussian is Gaussian: the constant is the summed variance

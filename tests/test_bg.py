@@ -143,18 +143,34 @@ def test_two_point_sides_are_exact_mirror_images(spec, delta):
             == (r.D0, r.x_star_0, r.d0_from_tail))
 
 
+# measures symmetric about the centre c != 0 of their support, listed left to
+# right, whose translate by -c is exact, so it is its own mirror
+CENTRED = {
+    "uniform_0_1": {"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]},
+    "uniform_0.25_2": {"pieces": [{"lo": 0.25, "hi": 2.0, "coeffs": [1.0 / 1.75]}]},
+    "two_point_3_pm_1.5": {"atoms": [{"x": 1.5, "w": 0.5}, {"x": 4.5, "w": 0.5}]},
+    "degree1_pair": {"pieces": [{"lo": 1.0, "hi": 2.0, "coeffs": [-1.0, 1.0]},
+                                {"lo": 4.0, "hi": 5.0, "coeffs": [5.0, -1.0]}]},
+}
+ATOM_DEGREE1 = {"atoms": [{"x": -1.0, "w": 0.25}],
+                "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}
+
+
 @pytest.mark.parametrize("m,searches", [
     pytest.param(two_point(), 1, id="two_point"),
     pytest.param(two_point(1.0, -1.0), 1, id="two_point_listed_right_to_left"),
     pytest.param(two_point(1e8 - 1.0, 1e8 + 1.0), 1, id="two_point_at_1e8"),
 ] + [pytest.param(build_measure(spec), 1, id=name) for name, spec in SYMMETRIC.items()] + [
-    pytest.param(uniform(0.0, 1.0), 2, id="uniform_0_1"),
+    pytest.param(build_measure(spec), 1, id=name) for name, spec in CENTRED.items()] + [
     pytest.param(two_point(weight_a=0.9), 2, id="weight_a_0.9"),
     pytest.param(build_measure({"atoms": [{"x": x, "w": 1.0 / 3.0} for x in (0.0, -1.0, 1.0)]}),
                  2, id="three_atoms_out_of_order"),
+    pytest.param(build_measure(ATOM_DEGREE1), 2, id="atom_degree1"),
+    pytest.param(two_point(1.5, 4.5, 0.4), 2, id="two_point_3_pm_1.5_weights_040_060"),
 ])
 def test_a_measure_that_is_its_own_mirror_is_searched_once(monkeypatch, m, searches):
-    # with the median at 0 the right search would repeat the left one
+    # with the median at 0 the right search would repeat the left one; a
+    # measure symmetric about c != 0 is searched as its translate by -c
     calls = []
     inner = bg._side_supremum
 
@@ -164,6 +180,31 @@ def test_a_measure_that_is_its_own_mirror_is_searched_once(monkeypatch, m, searc
     monkeypatch.setattr(bg, "_side_supremum", counted)
     compute_bg(MollifiedDensity(m, 1.0))
     assert calls == ["D0", "D1"][:searches]
+
+
+@pytest.mark.parametrize("name", sorted(CENTRED))
+@pytest.mark.parametrize("delta", [1.0, 0.1])
+def test_a_measure_symmetric_about_its_centre_is_bracketed_as_its_centred_translate(name, delta):
+    # the bracket is the centred translate's, whose sides are exact mirror
+    # images, with the positions moved back by c
+    m = build_measure(CENTRED[name])
+    c = 0.5 * (m.support_lo + m.support_hi)
+    assert m.centred is not None and m.centred.mirror == m.centred
+    r = compute_bg(MollifiedDensity(m, delta))
+    ref = compute_bg(MollifiedDensity(m.centred, delta))
+    assert r.D1 == r.D0 == ref.D0 and ref.x_star_1 == -ref.x_star_0
+    assert (r.x_star_0, r.x_star_1, r.median) == (ref.x_star_0 + c, ref.x_star_1 + c, c)
+
+
+def test_only_a_measure_whose_translate_is_its_own_mirror_has_a_centred_translate():
+    for spec in SYMMETRIC.values():  # centred already
+        m = build_measure(spec)
+        assert m.centred is m
+    for m in (two_point(weight_a=0.9), two_point(1.5, 4.5, 0.4), build_measure(ATOM_DEGREE1),
+              build_measure({"atoms": [{"x": x, "w": 1.0 / 3.0} for x in (0.0, -1.0, 1.0)]}),
+              # symmetric about 0.2, but 0.1 - 0.2 and 0.3 - 0.2 round apart
+              two_point(0.1, 0.3)):
+        assert m.centred is None
 
 
 # regression corpus: brute-force oracle (dense sup grid + cumulative

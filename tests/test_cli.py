@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lsi_lab import bg, cli, highdim, mollify, rmt
+from lsi_lab.measure import build_measure
 
 TWO_POINT = '{"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}'
 UNIFORM = '{"pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [1.0]}]}'
@@ -370,6 +371,10 @@ _DECREASING_X = {"kind": "piecewise_linear", "knots": [[1.0, 0.0], [0.0, 1.0]]}
     (None, {"law": "exponential", "f": "arctan", "n": [10], "eps": [0.5], "trials": 20,
             "seed": 1, "delta": {"mode": "schedule", "table": [[0.5, 3.0]]}},
      "law 'exponential' has no closed-form LSI constant and is not compactly supported"),
+    # no LSI constant of the mollified law lies below the bracket's lower bound
+    (None, {"law": "two_point", "f": "arctan", "n": [10], "eps": [0.5], "trials": 20,
+            "seed": 1, "delta": {"mode": "schedule", "table": [[0.5, 0.01]]}},
+     "delta schedule row delta=0.5 has c=0.01, below the bracket's c_lower=0.0206"),
 ])
 def test_rmt_malformed_config_exit_2(tmp_path, capsys, drop, change, message):
     path = Path(rmt_config(tmp_path, **change))
@@ -519,6 +524,27 @@ def test_asymptotics_csv(two_point_file, capsys):
     assert abs(float(row[1]) - 1.0) <= 0.05
 
 
+def test_asymptotics_takes_the_median_once(tmp_path, capsys, monkeypatch):
+    spec = {"atoms": [{"x": -1.0, "w": 0.25}],
+            "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}
+    p = tmp_path / "atom_degree1.json"
+    p.write_text(json.dumps(spec))
+    d = mollify.MollifiedDensity(build_measure(spec), 0.5)
+    # the bytes of a median per probe point, which asymptotic_ratios takes when given none
+    want = cli._dump_json([mollify.asymptotic_ratios(d, x, "left")
+                           for x in (-50.0, -100.0, -200.0)])
+    calls = []
+    inner = mollify.median
+
+    def counted(density):
+        calls.append(density)
+        return inner(density)
+    monkeypatch.setattr(mollify, "median", counted)
+    code, out, _ = run_cli(["asymptotics", "--measure", str(p), "--delta", "0.5",
+                            "--xs=-50,-100,-200", "--side", "left"], capsys)
+    assert (code, out, len(calls)) == (0, want, 1)
+
+
 def test_asymptotics_inside_support_exit_2(two_point_file, capsys):
     code, _, _ = run_cli(["asymptotics", "--measure", two_point_file, "--delta", "1.0",
                           "--xs", "0.0", "--side", "left"], capsys)
@@ -604,7 +630,7 @@ def _blowup_scan(measure, deltas):
                          gap=(-1.0, 1.0), reports=(_bg_report(deltas[0]),))
 
 
-def _asymptotic_ratios(density, x, side):
+def _asymptotic_ratios(density, x, side, m=None):
     return mollify.AsymptoticReport(x=x, ratio_lemma1=THIRD, ratio_lemma2=1.0 + 2.0 ** -52,
                                     ratio_lemma3=1e-300, side=side)
 

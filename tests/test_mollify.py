@@ -336,6 +336,87 @@ def test_median_is_within_one_ulp_far_from_the_origin():
         assert abs(int(steps[best])) <= 1, (atoms, d.delta, got, xs[best])
 
 
+def _scalar_bisection(excess, lo, hi):
+    """One midpoint per level: the reference for ``half_crossing``'s default."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        e = excess(mid)
+        if abs(e) <= 1e-13:
+            return mid
+        lo, hi = (mid, hi) if e < 0.0 else (lo, mid)
+
+
+@pytest.mark.parametrize("root", [0.3, -7.25, 1.0 / 3.0, 1e8 + 0.5])
+def test_half_crossing_with_one_point_per_level_is_the_scalar_bisection(root):
+    # the detector's median keeps its midpoints, each passed as a float
+    visits = ([], [])
+
+    def excess(seen):
+        def f(x):
+            seen.append(x)
+            return 0.25 * math.tanh(x - root)
+        return f
+    want = _scalar_bisection(excess(visits[0]), root - 60.0, root + 60.0)
+    assert mollify.half_crossing(excess(visits[1]), root - 60.0, root + 60.0) == want
+    assert visits[0] == visits[1] and {type(x) for x in visits[1]} == {float}
+
+
+# oracle measures, (atoms, constant pieces, delta), one of them at 1e8 and one
+# at delta 1e-3
+_MEDIAN_CASES = {
+    "gaussian": ([(0.0, 1.0)], [], 1.0),
+    "asym_atoms": ([(-1.0, 0.75), (2.0, 0.25)], [], 0.5),
+    "atoms_075_025": ([(0.0, 0.75), (1.0, 0.25)], [], 0.2),
+    "uniform": ([], [(0.0, 1.0, 1.0)], 0.1),
+    "atom_and_uniform": ([(-0.5, 0.3)], [(0.0, 2.0, 0.35)], 0.7),
+    "uneven_uniforms": ([], [(0.0, 1.0, 0.7), (2.0, 3.0, 0.3)], 0.25),
+    "asym_atoms_at_1e8": ([(1e8 - 1.0, 0.75), (1e8 + 2.0, 0.25)], [], 0.5),
+    "asym_atoms_delta_1e-3": ([(-1.0, 0.6), (1.0, 0.4)], [], 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEDIAN_CASES))
+def test_batched_median_meets_the_stop_rule(name):
+    # |F(m) - 1/2| <= 1e-13, or F - 1/2 changes sign within one ulp of m
+    atoms, pieces, delta = _MEDIAN_CASES[name]
+    d = MollifiedDensity(build_measure({
+        "atoms": [{"x": x, "w": w} for x, w in atoms],
+        "pieces": [{"lo": lo, "hi": hi, "coeffs": [c]} for lo, hi, c in pieces]}), delta)
+    m = median(d)
+    around = np.array([np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf)])
+    excess = np.exp(tail_mass(d, around, "left")) - 0.5
+    assert abs(excess[1]) <= 1e-13 or excess[0] < 0.0 <= excess[2]
+    oracle = MollifiedOracle(atoms, pieces, delta).median(m - 50.0, m + 50.0)
+    assert m == pytest.approx(oracle, abs=1e-9 + 4.0 * math.ulp(m))
+
+
+@pytest.mark.parametrize("spec,delta,calls", [
+    ({"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}, 1.0, 1),
+    ({"atoms": [{"x": -1.0, "w": 0.3}, {"x": 0.0, "w": 0.4}, {"x": 1.0, "w": 0.3}]}, 0.2, 1),
+    ({"pieces": [{"lo": -1.0, "hi": 1.0, "coeffs": [0.5]}]}, 1.0, 1),
+    ({"atoms": [{"x": -1.0, "w": 0.25}],
+      "pieces": [{"lo": 0.0, "hi": 1.0, "coeffs": [0.0, 1.5]}]}, 0.5, 12),
+], ids=["two_point", "three_atoms", "uniform_sym", "atom_degree1"])
+def test_median_tail_mass_calls(monkeypatch, spec, delta, calls):
+    # the first midpoint alone, which is the median of a measure symmetric
+    # about 0; after a miss, 32 points per call; one per bisection step took 46
+    seen = []
+    inner = mollify.tail_mass
+
+    def counted(d, x, side):
+        seen.append(np.size(x))
+        return inner(d, x, side)
+    monkeypatch.setattr(mollify, "tail_mass", counted)
+    m = median(MollifiedDensity(build_measure(spec), delta))
+    assert seen[0] == 1 and len(seen) <= calls
+    if calls == 1:
+        assert m == 0.0
+    else:
+        assert max(seen) == 32
+
+
 # ---------------------------------------------------------------------------
 # reciprocal integral
 # ---------------------------------------------------------------------------

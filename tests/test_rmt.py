@@ -541,6 +541,31 @@ def test_schedule_needs_a_law_that_can_have_a_constant(monkeypatch):
         assert rmt._plan(replace(cfg, law=law)) == ((10, 0.5, 3.0),)
 
 
+def test_schedule_rows_are_checked_against_the_bracket(monkeypatch):
+    real, seen = rmt._bg.compute_bg, []
+
+    def compute_bg(d):
+        seen.append(d.delta)
+        return real(d)
+
+    monkeypatch.setattr(rmt._bg, "compute_bg", compute_bg)
+    # c_lower is about 0.021 at delta 0.5, 0.027 at 0.2 and 5.1 at 0.05
+    cfg = ExperimentConfig(two_point_law(), FSpec("arctan"), (4, 8, 9), (0.5,), trials=0,
+                           seed=1, delta_mode="schedule", c_table=((0.5, 3.0), (0.2, 7.0)))
+    assert rmt._plan(cfg) == ((4, 0.5, 3.0), (8, 0.2, 7.0), (9, 0.2, 7.0))
+    assert seen == [0.5, 0.2]  # one bracket per distinct delta the plan uses
+    cfg = replace(cfg, c_table=((0.5, 3.0), (0.05, 5.0)))
+    with pytest.raises(errors.ValidationError,
+                       match=r"delta=0\.05 has c=5\.0, below the bracket's c_lower=5\.1"):
+        rmt._plan(cfg)
+    seen.clear()
+    # the rows the plan does not use, and a law with a closed-form constant, are not bracketed
+    assert rmt._plan(replace(cfg, n_list=(4,))) == ((4, 0.5, 3.0),)
+    assert rmt._plan(replace(cfg, law=gaussian_law(0, 1))) == ((4, 0.5, 3.0),) + tuple(
+        (n, 0.05, 5.0) for n in (8, 9))
+    assert seen == [0.5]
+
+
 def test_fixed_mode_brackets_once_for_every_n(monkeypatch):
     real, seen = rmt._bg.compute_bg, []
 
