@@ -350,7 +350,8 @@ class ClosedFormDensity:
     exponential convolution, the Gaussian, and the super-Gaussian used
     here); tail integrals extend until the log pdf has dropped 160 units.
     The median is ``half_crossing`` on 1/2 minus the right tail, within
-    ``median_bracket``.
+    ``median_bracket``, one point per level: each tail is a scalar
+    adaptive quadrature.
     """
 
     name: str
