@@ -30,9 +30,14 @@ a side's scan points to the median.  Each zoom level evaluates the integrand
 at 64 equally spaced points of its bracket with one vectorized tail mass and
 one batched call up to the nearest scan edge toward the median, joined to
 the scan's integral from that edge; the next bracket is the best point and
-its two neighbours.  The zoom stops at the search tolerance (1e-8, about
-sqrt(eps): values alone place a smooth maximum no finer) or at 4 ulps of
-|x|, whichever is wider, and after a fixed number of levels.  Any other
+its two neighbours.  After each level the vertices of two parabolas, through
+the best point and its neighbours and through the best point and the points
+two away, both place the maximum; when they agree to the search tolerance
+(1e-8, about sqrt(eps): values alone place a smooth maximum no finer), the
+integrand is evaluated at the first alone, and that vertex ends the zoom if
+its value is at least the best grid value.  Otherwise the zoom stops at a
+bracket the search tolerance or 4 ulps of |x| wide, whichever is wider, and
+after a fixed number of levels.  Any other
 measure far from the origin is scanned as its translate next to the
 origin, so translation changes nothing but the reported positions.
 
@@ -71,18 +76,43 @@ _REFINE_MAX_ITERS = 200
 _ZOOM_POINTS = 64
 
 
+def _vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> float:
+    """Vertex of the parabola through the grid points k - step, k, k + step
+    (Brent's parabolic step), or nan unless that parabola is concave and
+    its values finite.  ``k`` is the grid's best point, so the parabola is
+    concave unless all three values are equal."""
+    a, x, c = xs[k - step], xs[k], xs[k + step]
+    fa, fx, fc = vals[k - step], vals[k], vals[k + step]
+    r, q = (x - a) * (fx - fc), (x - c) * (fx - fa)
+    if not (np.isfinite(fa + fx + fc) and r - q > 0.0):
+        return math.nan
+    return float(x - 0.5 * ((x - a) * r - (x - c) * q) / (r - q))
+
+
 def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               xtol: float) -> tuple[float, float]:
-    """Maximum of the vectorized ``f`` on ``[lo, hi]`` by batched zoom.
+    """Maximum of the vectorized ``f`` on ``[lo, hi]`` by batched zoom with
+    a parabolic finish.
 
     Each level evaluates ``f`` once, at ``_ZOOM_POINTS`` equally spaced
     points of the bracket, and the next bracket is the best point and
     its two neighbours.  Stops once the bracket is ``xtol`` wide, or 4
     ulps of its larger end when that is wider (far from the origin float
     spacing exceeds ``xtol``), and after ``_REFINE_MAX_ITERS`` levels in
-    any case.  Returns the best (x, value) seen; among equal values the
+    any case.
+
+    After a level whose best point has two grid points on each side, the
+    parabola's vertex v1 through the best point and its neighbours, and v2
+    through the best point and the points two away, both place the maximum.
+    A vertex's error scales as the spacing squared, so v2's is about four
+    times v1's, and ``|v1 - v2| <= xtol`` bounds v1's.  Then ``f`` is
+    evaluated at v1 alone, if v1 lies strictly inside the next bracket,
+    and v1 is returned when its value is at least the best grid value
+    (a tie goes to the vertex); otherwise the levels go on.  Without a
+    vertex, returns the best grid (x, value) seen; among equal values the
     first seen, smallest x first (for the bracket search, which runs left
-    of the median, the point farthest from it).
+    of the median, the point farthest from it).  Either way the value is
+    one ``f`` gave at the returned x.
     """
     best_x, best_v = lo, NEG_INF
     for _ in range(_REFINE_MAX_ITERS):
@@ -94,6 +124,13 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _ZOOM_POINTS - 1)])
         if hi - lo <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
             break
+        if not 2 <= k <= _ZOOM_POINTS - 3:
+            continue
+        v1 = _vertex(xs, vals, k, 1)
+        if lo < v1 < hi and abs(v1 - _vertex(xs, vals, k, 2)) <= xtol:
+            value = float(f(np.array([v1]))[0])
+            if value >= best_v:
+                return v1, value
     return best_x, best_v
 
 

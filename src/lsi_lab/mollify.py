@@ -298,12 +298,16 @@ def half_crossing(excess: Callable, lo: float, hi: float, points: int = 1) -> fl
     The first level tests the midpoint alone, with ``excess`` on a float.
     Each later level tests ``points`` equally spaced interior points of the
     bracket: the midpoint, on a float, when ``points`` is 1, else an array
-    in one call.  The next bracket is the two tested points (or ends)
-    around the crossing, where a nan excess counts as positive.  Stops at
-    the leftmost tested point where |excess| <= 1e-13, or once no point
-    lies strictly inside the bracket, i.e. the bracket is one ulp wide;
-    then it returns the bracket's midpoint, which is one of its ends.
+    in one call.  The points are laid out as mid + half * o with fixed
+    offsets o symmetric about 0, so the bracket's mirror image gets the
+    mirrored points bit for bit.  The next bracket is the two tested points
+    (or ends) around the crossing, where a nan excess counts as positive.
+    Stops at the tested point nearest the midpoint where |excess| <= 1e-13
+    (a tie to the smaller |excess|), or once no point lies strictly inside
+    the bracket, i.e. the bracket is one ulp wide; then it returns the
+    bracket's midpoint, which is one of its ends.
     """
+    offsets = (2.0 * np.arange(1, points + 1) - (points + 1)) / (points + 1)
     xs = np.array([0.5 * (lo + hi)])
     while True:
         xs = np.unique(xs[(lo < xs) & (xs < hi)])
@@ -312,13 +316,14 @@ def half_crossing(excess: Callable, lo: float, hi: float, points: int = 1) -> fl
         e = np.atleast_1d(excess(float(xs[0]) if xs.size == 1 else xs))
         met = np.flatnonzero(np.abs(e) <= 1e-13)
         if met.size:
-            return float(xs[met[0]])
+            mid = 0.5 * (lo + hi)  # the mirrored bracket then stops at the mirrored point
+            return float(xs[min(met, key=lambda i: (abs(xs[i] - mid), abs(e[i])))])
         below = e < 0.0
         k = xs.size if below.all() else int(np.argmin(below))  # the first point not below
         lo = float(xs[k - 1]) if k > 0 else lo
         hi = float(xs[k]) if k < xs.size else hi
         xs = (np.array([0.5 * (lo + hi)]) if points == 1
-              else np.linspace(lo, hi, points + 2)[1:-1])
+              else 0.5 * (lo + hi) + 0.5 * (hi - lo) * offsets)
 
 
 # interior points per bisection level of the median: each level narrows its

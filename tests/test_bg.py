@@ -308,15 +308,85 @@ def test_refinement_stops_at_float_spacing():
 
 
 def test_refinement_iteration_cap(monkeypatch):
+    # a cusp, whose two parabolic vertices never agree to 1e-10 in 5 levels,
+    # so no level ends in the parabolic finish
     monkeypatch.setattr(bg, "_REFINE_MAX_ITERS", 5)
     levels = []
 
     def f(xs):
         levels.append(xs)
-        return -xs * xs
+        return -np.sqrt(np.abs(xs - 0.3))
 
     bg._zoom_max(f, -1.0, 1.0, 1e-10)
     assert len(levels) == 5
+
+
+def zoom_calls(f, lo, hi, xtol):
+    """(x, value, points per call of f) of one zoom."""
+    sizes = []
+
+    def counted(xs):
+        sizes.append(len(xs))
+        return f(xs)
+    x, v = bg._zoom_max(counted, lo, hi, xtol)
+    return x, v, sizes
+
+
+@pytest.mark.parametrize("centre,levels", [(0.1234, 1), (0.999, 2)])
+def test_a_parabola_ends_in_one_vertex_evaluation(centre, levels):
+    # the finish needs two grid points on each side of the best one: at
+    # 0.999 the first level's best point is its last, so a second level runs
+    x, v, sizes = zoom_calls(lambda xs: -(xs - centre) ** 2, -1.0, 1.0, 1e-10)
+    assert sizes == [bg._ZOOM_POINTS] * levels + [1]
+    assert x == pytest.approx(centre, abs=1e-12)
+    assert v == -(x - centre) ** 2
+
+
+@pytest.mark.parametrize("f", [
+    lambda xs: -np.sqrt(np.abs(xs - 0.3)),
+    lambda xs: -np.sqrt(np.abs(xs - 0.3)) - 0.3 * (xs - 0.3),
+    lambda xs: np.where(xs < 0.3, 5.0 * (xs - 0.3), 0.3 - xs),
+], ids=["cusp", "skewed_cusp", "skewed_kink"])
+def test_a_peak_whose_vertices_disagree_falls_back_to_levels(f):
+    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes[:4] == [bg._ZOOM_POINTS] * 4  # a parabola would need 2 calls
+    assert abs(x - 0.3) <= bg._SEARCH_TOL
+    assert v == f(np.array([x]))[0]
+
+
+def test_a_vertex_below_the_best_grid_value_is_not_returned():
+    # the vertex lands in a notch the grids miss: each one is evaluated and
+    # refused, and the zoom ends on its bracket with the best grid point
+    grid = []
+
+    def f(xs):
+        if len(xs) > 1:
+            grid.append(xs)
+        return -(xs - 0.1234) ** 2 - 1.0 * (len(xs) == 1)
+    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    assert 1 in sizes
+    seen = np.concatenate(grid)
+    assert x in seen and v == max(-(seen - 0.1234) ** 2)
+    assert abs(x - 0.1234) <= bg._SEARCH_TOL
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.1, 0.05, 0.025])
+def test_two_point_zoom_makes_at_most_three_integrand_calls(monkeypatch, delta):
+    # two 64-point levels and one vertex evaluation per candidate, where five
+    # levels ran before the parabolic finish
+    zooms = []
+    inner = bg._zoom_max
+
+    def counted(f, lo, hi, xtol):
+        zooms.append(0)
+
+        def call(xs):
+            zooms[-1] += 1
+            return f(xs)
+        return inner(call, lo, hi, xtol)
+    monkeypatch.setattr(bg, "_zoom_max", counted)
+    compute_bg(MollifiedDensity(two_point(), delta))
+    assert zooms and max(zooms) <= 3
 
 
 _ZOOM_CASES = [
@@ -368,9 +438,10 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
 
 @pytest.mark.parametrize("m", [two_point(), uniform(0, 1)], ids=["two_point", "uniform"])
 def test_bracket_log_p_points_stay_few(monkeypatch, m):
-    # a 256-point scan and a 1e-8 zoom stop: about 17,500 points of log p
-    # per bracket at delta 1 (uniform), where a 2048-point scan took some
-    # 73,000; two-point, its own mirror, is searched once, about 8,700
+    # a 256-point scan and a zoom of two levels and a parabolic vertex: 5,806
+    # points of log p per bracket at delta 1 for two-point and 6,886 for
+    # uniform, each searched once (8,671 and 8,791 with five zoom levels),
+    # where a 2048-point scan and two searches took some 73,000
     points = [0]
 
     def counted(module):
@@ -384,7 +455,7 @@ def test_bracket_log_p_points_stay_few(monkeypatch, m):
     counted(mollify)
     counted(bg)
     compute_bg(MollifiedDensity(m, 1.0))
-    assert 0 < points[0] <= 25_000
+    assert 0 < points[0] <= 10_000
 
 
 # the bracket-pieces benchmark measures: uniform at delta 1, and an atom
@@ -518,6 +589,36 @@ def test_reflection_swaps_sides(spec, delta):
     assert refl.D1 == pytest.approx(base.D0, rel=1e-8)
     assert refl.x_star_0 == pytest.approx(-base.x_star_1, abs=1e-4)
     assert refl.x_star_1 == pytest.approx(-base.x_star_0, abs=1e-4)
+
+
+# (atoms, pieces, delta) whose medians the batched bisection places off the
+# first midpoint, so reflection exactness rests on its symmetric grid
+_REFLECTED_CASES = {
+    "atom_degree1": ([(-1.0, 0.25)], [(0.0, 1.0, [0.0, 1.5])], 0.5),
+    "two_point_weight_09": ([(-1.0, 0.9), (1.0, 0.1)], [], 0.1),
+    "atoms_070_030": ([(-1.0, 0.7), (2.0, 0.3)], [], 0.3),
+    "cubic": ([], [(0.0, 1.0, [0.0, 0.0, 0.0, 4.0])], 0.2),
+    "atom_tilted_piece": ([(-0.5, 0.3)], [(0.0, 2.0, [0.2, 0.15])], 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFLECTED_CASES))
+def test_reflection_is_exact(name):
+    atoms, pieces, delta = _REFLECTED_CASES[name]
+
+    def spec(sign):
+        return {"atoms": [{"x": sign * x, "w": w} for x, w in atoms[::int(sign)]],
+                "pieces": [{"lo": min(sign * lo, sign * hi), "hi": max(sign * lo, sign * hi),
+                            "coeffs": [c * sign ** k for k, c in enumerate(cs)]}
+                           for lo, hi, cs in pieces[::int(sign)]]}
+    m, reflected = build_measure(spec(1.0)), build_measure(spec(-1.0))
+    assert reflected == m.mirror  # precondition: the reflected input is the mirror image
+    d, dr = MollifiedDensity(m, delta), MollifiedDensity(reflected, delta)
+    assert median(dr) == -median(d)
+    base, refl = compute_bg(d), compute_bg(dr)
+    assert (refl.D0, refl.D1) == (base.D1, base.D0)
+    assert (refl.x_star_0, refl.x_star_1) == (-base.x_star_1, -base.x_star_0)
+    assert refl.median == -base.median
 
 
 @given(spec=MEASURES, delta=DELTAS, lam=st.floats(0.1, 10.0))
