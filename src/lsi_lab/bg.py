@@ -30,12 +30,14 @@ a side's scan points to the median.  Each zoom level evaluates the integrand
 at 64 equally spaced points of its bracket with one vectorized tail mass and
 one batched call up to the nearest scan edge toward the median, joined to
 the scan's integral from that edge; the next bracket is the best point and
-its two neighbours.  After each level the vertices of two parabolas, through
-the best point and its neighbours and through the best point and the points
-two away, both place the maximum; when they agree to the search tolerance
-(1e-8, about sqrt(eps): values alone place a smooth maximum no finer), the
-integrand is evaluated at the first alone, and that vertex ends the zoom if
-its value is at least the best grid value.  Otherwise the zoom stops at a
+its two neighbours.  After each level the vertices of two quartics, through
+the best point and the two points on each side and through the best point
+and the points two and four away, both place the maximum; when they agree
+to the search tolerance (1e-8, about sqrt(eps): values alone place a smooth
+maximum no finer), the integrand is evaluated at the first alone, and that
+vertex ends the zoom if its value is at least the best grid value.  Failing
+that, two parabolas' vertices, through the best point's neighbours and
+through the points two away, get the same test.  Otherwise the zoom stops at a
 bracket the search tolerance or 4 ulps of |x| wide, whichever is wider, and
 after a fixed number of levels.  Any other
 measure far from the origin is scanned as its translate next to the
@@ -89,10 +91,40 @@ def _vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> float:
     return float(x - 0.5 * ((x - a) * r - (x - c) * q) / (r - q))
 
 
+def _quartic_vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> float:
+    """Vertex of the quartic through the grid points k - 2 step, ..., k + 2 step,
+    or nan unless that quartic has a concave maximum there and its values are
+    finite.  In t = (x - x_k) / (x_{k+step} - x_k) the 5-point-stencil
+    coefficients a1..a4 are exact for a quartic; a few Newton steps on its
+    cubic derivative, from the vertex -a1 / (2 a2) of its quadratic part,
+    place the maximum."""
+    fa, fb, fx, fc, fd = vals[k - 2 * step:k + 2 * step + 1:step].tolist()
+    a1 = (fa - 8.0 * fb + 8.0 * fc - fd) / 12.0
+    a2 = (16.0 * (fb + fc) - 30.0 * fx - fa - fd) / 24.0
+    a3 = (2.0 * (fb - fc) + fd - fa) / 12.0
+    a4 = (fa + fd - 4.0 * (fb + fc) + 6.0 * fx) / 24.0
+    if not (math.isfinite(fa + fb + fx + fc + fd) and a2 < 0.0):
+        return math.nan
+    t = -a1 / (2.0 * a2)
+    for _ in range(4):
+        curvature = 2.0 * a2 + t * (6.0 * a3 + 12.0 * a4 * t)
+        if not curvature < 0.0:
+            return math.nan
+        t -= (a1 + t * (2.0 * a2 + t * (3.0 * a3 + 4.0 * a4 * t))) / curvature
+    if not 2.0 * a2 + t * (6.0 * a3 + 12.0 * a4 * t) < 0.0:
+        return math.nan
+    return float(xs[k] + t * (xs[k + step] - xs[k]))
+
+
+# each vertex rule with the grid points it needs on each side of the best
+# point, for its two estimates: the quartic's first, then the parabola's
+_VERTICES = ((_quartic_vertex, 4), (_vertex, 2))
+
+
 def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               xtol: float) -> tuple[float, float]:
     """Maximum of the vectorized ``f`` on ``[lo, hi]`` by batched zoom with
-    a parabolic finish.
+    a quartic or parabolic finish.
 
     Each level evaluates ``f`` once, at ``_ZOOM_POINTS`` equally spaced
     points of the bracket, and the next bracket is the best point and
@@ -101,18 +133,22 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     spacing exceeds ``xtol``), and after ``_REFINE_MAX_ITERS`` levels in
     any case.
 
-    After a level whose best point has two grid points on each side, the
-    parabola's vertex v1 through the best point and its neighbours, and v2
-    through the best point and the points two away, both place the maximum.
-    A vertex's error scales as the spacing squared, so v2's is about four
-    times v1's, and ``|v1 - v2| <= xtol`` bounds v1's.  Then ``f`` is
-    evaluated at v1 alone, if v1 lies strictly inside the next bracket,
-    and v1 is returned when its value is at least the best grid value
-    (a tie goes to the vertex); otherwise the levels go on.  Without a
-    vertex, returns the best grid (x, value) seen; among equal values the
-    first seen, smallest x first (for the bracket search, which runs left
-    of the median, the point farthest from it).  Either way the value is
-    one ``f`` gave at the returned x.
+    After a level whose best point has four grid points on each side, the
+    vertex q1 of the quartic through the best point and the two on each
+    side, and q2 of the quartic through the best point and the points two
+    and four away, both place the maximum.  A quartic vertex's error
+    scales as the spacing to the fourth, so q2's is about 16 times q1's,
+    and ``|q1 - q2| <= xtol`` bounds q1's.  Then ``f`` is evaluated at q1
+    alone, if q1 lies strictly inside the next bracket, and q1 is returned
+    when its value is at least the best grid value (a tie goes to the
+    vertex).  Failing that, or with only two grid points on each side, the
+    same test runs on the parabola's vertices v1, through the best point
+    and its neighbours, and v2, through the points two away, whose errors
+    scale as the spacing squared (Brent's parabolic step); then the levels
+    go on.  Without a vertex, returns the best grid (x, value) seen; among
+    equal values the first seen, smallest x first (for the bracket search,
+    which runs left of the median, the point farthest from it).  Either
+    way the value is one ``f`` gave at the returned x.
     """
     best_x, best_v = lo, NEG_INF
     for _ in range(_REFINE_MAX_ITERS):
@@ -124,13 +160,14 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _ZOOM_POINTS - 1)])
         if hi - lo <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
             break
-        if not 2 <= k <= _ZOOM_POINTS - 3:
-            continue
-        v1 = _vertex(xs, vals, k, 1)
-        if lo < v1 < hi and abs(v1 - _vertex(xs, vals, k, 2)) <= xtol:
-            value = float(f(np.array([v1]))[0])
-            if value >= best_v:
-                return v1, value
+        for vertex, reach in _VERTICES:
+            if not reach <= k <= _ZOOM_POINTS - 1 - reach:
+                continue
+            v1 = vertex(xs, vals, k, 1)
+            if lo < v1 < hi and abs(v1 - vertex(xs, vals, k, 2)) <= xtol:
+                value = float(f(np.array([v1]))[0])
+                if value >= best_v:
+                    return v1, value
     return best_x, best_v
 
 

@@ -236,7 +236,12 @@ def _log_masses(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
 
 
 def log_density(d: MollifiedDensity, x) -> float | np.ndarray:
-    """log p(x).  Finite for every finite x since the Gaussian kernel is positive."""
+    """log p(x).  Finite where the Gaussian factors' logs are: for an atom t
+    while (x - t)^2 / (2 delta) is a finite double (|x - t| up to about
+    1e154 at delta 1), and for a piece to about |x| = 5e15 times its width
+    (uniform[0,1] at delta 1 gives -inf at x = -1e16), past which the logs
+    of its two end terms, both near -x^2 / (2 delta), round to one double
+    and cancel."""
     norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
     return _blockwise(lambda xs: _logsumexp(_log_masses(d, xs))[0] - norm_const, x)
 
@@ -407,8 +412,10 @@ def asymptotic_ratios(d: MollifiedDensity, x: float, side: Side,
 
     ``m`` is ``median(d)``, computed here unless given: a caller probing
     several points takes it once.  Raises ``NumericalOverflow`` where
-    log p(x) is not a finite double (for an atom, once the squared distance
-    to it overflows: |x| beyond ~1e154).
+    log p(x) is not a finite double: for an atom, once the squared distance
+    to it overflows (|x| beyond ~1e154); for a piece, once the logs of its
+    end terms cancel (|x| beyond about 5e15 times its width, e.g. x = -1e16
+    on uniform[0,1] at delta 1).
     """
     _check_side(side)
     x = float(x)

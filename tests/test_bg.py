@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from lsi_lab import bg, errors, measure, mollify
+from lsi_lab import bg, cli, errors, measure, mollify
 from lsi_lab.bg import (
     bg_integrand,
     blowup_scan,
@@ -342,6 +343,65 @@ def test_a_parabola_ends_in_one_vertex_evaluation(centre, levels):
     assert v == -(x - centre) ** 2
 
 
+@pytest.mark.parametrize("centre", [0.1234, -0.87, 0.87])
+def test_a_quartic_peak_ends_in_one_level_and_one_vertex_evaluation(centre):
+    # two parabolic vertices disagree by 1.6e-4 on the first level's grid,
+    # so the parabola alone needs a second level; the quartic's are exact.
+    # At -0.87 and 0.87 the best point is four points from an end (k = 4, 59),
+    # the quartic's reach
+    f = lambda xs: -(xs - centre) ** 2 - (xs - centre) ** 4 / 4.0
+    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes == [bg._ZOOM_POINTS, 1]
+    assert x == pytest.approx(centre, abs=1e-12)
+    assert v == f(np.array([x]))[0]
+
+
+def test_quartic_vertices_that_disagree_are_not_evaluated():
+    # on the first level's grid the quartic's vertex is 1.1e-6 off this peak
+    # and its two estimates disagree by 3.8e-5; a second level resolves it
+    f = lambda xs: -np.cosh(10.0 * (xs - 0.1234))
+    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes == [bg._ZOOM_POINTS] * 2 + [1]
+    assert x == pytest.approx(0.1234, abs=1e-11)
+    assert v == f(np.array([x]))[0]
+
+
+@pytest.mark.parametrize("centre", [-0.9, 0.9])
+def test_a_best_point_near_a_level_end_falls_back_to_the_parabola(centre):
+    # the first level's best point is 3 points from its end (k = 3 or 60),
+    # one short of the quartic's reach: a parabola ends there, on its own
+    # vertex, and a quartic-shaped peak needs a second level
+    xs = np.linspace(-1.0, 1.0, bg._ZOOM_POINTS)
+    parabola = lambda t: -(t - centre) ** 2
+    k = int(np.argmax(parabola(xs)))
+    assert min(k, bg._ZOOM_POINTS - 1 - k) == 3
+    x, _, sizes = zoom_calls(parabola, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes == [bg._ZOOM_POINTS, 1]
+    assert x == bg._vertex(xs, parabola(xs), k, 1)
+    quartic = lambda t: parabola(t) - (t - centre) ** 4 / 4.0
+    x, _, sizes = zoom_calls(quartic, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes == [bg._ZOOM_POINTS] * 2 + [1]
+    assert x == pytest.approx(centre, abs=1e-12)
+
+
+def test_a_refused_quartic_vertex_falls_back_to_the_parabola():
+    # the first vertex evaluation, at the quartic's vertex, reads low and is
+    # refused; the parabola's vertex of the same level is evaluated next
+    xs = np.linspace(-1.0, 1.0, bg._ZOOM_POINTS)
+    vertices = []
+
+    def f(t):
+        if len(t) == 1:
+            vertices.append(t[0])
+        return -(t - 0.1234) ** 2 - 1.0 * (len(vertices) == 1 and len(t) == 1)
+    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    assert sizes == [bg._ZOOM_POINTS, 1, 1]
+    k = int(np.argmax(-(xs - 0.1234) ** 2))
+    assert vertices[0] == bg._quartic_vertex(xs, -(xs - 0.1234) ** 2, k, 1)
+    assert x == vertices[1] == bg._vertex(xs, -(xs - 0.1234) ** 2, k, 1)
+    assert v == -(x - 0.1234) ** 2
+
+
 @pytest.mark.parametrize("f", [
     lambda xs: -np.sqrt(np.abs(xs - 0.3)),
     lambda xs: -np.sqrt(np.abs(xs - 0.3)) - 0.3 * (xs - 0.3),
@@ -370,10 +430,8 @@ def test_a_vertex_below_the_best_grid_value_is_not_returned():
     assert abs(x - 0.1234) <= bg._SEARCH_TOL
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.1, 0.05, 0.025])
-def test_two_point_zoom_makes_at_most_three_integrand_calls(monkeypatch, delta):
-    # two 64-point levels and one vertex evaluation per candidate, where five
-    # levels ran before the parabolic finish
+def counted_zooms(monkeypatch):
+    """Integrand calls of each ``_zoom_max`` from now on, one entry per zoom."""
     zooms = []
     inner = bg._zoom_max
 
@@ -385,8 +443,34 @@ def test_two_point_zoom_makes_at_most_three_integrand_calls(monkeypatch, delta):
             return f(xs)
         return inner(call, lo, hi, xtol)
     monkeypatch.setattr(bg, "_zoom_max", counted)
+    return zooms
+
+
+def counted_log_p_points(monkeypatch):
+    """A one-item list holding the points of log p evaluated from now on."""
+    points = [0]
+
+    def counted(module):
+        inner = module.log_density
+
+        def call(d, x):
+            points[0] += np.size(x)
+            return inner(d, x)
+        monkeypatch.setattr(module, "log_density", call)
+
+    counted(mollify)
+    counted(bg)
+    return points
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.25, 0.1, 0.05, 0.025])
+def test_two_point_zoom_makes_at_most_three_integrand_calls(monkeypatch, delta):
+    # one 64-point level and one quartic vertex evaluation per candidate:
+    # five levels ran before the parabolic finish, and two levels and a
+    # parabolic vertex before the quartic one
+    zooms = counted_zooms(monkeypatch)
     compute_bg(MollifiedDensity(two_point(), delta))
-    assert zooms and max(zooms) <= 3
+    assert zooms and max(zooms) <= 2
 
 
 _ZOOM_CASES = [
@@ -438,24 +522,44 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
 
 @pytest.mark.parametrize("m", [two_point(), uniform(0, 1)], ids=["two_point", "uniform"])
 def test_bracket_log_p_points_stay_few(monkeypatch, m):
-    # a 256-point scan and a zoom of two levels and a parabolic vertex: 5,806
-    # points of log p per bracket at delta 1 for two-point and 6,886 for
-    # uniform, each searched once (8,671 and 8,791 with five zoom levels),
-    # where a 2048-point scan and two searches took some 73,000
-    points = [0]
-
-    def counted(module):
-        inner = module.log_density
-
-        def call(d, x):
-            points[0] += np.size(x)
-            return inner(d, x)
-        monkeypatch.setattr(module, "log_density", call)
-
-    counted(mollify)
-    counted(bg)
+    # a 256-point scan and a zoom of one level and a quartic vertex: 4,846
+    # points of log p per bracket at delta 1 for two-point and 4,966 for
+    # uniform, each searched once (5,806 and 6,886 with two levels and a
+    # parabolic vertex, 8,671 and 8,791 with five levels), where a
+    # 2048-point scan and two searches took some 73,000
+    points = counted_log_p_points(monkeypatch)
     compute_bg(MollifiedDensity(m, 1.0))
-    assert 0 < points[0] <= 10_000
+    assert 0 < points[0] <= 5_500
+
+
+_TWO_POINT = {"atoms": [{"x": -1.0, "w": 0.5}, {"x": 1.0, "w": 0.5}]}
+_UNIFORM = CENTRED["uniform_0_1"]
+
+
+# the bracket benchmark's jobs at seed 0: (measure, arguments after it,
+# integrand calls of each zoom, log p points)
+@pytest.mark.parametrize("spec,args,zooms,points", [
+    (_TWO_POINT, ["estimate", "--delta", "1.0"], [2], 4_846),
+    (_TWO_POINT, ["scan", "--deltas", "0.1,0.05,0.025", "--format", "json"], [2, 2, 2], 16_773),
+    (_TWO_POINT, ["asymptotics", "--delta", "1.0", "--xs=-50.0,-100.0", "--side", "left"],
+     [], 902),
+    (_UNIFORM, ["estimate", "--delta", "1.0"], [2], 4_966),
+    (ATOM_DEGREE1, ["estimate", "--delta", "0.5"], [2, 2], 9_977),
+    (_UNIFORM, ["asymptotics", "--delta", "1.0", "--xs=-50.0", "--side", "left"], [], 436),
+], ids=["two_point_estimate", "two_point_scan", "two_point_asymptotics", "uniform_estimate",
+        "atom_linear_estimate", "uniform_asymptotics"])
+def test_bracket_benchmark_jobs_keep_their_call_counts(monkeypatch, tmp_path, spec, args,
+                                                       zooms, points):
+    # a timing-free guard: each refined candidate is one 64-point level and
+    # one quartic vertex, and a change in the scan, the median or the zoom
+    # moves the log p count
+    zooms_seen = counted_zooms(monkeypatch)
+    points_seen = counted_log_p_points(monkeypatch)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(spec))
+    argv = [args[0], "--measure", str(path), *args[1:], "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert (zooms_seen, points_seen[0]) == (zooms, points)
 
 
 # the bracket-pieces benchmark measures: uniform at delta 1, and an atom

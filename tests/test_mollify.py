@@ -180,6 +180,20 @@ def test_tail_integrals_of_each_z_are_its_own(n):
             assert batch[:, i].tobytes() == alone[:, 0].tobytes(), z
 
 
+def test_tail_integrals_of_low_degree_match_quadrature():
+    # h_k(z) = integral over s > 0 of s^k exp(-z s - s^2/2) / k!, for the
+    # k <= 2 that pieces of degree <= 1 use, on both sides of the switch from
+    # the forward recurrence (z <= 2.5) to the backward one
+    zs = np.concatenate([np.geomspace(0.25, 60.0, 40), [2.0, 2.375, 2.4, 2.5, 3.0]])
+    h = mollify._scaled_tail_integrals(zs, 3)
+    with mpmath.workdps(30):
+        for k in range(3):
+            for z, got in zip(zs, h[k]):
+                want = mpmath.quad(lambda s: s ** k * mpmath.exp(-mpmath.mpf(z) * s - s * s / 2),
+                                   [0, 1, 10, mpmath.inf]) / mpmath.factorial(k)
+                assert abs(got - want) <= 2e-14 * want, (k, z)
+
+
 def test_array_evaluation_matches_scalar():
     d = MollifiedDensity(mixed_measure(), 0.3)
     xs = np.linspace(-6.0, 8.0, 12).reshape(3, 4)
