@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationError, WrongSide
 from .measure import Measure1D, support_components, translate
@@ -64,6 +63,7 @@ from .mollify import (
     _check_side,
     half_crossing,
     log_density,
+    log_ndtr,
     median,
     reciprocal_integral,
     tail_mass,

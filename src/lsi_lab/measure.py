@@ -135,6 +135,12 @@ class Piece:
         return float(out) if np.ndim(out) == 0 else out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a measure builds its arrays once and shares them."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Measure1D:
     """Validated compactly supported probability measure (atoms + pieces)."""
@@ -144,13 +150,19 @@ class Measure1D:
     support_lo: float
     support_hi: float
 
-    @property
+    @cached_property
     def atom_locations(self) -> np.ndarray:
-        return np.array([x for x, _ in self.atoms], dtype=float)
+        return _read_only(np.array([x for x, _ in self.atoms], dtype=float))
 
-    @property
+    @cached_property
     def atom_weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+        return _read_only(np.array([w for _, w in self.atoms], dtype=float))
+
+    @cached_property
+    def atom_log_weights(self) -> np.ndarray:
+        """log of each atom's weight, -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log(self.atom_weights))
 
     @cached_property
     def mirror(self) -> Measure1D:

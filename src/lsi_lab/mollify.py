@@ -12,7 +12,10 @@ precision is long gone.  ``log_density``, ``tail_mass`` and
 does ``reciprocal_integral``, the one routine for integrals of 1/p: the
 bracket's scan and zoom and the third tail quotient all call it.
 
-Atoms contribute closed-form Gaussian densities and CDFs.  A polynomial
+Atoms contribute closed-form Gaussian densities and CDFs.  The two
+special functions all of this needs, the scaled Gaussian tail ``erfcx``
+and ``log_ndtr`` (log Phi), are numpy code here, so that no command but
+``lsi rmt`` imports ``scipy.special``.  A polynomial
 piece, split at c = clip(x, lo, hi) and integrated by parts, is a sum
 over the ends e of its two parts of exp(-z^2/2) sqrt(delta) times
 sum_k (+-sqrt(delta))^k q^(k)(e) h_k(z), z = |e - x| / sqrt(delta), with
@@ -46,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError, WrongSide
 from .measure import MAX_POLY_DEGREE, LocalPoly, Measure1D, support_components
@@ -55,12 +57,132 @@ from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_cell_in
 Side = Literal["left", "right"]
 
 _BLOCK = 4096  # points per kernel evaluation, which bounds the temporaries
-# h_k(z) by its forward recurrence for z up to here, above it backward
-_FORWARD_MAX_Z = 2.5
-_BACKWARD_STEPS = 50
 _WIDE_KERNEL = 4.0  # the rule takes kernels whose boundary layer exceeds width / 4
 # tolerance (in log) of every integral of 1/p, which governs the bracket
 RECIPROCAL_TOL = 1e-10
+
+
+# erfcx(x) = y f(y), y = 4 / (4 + x) in (0, 1] for x >= 0, after S. G. Johnson's
+# Faddeeva package.  f on cell j of the 32 equal cells of [0, 1] is the degree-7
+# polynomial in v = 32 y - j - 1/2 through f at 8 Chebyshev points of the cell,
+# solved with mpmath at 40 digits; row j holds its coefficients of v^0 .. v^7
+# (``erfcx_table`` in tests/test_mollify.py rebuilds them).
+_ERFCX_CELLS = 32
+_ERFCX_POLYS = np.array([
+    [0.1432851153002752, 0.004544149737668842, 0.00013945679081145561, 4.127828897010354e-06,
+    1.1735614604566873e-07, 3.1878432915958647e-09, 8.21801129721981e-11, 1.9898486745756443e-12],
+    [0.14797297028583797, 0.00483593267703514, 0.00015257756826005407, 4.630847289730881e-06,
+    1.3460059807162238e-07, 3.725183564009307e-09, 9.743877391959981e-11, 2.3813378994333684e-12],
+    [0.152966249804056, 0.005155537985326841, 0.00016731647829390384, 5.208536192142642e-06,
+    1.547749081327593e-07, 4.3627886124109025e-09, 1.157018799133538e-10, 2.850405728521333e-12],
+    [0.15829447206015543, 0.005506438178578148, 0.00018391616096907748, 5.873680566275489e-06,
+    1.7842828770315024e-07, 5.120404458183798e-09, 1.3756073472245038e-10, 3.4111322960705528e-12],
+    [0.16399088376997772, 0.00589263170704508, 0.00020266111312675406, 6.641472009569887e-06,
+    2.0621805478149876e-07, 6.0216325371869496e-09, 1.6371147965414914e-10, 4.079381990466416e-12],
+    [0.17009303046969057, 0.0063187343410265545, 0.0002238855971025774, 7.529981893862984e-06,
+    2.389305453237104e-07, 7.094595592445275e-09, 1.9496721400528667e-10, 4.8726721027123435e-12],
+    [0.17664342661475738, 0.006790087880568028, 0.0002479831011591059, 8.560725045870301e-06,
+    2.7750553002083107e-07, 8.372672386031025e-09, 2.3226857127727836e-10, 5.809853194513817e-12],
+    [0.18369034443788543, 0.007312889578473231, 0.00027541764495882796, 9.759328640907905e-06,
+    3.2306445028569884e-07, 9.895287602384864e-09, 2.766912155114217e-10, 6.910538134300513e-12],
+    [0.19128874423338488, 0.007894346297877337, 0.0003067372691329824, 1.1156322067831303e-05,
+    3.769426938994043e-07, 1.1708732752320089e-08, 3.2944826973120547e-10, 8.19421474043239e-12],
+    [0.19950137311163293, 0.008542858151767838, 0.0003425900963249752, 1.2788064121045625e-05,
+    4.40725977745441e-07, 1.3866980619536985e-08, 3.9188525071375374e-10, 9.678983739618777e-12],
+    [0.2084000644184853, 0.009268237195731936, 0.0003837434001471565, 1.4697823720099193e-05,
+    5.162906794575742e-07, 1.6432440115382685e-08, 4.654647350840545e-10, 1.1379882816116867e-11],
+    [0.2180672760381806, 0.010081967665773144, 0.0004311061655684987, 1.6937029136627505e-05,
+    6.058476513665354e-07, 1.947658113267868e-08, 5.517378174817242e-10, 1.3306791642075332e-11],
+    [0.22859791278808433, 0.010997515262777929, 0.0004857556656421578, 1.9566698079158378e-05,
+    7.119886541705397e-07, 2.308034155152141e-08, 6.522995520719743e-10, 1.54619628119113e-11],
+    [0.24010148615150534, 0.012030694068176773, 0.0005489686104384766, 2.2659056603261887e-05,
+    8.377340684305775e-07, 2.7334213043725714e-08, 7.687260999227035e-10, 1.7837287426421122e-11],
+    [0.25270467374174826, 0.013200100805080318, 0.0006222574388348207, 2.6299348372062257e-05,
+    9.865799954188578e-07, 3.233789140967957e-08, 9.024923148951228e-10, 2.0411475789725544e-11],
+    [0.26655435117501847, 0.014527627296917629, 0.0007074123159001632, 3.0587827076967396e-05,
+    1.1625422753866276e-06, 3.819937384268449e-08, 1.0548700130383073e-09, 2.3147403605682817e-11],
+    [0.28182118043478166, 0.016039063069036467, 0.0008065493610433504, 3.564191377871213e-05,
+    1.3701943762148232e-06, 4.5033392647753534e-08, 1.226809129910231e-09, 2.598992971051537e-11],
+    [0.2987038512594145, 0.01776480102161855, 0.0009221655580269127, 4.159848769096202e-05,
+    1.6146955971230343e-06, 5.2959094838695266e-08, 1.4188062302435414e-09, 2.8864519525984127e-11],
+    [0.31743408542931845, 0.019740659895388153, 0.0010572006813513184, 4.861626390267186e-05,
+    1.9018056579140788e-06, 6.209691084478563e-08, 1.6307671611382575e-09, 3.167699783301102e-11],
+    [0.3382825278351691, 0.022008837765131857, 0.001215106409966884, 5.687819539653292e-05,
+    2.237881573257659e-06, 7.25646028109336e-08, 1.8618727364842633e-09, 3.431469874313252e-11],
+    [0.36156566254820544, 0.024619010933639277, 0.0013999225867831386, 6.659382041032823e-05,
+    2.629852805945346e-06, 8.447254133426668e-08, 2.110457888211704e-09, 3.664918043950464e-11],
+    [0.38765390636164226, 0.027629592263038242, 0.0016163603221976393, 7.800146086602023e-05,
+    3.085171098669302e-06, 9.79183247595073e-08, 2.373915431919061e-09, 3.854053569078033e-11],
+    [0.41698104590973517, 0.03110916208035227, 0.0018698913367467182, 9.137016455397781e-05,
+    3.611732121586847e-06, 1.1298092166883494e-07, 2.648635266539339e-09, 3.9843171552654085e-11],
+    [0.45005519689297274, 0.03513808325189144, 0.002166842600831997, 0.00010700127432618322,
+    4.217767132715374e-06, 1.2971457839454683e-07, 2.929988380427934e-09, 4.041277286326601e-11],
+    [0.48747147447213884, 0.039810309780808455, 0.0025144949709727817, 0.0001252295029353184,
+    4.911704186785179e-06, 1.4814278265279438e-07, 3.2123625349053946e-09, 4.0114025109122126e-11],
+    [0.5299265718262379, 0.045235395316598835, 0.002921184158163744, 0.0001464233933320181,
+    5.701999970984304e-06, 1.682526059650003e-07, 3.4892531467751606e-09, 3.882857159860958e-11],
+    [0.5782354484748524, 0.05154070428186414, 0.0033964020130930416, 0.00017098505182463987,
+    6.596944993291047e-06, 1.8998975721602716e-07, 3.7534090123064576e-09, 3.6462630814358734e-11],
+    [0.6333503305460368, 0.058873823965939175, 0.003950895794849295, 0.00019934905570486396,
+    7.604446485304031e-06, 2.1325466545286885e-07, 3.997028492595325e-09, 3.2953708177175e-11],
+    [0.6963822210933601, 0.06740517099205846, 0.00459676282383081, 0.00023198045746397684,
+    8.731794886867555e-06, 2.378998721992806e-07, 4.211998013527418e-09, 2.8275900272637722e-11],
+    [0.7686251093013595, 0.07733078015735713, 0.00534753772381903, 0.0002693718338166901,
+    9.985421042160623e-06, 2.637289548016991e-07, 4.3901615831946365e-09, 2.2443399928004193e-11],
+    [0.8515830525784865, 0.08887525792913159, 0.006218269347644627, 0.00031203935824430197,
+    1.137065216238617e-05, 2.904971272187275e-07, 4.523607774329316e-09, 1.5511953353338486e-11],
+    [0.9470002849013736, 0.10229487703864724, 0.007225584466596848, 0.0003605179091748226,
+    1.2891475131484128e-05, 3.1791357916508003e-07, 4.604959428918703e-09, 7.578179187241298e-12],
+])
+# coefficient-major, over 32, so that the polynomial times 32 y is erfcx
+_ERFCX_ROWS = np.ascontiguousarray(_ERFCX_POLYS.T / _ERFCX_CELLS)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _erfcx_nonnegative(a):
+    """erfcx at a >= 0 (nan at nan): one gather of each point's cell row, then Horner."""
+    t = (4.0 * _ERFCX_CELLS) / (4.0 + a)  # 32 y
+    cell = np.fmin(t, _ERFCX_CELLS - 1.0).astype(np.intp)  # y = 1 is in the last cell, nan too
+    v = t - cell
+    v -= 0.5
+    c = _ERFCX_ROWS.take(cell, axis=1)
+    acc = c[-1] * v
+    for row in c[-2:0:-1]:
+        acc += row
+        acc *= v
+    acc += c[0]
+    acc *= t
+    return acc
+
+
+def erfcx(x):
+    """exp(x^2) erfc(x) at a float or at each point of an array of any shape.
+
+    Within 1e-15 relative on [0, inf), where it falls from 1 to 0 like
+    1 / (x sqrt(pi)); below 0 it is 2 exp(x^2) - erfcx(-x), +inf once
+    exp(x^2) overflows (x < -26.6).
+    """
+    x = np.asarray(x, dtype=float)
+    out = _erfcx_nonnegative(np.abs(x))
+    negative = x < 0.0
+    if negative.any():
+        with np.errstate(over="ignore"):
+            out = np.where(negative, 2.0 * np.exp(x * x) - out, out)
+    return out[()]
+
+
+def log_ndtr(x):
+    """log Phi(x), Phi the standard normal CDF, at a float or at each point of
+    an array of any shape.
+
+    log Phi(-|x|) = log(erfcx(|x| / sqrt 2) / 2) - x^2 / 2, and for x >= 0,
+    log Phi(x) = log1p(-Phi(-x)).  Within 1e-15 max(1, |log Phi|) from
+    -1e150 to +inf, and -inf once x^2 / 2 overflows (x < -1.9e154).
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 at -inf; x^2 past the float range
+        lower = np.log(0.5 * _erfcx_nonnegative(np.abs(x) * _SQRT_HALF)) - 0.5 * x * x
+        return np.where(x < 0.0, lower, np.log1p(-np.exp(lower)))[()]
 
 
 def _check_side(side: str) -> str:
@@ -116,9 +238,11 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, 
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # over: nan columns
         top = np.max(a, axis=0)
-        if (top == math.inf).any():
-            top = np.where(top == math.inf, np.max(np.where(a < math.inf, a, NEG_INF), axis=0), top)
-        top[~np.isfinite(top)] = 0.0
+        if not np.isfinite(top).all():  # a column with +inf, or of -inf or nan alone
+            if (top == math.inf).any():
+                top = np.where(top == math.inf,
+                               np.max(np.where(a < math.inf, a, NEG_INF), axis=0), top)
+            top[~np.isfinite(top)] = 0.0
         terms = np.exp(a - top)
         if b is not None:
             terms *= b
@@ -128,16 +252,11 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, 
         return np.log(np.abs(s)) + top, np.sign(s)
 
 
-def _atom_log_weights(m: Measure1D) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(m.atom_weights)
-
-
 def _atom_log_terms(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     """log of w_k * exp(-(x - t_k)^2 / 2 delta), one row per atom (no kernel norm)."""
     m = d.base
     with np.errstate(over="ignore"):  # -inf where (x - t)^2 / 2 delta overflows
-        return (_atom_log_weights(m)[:, None]
+        return (m.atom_log_weights[:, None]
                 - (xs[None, :] - m.atom_locations[:, None]) ** 2 / (2.0 * d.delta))
 
 
@@ -145,28 +264,46 @@ def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
     """h_0 .. h_(n-1) at every z >= 0, stacked on a new first axis.
 
     k h_k = h_(k-2) - z h_(k-1), h_(-1) = 1 (Abramowitz & Stegun 26.2.40)
-    loses digits forward as z grows; there the ratios h_k / h_(k-1) come
-    from it backward instead, started at its fixed point k r^2 + z r = 1.
+    loses digits forward, the faster the larger z and k, so it runs forward
+    only up to a switch point that falls with n: z = 2.5 for n <= 3, 5 / n
+    above.  Past it the quotients s_k = h_(k-1) / h_k come from it backward,
+    s_(k-1) = z + k / s_k, started 80 / switch steps above k = n - 1 at the
+    large-k expansion of s_k in w = sqrt(z^2/4 + k + 1/2), its terms fitted
+    to mpmath's parabolic cylinder functions.  The start's error shrinks
+    about as exp(-2 z sqrt(k)) on the way down, so a lower switch point
+    takes more steps.  Every h_k, k <= 7, is within 2e-14 relative; the
+    forward recurrence at k = 2 just below z = 2.5 is the worst.
     """
-    h = np.empty((n,) + z.shape)
-    h[0] = math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0))
+    flat = z.ravel()
+    h = np.empty((n, flat.size))
+    h[0] = math.sqrt(0.5 * math.pi) * erfcx(flat / math.sqrt(2.0))
     if n == 1:
-        return h
-    fwd = z <= _FORWARD_MAX_Z
-    zf, zb = z[fwd], z[~fwd]
-    prev, cur = np.ones_like(zf), h[0][fwd]
+        return h.reshape((n,) + z.shape)
+    switch = 2.5 if n <= 3 else 5.0 / n
+    below = flat <= switch
+    fwd, bwd = np.flatnonzero(below), np.flatnonzero(~below)  # nan goes backward
+    zf = flat[fwd]
+    prev, cur = np.ones_like(zf), h[0, fwd]
     for k in range(1, n):
         prev, cur = cur, (prev - zf * cur) / k
-        h[k][fwd] = cur
-    top = n - 1 + _BACKWARD_STEPS
-    ratio = (np.sqrt(zb * zb + 4.0 * top) - zb) / (2.0 * top)
-    back = h[:, ~fwd]
-    for k in range(top, 0, -1):
-        if k < n:
-            back[k] = ratio
-        ratio = 1.0 / (zb + k * ratio)
-    h[:, ~fwd] = np.cumprod(back, axis=0)
-    return h
+        h[k, fwd] = cur
+    if bwd.size:
+        zb = flat[bwd]
+        top = n - 1 + round(80.0 / switch)
+        w = np.sqrt(0.25 * zb * zb + (top + 0.5))
+        u = 1.0 / w
+        # s_k = z/2 + w + z / 8w^2 + 1 / 16w^3 - 5z^2 / 128w^5 - 9z / 128w^6 + ...
+        s = 0.5 * zb + w + u * u * (0.125 * zb + u * (0.0625 - u * u * zb * (
+            5.0 / 128.0 * zb + 9.0 / 128.0 * u)))
+        back = np.empty((n, zb.size))
+        back[0] = h[0, bwd]
+        for k in range(top, 0, -1):
+            if k < n:
+                np.divide(1.0, s, out=back[k])
+            np.divide(k, s, out=s)
+            s += zb
+        h[:, bwd] = np.cumprod(back, axis=0, out=back)
+    return h.reshape((n,) + z.shape)
 
 
 # h_k(0) for every k a kernel uses: the mass below t of a piece is one degree up
@@ -280,12 +417,15 @@ def log_density_ratio_grad(d: MollifiedDensity, x) -> float | np.ndarray:
 
 def _log_tail(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
     m = d.base
-    rows = [_atom_log_weights(m)[:, None]
-            + log_ndtr((xs[None, :] - m.atom_locations[:, None]) / d.sigma)]
-    for p in m.pieces:
-        # by parts: the piece's mass at its far end, plus the kernel integral of its mass below t
-        rows.append(p.log_mass + log_ndtr((xs - p.hi) / d.sigma))
-        rows.append(_log_kernel_integral(d, p.below, xs) - 0.5 * math.log(2.0 * math.pi * d.delta))
+    # by parts: each atom's mass and each piece's at its far end, by one
+    # log_ndtr, plus the kernel integral of each piece's mass below t
+    ends, log_masses = m.atom_locations, m.atom_log_weights
+    if m.pieces:
+        ends = np.append(ends, [p.hi for p in m.pieces])
+        log_masses = np.append(log_masses, [p.log_mass for p in m.pieces])
+    rows = [log_masses[:, None] + log_ndtr((xs[None, :] - ends[:, None]) / d.sigma)]
+    norm_const = 0.5 * math.log(2.0 * math.pi * d.delta)
+    rows += [_log_kernel_integral(d, p.below, xs) - norm_const for p in m.pieces]
     return np.minimum(_logsumexp(np.vstack(rows))[0], 0.0)
 
 
@@ -339,14 +479,18 @@ _MEDIAN_POINTS = 32
 def median(d: MollifiedDensity) -> float:
     """The unique m with F(m) = 1/2, by ``half_crossing`` on the left tail.
 
-    The bracket [a - 20 sqrt(delta), b + 20 sqrt(delta)] holds all but
-    ~1e-88 of the mass, so it always straddles the median.  Its midpoint
-    is tested alone first: a measure symmetric about 0 gets m == 0.0
-    exactly, from one ``tail_mass`` call.  After a miss each level tests
-    32 interior points in one array call, about ten calls in all.  The
-    bisection can run down to one ulp, so the median is as sharp far from
-    the origin as near it.
+    A measure that is its own mirror image is symmetric about 0, and p > 0
+    everywhere, so its median is 0.0 exactly: no ``tail_mass`` call is
+    made.  Otherwise the bracket [a - 20 sqrt(delta), b + 20 sqrt(delta)]
+    holds all but ~1e-88 of the mass, so it always straddles the median.
+    Its midpoint is tested alone first (a measure symmetric about 0 but not
+    its own mirror term by term still gets 0.0 from that one call); after
+    a miss each level tests 32 interior points in one array call, about
+    ten calls in all.  The bisection can run down to one ulp, so the
+    median is as sharp far from the origin as near it.
     """
+    if d.base.mirror == d.base:
+        return 0.0
     a, b = d.support()
     return half_crossing(lambda x: np.exp(tail_mass(d, x, "left")) - 0.5,
                          a - 20.0 * d.sigma, b + 20.0 * d.sigma, _MEDIAN_POINTS)

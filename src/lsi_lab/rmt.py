@@ -31,7 +31,11 @@ The experiment runs each batch as chunks of consecutive trials.  Every
 trial keeps its own streams, and a chunk takes its rows of the batch's
 keys, but a chunk's draws are taken into one block: the block is mapped
 to uniforms and through the entry law once, and the Gaussian block of
-the mollifier goes through one ``ndtri``.  Each size's matrices then go
+the mollifier goes through one ``ndtri``.  That quantile, which the
+Gaussian entry law uses too, is ``scipy.special``'s, the package's one
+use of scipy.  It is imported on the first Gaussian draw, or, for an
+experiment that draws Gaussians, before its workers start.  Each size's
+matrices then go
 to LAPACK as one stacked eigen-decomposition of their lower triangles, a
 chunk holding at most ``CHUNK_BYTES`` of the largest size's dense
 matrices.  For f = identity no matrix is built or decomposed: (1/n) sum
@@ -62,7 +66,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import bg as _bg
 from .errors import (
@@ -231,6 +234,16 @@ def _draws(keys: np.ndarray, count: int, ranks: np.ndarray | None = None) -> np.
     return out >> np.uint64(11)
 
 
+@functools.cache
+def _ndtri():
+    """scipy's standard normal quantile, imported on first use: only the
+    Gaussian draws need ``scipy.special``, which is most of the package's
+    import time and memory."""
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -288,7 +301,7 @@ class EntryLaw:
             return a + (b - a) * u
         if self.kind == "gaussian":
             mean, var = self.params
-            return mean + math.sqrt(var) * ndtri(u)
+            return mean + math.sqrt(var) * _ndtri()(u)
         if self.kind == "exponential":
             (rate,) = self.params
             return -np.log1p(-u) / rate
@@ -495,7 +508,7 @@ def _entries(n: int, law: EntryLaw, keys: np.ndarray,
 def _gaussians(n: int, keys: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
     """Standard Gaussian upper triangles, one row per Gaussian-stream key
     row in ``keys``; only the entries at the triangle ``ranks`` when given."""
-    return ndtri(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
+    return _ndtri()(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
 
 
 def sample_wigner(n: int, law: EntryLaw, seed) -> SymmetricMatrix:
@@ -949,15 +962,18 @@ def concentration_experiment(config: ExperimentConfig,
         workers = usable_cpus()
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    plan = _plan(config)
+    if workers > 1 and (config.law.kind == "gaussian" or any(d > 0.0 for _, d, _ in plan)):
+        _ndtri()  # imports scipy.special here, before the workers start
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return _experiment(config, pool.map)
-        return _experiment(config, map)
+                return _experiment(config, plan, pool.map)
+        return _experiment(config, plan, map)
 
 
-def _experiment(config: ExperimentConfig, mapper) -> ConcentrationReport:
-    plan = _plan(config)
+def _experiment(config: ExperimentConfig, plan: tuple[tuple[int, float, float], ...],
+                mapper) -> ConcentrationReport:
     law, f, trials = config.law, config.f, config.trials
     lip = f.lip
     if trials == 0:

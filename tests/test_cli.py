@@ -827,3 +827,42 @@ def test_output_bytes_are_frozen(command, fmt, two_point_file, tmp_path, monkeyp
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert out == FROZEN_OUTPUT[command, fmt]
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+_IMPORT_CHECK = """
+import json, sys
+from lsi_lab import cli
+runs, rmt_run = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+assert cli.main(rmt_run) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_rmt_imports_scipy_special(tmp_path, source_env):
+    # scipy.special is most of the package's import time and memory: the
+    # bracket commands and bakry take erfcx and log Phi from mollify, and
+    # only rmt's Gaussian draws import it, for ndtri
+    atoms, pieces, cloud = (tmp_path / f for f in ("atoms.json", "pieces.json", "cloud.json"))
+    atoms.write_text(TWO_POINT)
+    pieces.write_text(json.dumps({"pieces": [{"lo": -1.0, "hi": -0.5, "coeffs": [1.0]},
+                                             {"lo": 0.5, "hi": 1.0, "coeffs": [1.0]}]}))
+    cloud.write_text(CLOUD_2D)
+    out = ["--out", str(tmp_path / "out")]
+    runs = [[command, "--measure", str(measure), *args, *out]
+            for measure in (atoms, pieces)
+            for command, args in (("estimate", ["--delta", "0.5"]),
+                                  ("scan", ["--deltas", "0.5,0.25"]),
+                                  ("asymptotics", ["--delta", "0.5", "--xs=-20", "--side", "left"]))]
+    runs.append(["bakry", "--measure", str(cloud), "--delta", "1.0", *out])
+    rmt_run = ["rmt", "--config", rmt_config(tmp_path, n=[5], trials=4), "--threads", "2", *out]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(runs),
+                           json.dumps(rmt_run)], capture_output=True, text=True, env=source_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
