@@ -12,10 +12,10 @@ precision is long gone.  ``log_density``, ``tail_mass`` and
 does ``reciprocal_integral``, the one routine for integrals of 1/p: the
 bracket's scan and zoom and the third tail quotient all call it.
 
-Atoms contribute closed-form Gaussian densities and CDFs.  The two
-special functions all of this needs, the scaled Gaussian tail ``erfcx``
-and ``log_ndtr`` (log Phi), are numpy code here, so that no command but
-``lsi rmt`` imports ``scipy.special``.  A polynomial
+Atoms contribute closed-form Gaussian densities and CDFs.  The special
+functions of the Gaussian, the scaled tail ``erfcx``, ``log_ndtr`` (log
+Phi) and the quantile ``ndtri`` that ``rmt`` draws its Gaussians with,
+are numpy code here: the package needs numpy alone.  A polynomial
 piece, split at c = clip(x, lo, hi) and integrated by parts, is a sum
 over the ends e of its two parts of exp(-z^2/2) sqrt(delta) times
 sum_k (+-sqrt(delta))^k q^(k)(e) h_k(z), z = |e - x| / sqrt(delta), with
@@ -183,6 +183,102 @@ def log_ndtr(x):
     with np.errstate(divide="ignore", over="ignore"):  # log 0 at -inf; x^2 past the float range
         lower = np.log(0.5 * _erfcx_nonnegative(np.abs(x) * _SQRT_HALF)) - 0.5 * x * x
         return np.where(x < 0.0, lower, np.log1p(-np.exp(lower)))[()]
+
+
+# ndtri(u) for q = u - 1/2 and w = -log(4 u (1 - u)) <= 3 (0.0127 < u < 0.9873)
+# is q sqrt(2 pi) + q w S(w), S the (6, 6) rational in w through
+# (ndtri(u) / q - sqrt(2 pi)) / w at 13 Chebyshev points of [0, 3]; sqrt(2 pi)
+# is carried as two doubles.  Beyond, with p = min(u, 1 - u) and
+# r = sqrt(-log p), ndtri(p) = -(r + E(r)), E the (8, 7) rational in r - 2
+# through -ndtri(p) - r at 16 Chebyshev points of [2, 6.25], and past
+# r = 6.25 (p < 1.1e-17) the one in r - 6.25 on [6.25, 27.5].  Each holds
+# the numerator's coefficients of v^0 .., then the denominator's; all are
+# positive, so every Horner step adds positive terms.  Solved with mpmath at
+# 40 digits (``ndtri_tables`` in tests/test_mollify.py rebuilds them).
+_NDTRI_CENTRE = (
+    (0.656233747738434, 0.07492281469362595, 0.024933676033010742, 0.0020424759483041407,
+     0.00024824183249001134, 1.128039809535156e-05, 4.0941927836612544e-07),
+    (1.0, 0.06439221168558633, 0.04485425286010599, 0.00207958802070159,
+     0.0005608361866418321, 1.331328190662897e-05, 1.545794031378582e-06),
+)
+_NDTRI_TAIL = (
+    (0.08984998297125776, 0.7940125020868841, 1.1934128174037777, 0.7944558426986833,
+     0.28231788152931375, 0.05557904135200297, 0.005809755403519346, 0.0002825347682831928,
+     4.5391435040232525e-06),
+    (1.0, 1.8183390156768053, 1.3566157568586783, 0.5296715632977372, 0.11365250875132071,
+     0.012820758804161645, 0.0006603628802882416, 1.0957738202140897e-05),
+)
+_NDTRI_FAR = (
+    (2.2343268694780427, 1.624750462492548, 0.47276662993416435, 0.0711569504555583,
+     0.005960963558853236, 0.0002777655632915174, 6.785343896605593e-06, 7.542998329057208e-08,
+     2.7012094773768996e-10),
+    (1.0, 0.5241461824241554, 0.10741026020186077, 0.010913117895035176,
+     0.0005769433990328987, 1.5277150184085674e-05, 1.7803060117881932e-07,
+     6.521276421181067e-10),
+)
+_NDTRI_W = 3.0  # the centre's end
+_NDTRI_FAR_R = 6.25  # the far tail's start
+_NEG_LOG4 = -math.log(4.0)
+# sqrt(2 pi) = _SQRT_2PI + _SQRT_2PI_LO to 1e-32
+_SQRT_2PI = 2.5066282746310007
+_SQRT_2PI_LO = -1.8328579980459167e-16
+
+
+def _rational(table, v):
+    """Numerator over denominator of ``table`` at each point of ``v``, each
+    by Horner's rule."""
+    num, den = (_horner(coeffs, v) for coeffs in table)
+    num /= den
+    return num
+
+
+def _horner(coeffs, v):
+    acc = coeffs[-1] * v
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= v
+    acc += coeffs[0]
+    return acc
+
+
+def ndtri(u):
+    """Phi^-1(u), Phi the standard normal CDF, at a float or at each point of
+    an array of any shape.
+
+    Within 1e-15 relative on (0, 1); -inf at 0, +inf at 1, nan at nan and
+    outside [0, 1].  Where 1 - u is exact (u >= 1/2), ndtri(1 - u) is
+    -ndtri(u) bit for bit: both points see the same u (1 - u) and p, and
+    q of opposite sign.  Every point takes the centre's formula; the tail
+    points (2.5% of uniform draws) are then taken out, evaluated and put
+    back.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at u = 0, 1; nan outside [0, 1]
+        w = np.subtract(1.0, flat)
+        w *= flat  # u (1 - u)
+        np.log(w, out=w)
+        np.subtract(_NEG_LOG4, w, out=w)
+        s = _rational(_NDTRI_CENTRE, w)
+        s *= w
+        s += _SQRT_2PI_LO
+        out = np.subtract(flat, 0.5)
+        s *= out
+        out *= _SQRT_2PI
+        out += s
+        tail = np.flatnonzero(w > _NDTRI_W)
+        if tail.size:
+            ut = flat.take(tail)
+            r = np.sqrt(-np.log(np.fmin(ut, 1.0 - ut)))
+            t = _rational(_NDTRI_TAIL, r - 2.0)
+            far = r >= _NDTRI_FAR_R
+            if far.any():  # r = inf at u = 0 and 1
+                rf = r[far]
+                t[far] = np.where(rf < math.inf, _rational(_NDTRI_FAR, rf - _NDTRI_FAR_R),
+                                  math.inf)
+            t += r
+            out.put(tail, np.copysign(t, ut - 0.5))
+    return out.reshape(u.shape)[()]
 
 
 def _check_side(side: str) -> str:

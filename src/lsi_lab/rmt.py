@@ -31,11 +31,8 @@ The experiment runs each batch as chunks of consecutive trials.  Every
 trial keeps its own streams, and a chunk takes its rows of the batch's
 keys, but a chunk's draws are taken into one block: the block is mapped
 to uniforms and through the entry law once, and the Gaussian block of
-the mollifier goes through one ``ndtri``.  That quantile, which the
-Gaussian entry law uses too, is ``scipy.special``'s, the package's one
-use of scipy.  It is imported on the first Gaussian draw, or, for an
-experiment that draws Gaussians, before its workers start.  Each size's
-matrices then go
+the mollifier goes through one call of ``mollify.ndtri``, the normal
+quantile the Gaussian entry law uses too.  Each size's matrices then go
 to LAPACK as one stacked eigen-decomposition of their lower triangles, a
 chunk holding at most ``CHUNK_BYTES`` of the largest size's dense
 matrices.  For f = identity no matrix is built or decomposed: (1/n) sum
@@ -73,13 +70,14 @@ from .errors import (
     NegativeDelta,
     NoFeasibleDelta,
     NonPositiveArg,
+    NumericalOverflow,
     UnknownFunction,
     UnknownLaw,
     ValidationError,
 )
 from .errors import entries, fields, number
 from .measure import Measure1D, build_measure, quantile, two_point, uniform
-from .mollify import MollifiedDensity
+from .mollify import MollifiedDensity, ndtri
 
 # role tags for stream derivation
 _ROLE_ENTRIES = 1
@@ -234,16 +232,6 @@ def _draws(keys: np.ndarray, count: int, ranks: np.ndarray | None = None) -> np.
     return out >> np.uint64(11)
 
 
-@functools.cache
-def _ndtri():
-    """scipy's standard normal quantile, imported on first use: only the
-    Gaussian draws need ``scipy.special``, which is most of the package's
-    import time and memory."""
-    from scipy.special import ndtri
-
-    return ndtri
-
-
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -254,7 +242,9 @@ def _unit(k: np.ndarray) -> np.ndarray:
     two-point split at 1/2 is exactly unbiased.  From 2^52 on, k + 1/2 is
     not a double and rounds to an even neighbour; the top draw would round
     to 1.0 and is clamped to the largest double below 1, so the
-    transforms applied downstream (ndtri, log1p) never see 0 or 1.
+    transforms applied downstream (``ndtri``, log1p) never see 0 or 1.
+    From 1/2 on, 1 - u is exact, and ``ndtri(1 - u)`` is ``-ndtri(u)``
+    bit for bit.
     """
     return np.minimum((k.astype(np.float64) + 0.5) * 2.0 ** -53, _BELOW_ONE)
 
@@ -301,7 +291,7 @@ class EntryLaw:
             return a + (b - a) * u
         if self.kind == "gaussian":
             mean, var = self.params
-            return mean + math.sqrt(var) * _ndtri()(u)
+            return mean + math.sqrt(var) * ndtri(u)
         if self.kind == "exponential":
             (rate,) = self.params
             return -np.log1p(-u) / rate
@@ -508,7 +498,7 @@ def _entries(n: int, law: EntryLaw, keys: np.ndarray,
 def _gaussians(n: int, keys: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
     """Standard Gaussian upper triangles, one row per Gaussian-stream key
     row in ``keys``; only the entries at the triangle ``ranks`` when given."""
-    return _ndtri()(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
+    return ndtri(_unit(_draws(keys, n * (n + 1) // 2, ranks)))
 
 
 def sample_wigner(n: int, law: EntryLaw, seed) -> SymmetricMatrix:
@@ -542,7 +532,8 @@ def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
     on one OpenBLAS thread (``_one_blas_thread``).  The trace identity
     is checked on every matrix as a cheap guard, with the trace and the
     Frobenius norm taken from the triangles; a failure raises
-    ArithmeticError naming the first bad row through ``where(row)``.
+    ArithmeticError naming the first bad row through ``where(row)``, and
+    a guard input that leaves the float range raises NumericalOverflow.
     """
     rows, cols = _triu(n)
     lower = np.zeros(upper.shape[:-1] + (n, n))
@@ -550,9 +541,15 @@ def _spectra(n: int, upper: np.ndarray, where=lambda row: "") -> np.ndarray:
     with _one_blas_thread():
         w = np.linalg.eigvalsh(lower)
     diag = upper[..., rows == cols]
-    trace = np.sum(diag, axis=-1)
-    frob = np.sqrt(2.0 * np.sum(upper * upper, axis=-1) - np.sum(diag * diag, axis=-1))
-    bad = np.flatnonzero(np.abs(np.sum(w, axis=1) - trace) > 1e-9 * frob + 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        total = np.sum(w, axis=1)
+        trace = np.sum(diag, axis=-1)
+        frob = np.sqrt(2.0 * np.sum(upper * upper, axis=-1) - np.sum(diag * diag, axis=-1))
+    lost = np.flatnonzero(~(np.isfinite(total) & np.isfinite(trace) & np.isfinite(frob)))
+    if lost.size:
+        raise NumericalOverflow("eigenvalue sum, trace or Frobenius norm leaves the float range"
+                                + where(int(lost[0])))
+    bad = np.flatnonzero(np.abs(total - trace) > 1e-9 * frob + 1e-12)
     if bad.size:
         raise ArithmeticError("eigenvalue sum disagrees with trace" + where(int(bad[0])))
     return w
@@ -651,15 +648,24 @@ def _chunk_integrals(law: EntryLaw, f: FSpec, sizes: Sequence[tuple[int, float]]
     diagonals are drawn (``ranks``) and their means are the integrals: no
     matrix is built.  Otherwise each size's spectra come from one stacked
     eigen-decomposition, whose trace guard names n, the batch (the key's
-    last tag) and the trial.
+    last tag) and the trial; so does the NumericalOverflow raised for an
+    integral that leaves the float range.
     """
     out = []
     for (n, _), upper in zip(sizes, _chunk_draws(law, sizes, keys, ranks)):
         upper *= 1.0 / math.sqrt(n)
         per_trial = len(upper) // len(trials)
-        w = upper if ranks is not None else _spectra(
-            n, upper, lambda row: f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}")
-        s = empirical_law_integral(w, f).reshape(-1, per_trial)
+
+        def where(row):
+            return f" at n={n}, batch {key[-1]}, trial {trials[row // per_trial]}"
+
+        w = upper if ranks is not None else _spectra(n, upper, where)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            s = empirical_law_integral(w, f)
+        lost = np.flatnonzero(~np.isfinite(s))
+        if lost.size:
+            raise NumericalOverflow(f"int f dmu_X = {float(s[lost[0]])!r}" + where(int(lost[0])))
+        s = s.reshape(-1, per_trial)
         out.append((s[:, 0], s[:, -1]))
     return out
 
@@ -963,8 +969,6 @@ def concentration_experiment(config: ExperimentConfig,
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     plan = _plan(config)
-    if workers > 1 and (config.law.kind == "gaussian" or any(d > 0.0 for _, d, _ in plan)):
-        _ndtri()  # imports scipy.special here, before the workers start
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -985,14 +989,19 @@ def _experiment(config: ExperimentConfig, plan: tuple[tuple[int, float, float], 
                                trials, mapper)
     cells: list[Cell] = []
     for (n, delta, c_used), (pilot, _), (s, s_moll) in zip(plan, pilots, batches):
-        pilot_mean = float(np.mean(pilot))
-        term3_gap, term3_stderr = _term3(s, s_moll)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            pilot_mean = float(np.mean(pilot))
+            term3_gap, term3_stderr = _term3(s, s_moll)
+        if not all(map(math.isfinite, (pilot_mean, term3_gap, term3_stderr))):
+            raise NumericalOverflow(f"the mean or spread over the trials of int f dmu_X"
+                                    f" leaves the float range at n={n}")
 
         for eps in config.eps_list:
-            dev = np.abs(s - pilot_mean) >= eps
+            with np.errstate(over="ignore"):  # an inf difference still exceeds eps
+                dev = np.abs(s - pilot_mean) >= eps
+                t1_freq = float(np.mean(np.abs(s - s_moll) >= eps / 3.0))
             freq = float(np.mean(dev))
             stderr = math.sqrt(freq * (1.0 - freq) / trials)
-            t1_freq = float(np.mean(np.abs(s - s_moll) >= eps / 3.0))
             t1_bound = term1_bound(eps, lip, delta) if delta > 0.0 else 0.0
             t2 = guionnet_bound(n, eps, c_used, lip, eps_over_3=True)
             gb = guionnet_bound(n, eps, c_used, lip)

@@ -833,22 +833,28 @@ def test_output_bytes_are_frozen(command, fmt, two_point_file, tmp_path, monkeyp
 # imports
 # ---------------------------------------------------------------------------
 
-_IMPORT_CHECK = """
+_BLOCKED_SCIPY_CHECK = """
 import json, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
 from lsi_lab import cli
-runs, rmt_run = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-for argv in runs:
+
+for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    assert "scipy.special" not in sys.modules, argv
-assert cli.main(rmt_run) == 0
-assert "scipy.special" in sys.modules
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 """
 
 
-def test_only_rmt_imports_scipy_special(tmp_path, source_env):
-    # scipy.special is most of the package's import time and memory: the
-    # bracket commands and bakry take erfcx and log Phi from mollify, and
-    # only rmt's Gaussian draws import it, for ndtri
+def test_every_command_runs_with_scipy_blocked(tmp_path, source_env):
+    # the package needs numpy alone: erfcx, log Phi and the normal quantile
+    # that rmt's Gaussian draws go through are mollify's own
     atoms, pieces, cloud = (tmp_path / f for f in ("atoms.json", "pieces.json", "cloud.json"))
     atoms.write_text(TWO_POINT)
     pieces.write_text(json.dumps({"pieces": [{"lo": -1.0, "hi": -0.5, "coeffs": [1.0]},
@@ -861,8 +867,12 @@ def test_only_rmt_imports_scipy_special(tmp_path, source_env):
                                   ("scan", ["--deltas", "0.5,0.25"]),
                                   ("asymptotics", ["--delta", "0.5", "--xs=-20", "--side", "left"]))]
     runs.append(["bakry", "--measure", str(cloud), "--delta", "1.0", *out])
-    rmt_run = ["rmt", "--config", rmt_config(tmp_path, n=[5], trials=4), "--threads", "2", *out]
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, json.dumps(runs),
-                           json.dumps(rmt_run)], capture_output=True, text=True, env=source_env,
-                          timeout=120)
+    fixed = {"mode": "fixed", "value": 0.5}
+    for f in ("identity", "arctan"):
+        config = tmp_path / f"{f}.json"
+        config.write_text(json.dumps({"law": "gaussian", "f": f, "n": [5, 8], "eps": [0.5],
+                                      "trials": 6, "seed": 3, "delta": fixed}))
+        runs.append(["rmt", "--config", str(config), "--threads", "2", *out])
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCIPY_CHECK, json.dumps(runs)],
+                          capture_output=True, text=True, env=source_env, timeout=120)
     assert proc.returncode == 0, proc.stderr

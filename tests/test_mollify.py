@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr
 from scipy.stats import norm
 
-from lsi_lab import errors, mollify
+from lsi_lab import errors, mollify, rmt
 from lsi_lab.measure import build_measure, point_mass, quantile, two_point, uniform
 from lsi_lab.mollify import (
     MollifiedDensity,
@@ -899,3 +899,116 @@ def test_erfcx_and_log_ndtr_keep_the_shape_and_warn_of_nothing(fn):
         # each point's value is its own, whatever else is in the batch
         for x, value in zip(xs, flat):
             assert np.array_equal(fn(np.array([x])), [value], equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the normal quantile in numpy
+# ---------------------------------------------------------------------------
+
+def _rational_fit(f, a, b, m, n, origin):
+    """The numerator's coefficients of v^0 .. v^m, v = x - origin, then the
+    denominator's (v^0 .. v^n, the first 1), of the (m, n) rational that
+    interpolates f at the m + n + 1 Chebyshev points of [a, b]; solved at
+    mpmath's precision and rounded to floats."""
+    a, b, origin = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(origin)
+    k = m + n + 1
+    rows, values = [], []
+    for i in range(k):
+        x = (a + b) / 2 + (b - a) / 2 * mpmath.cos(mpmath.pi * (2 * i + 1) / (2 * k))
+        v, fx = x - origin, f(x)
+        rows.append([v ** j for j in range(m + 1)] + [-fx * v ** j for j in range(1, n + 1)])
+        values.append(fx)
+    c = [float(x) for x in mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(values))]
+    return tuple(c[:m + 1]), (1.0, *c[m + 1:])
+
+
+def ndtri_tables():
+    """``mollify._NDTRI_CENTRE``, ``_NDTRI_TAIL`` and ``_NDTRI_FAR`` from their
+    definitions, at 40 digits (where their doubles no longer move)."""
+    def centre(w):  # (ndtri(u) / (u - 1/2) - sqrt(2 pi)) / w at 4 u (1 - u) = exp(-w)
+        y = mpmath.sqrt(-mpmath.expm1(-w))  # 2 |u - 1/2|
+        return (2 * mpmath.sqrt(2) * mpmath.erfinv(y) / y - mpmath.sqrt(2 * mpmath.pi)) / w
+
+    def tail(r):  # -ndtri(p) - r at p = exp(-r^2); 1 - 2p costs r^2 / ln 10 digits
+        with mpmath.workdps(mpmath.mp.dps + int(r * r / 2.3)):
+            return mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.exp(-r * r)) - r
+
+    with mpmath.workdps(40):
+        return (_rational_fit(centre, 0, 3, 6, 6, 0), _rational_fit(tail, 2, 6.25, 8, 7, 2),
+                _rational_fit(tail, 6.25, 27.5, 8, 7, 6.25))
+
+
+@pytest.mark.slow
+def test_ndtri_tables_are_their_mpmath_fits():
+    tables = (mollify._NDTRI_CENTRE, mollify._NDTRI_TAIL, mollify._NDTRI_FAR)
+    assert ndtri_tables() == tables
+    # so each Horner step adds positive terms
+    assert all(c > 0.0 for table in tables for coeffs in table for c in coeffs)
+
+
+def _mp_ndtri(u):
+    """-sqrt(2) erfcinv(2u) at 40 digits, as -sqrt(2) erfinv(1 - 2u) with the
+    digits 1 - 2u cancels added."""
+    u = mpmath.mpf(u)
+    with mpmath.workdps(40 - int(mpmath.log10(min(u, 1 - u)))):
+        return -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * u)
+
+
+def test_ndtri_matches_mpmath_on_tail_and_central_grids():
+    lower = np.exp2(-np.linspace(1.0, 54.0, 480))
+    us = np.concatenate([lower, 1.0 - lower[lower >= 2.0 ** -53], np.linspace(0.001, 0.999, 999),
+                         [1e-20, 1e-100, 1e-300, 2.0 ** -1074]])
+    got = mollify.ndtri(us)
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _mp_ndtri(u)
+        assert abs(value - want) <= 1e-15 * abs(want), u
+
+
+def test_ndtri_agrees_with_scipy_on_the_unit_lattice():
+    # within 4 ulp of scipy's ndtri; scipy's own error reaches 4 ulp (near
+    # u = 1 - e^-2, a branch point of its cephes code), so where the two
+    # differ by more, scipy must be the one further from mpmath
+    from scipy.special import ndtri as scipy_ndtri
+
+    k = np.random.default_rng(32).integers(0, 2 ** 53, 2 ** 20, dtype=np.uint64)
+    ends = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
+    u = rmt._unit(np.concatenate([ends, k]))
+    got, want = mollify.ndtri(u), scipy_ndtri(u)
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert np.isfinite(got).all() and (ulps[:len(ends)] <= 4).all()
+    for i in np.flatnonzero(ulps > 4):
+        exact = _mp_ndtri(u[i])
+        assert abs(got[i] - exact) < abs(want[i] - exact), u[i]
+
+
+def test_ndtri_ends_special_values_and_exact_mirror():
+    for u, want in {0.5: 0.0, 0.0: -math.inf, -0.0: -math.inf, 1.0: math.inf}.items():
+        assert mollify.ndtri(u) == want, u
+    for u in (math.nan, -1e-300, -0.5, 1.0 + 2.0 ** -52, 2.0, math.inf, -math.inf):
+        assert math.isnan(mollify.ndtri(u)), u
+    # the lattice's ends
+    for u in (2.0 ** -54, 1.0 - 2.0 ** -53):
+        want = _mp_ndtri(u)
+        assert abs(mollify.ndtri(u) - want) <= 1e-15 * abs(want)
+    # from 1/2 on, 1 - u is exact: the mirror point gets the negated bits
+    k = np.random.default_rng(5).integers(2 ** 52, 2 ** 53, 200_000, dtype=np.uint64)
+    u = np.append(rmt._unit(k), [0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53, 0.99, 0.9873, 0.75])
+    assert np.array_equal(mollify.ndtri(u), -mollify.ndtri(1.0 - u))
+
+
+def test_ndtri_keeps_the_shape_and_warns_of_nothing():
+    us = np.array([0.0, 2.0 ** -1074, 1e-300, 2.0 ** -54, 1e-5, 0.0127, 0.3, 0.5, 0.7, 0.9873,
+                   1.0 - 2.0 ** -53, 1.0, math.nan, -0.1, 1.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = mollify.ndtri(us)
+        assert isinstance(mollify.ndtri(0.3), float) and isinstance(mollify.ndtri(0.0), float)
+        for shape in [(15,), (15, 1), (1, 15, 1)]:
+            got = mollify.ndtri(us.reshape(shape))
+            assert got.shape == shape and got.dtype == np.float64
+            assert np.array_equal(got.ravel(), flat, equal_nan=True)
+        assert np.array_equal(mollify.ndtri(us[::2]), flat[::2], equal_nan=True)  # a view
+        assert mollify.ndtri(np.empty((2, 0))).shape == (2, 0)
+        # each point's value is its own, whatever else is in the batch
+        for u, value in zip(us, flat):
+            assert np.array_equal(mollify.ndtri(np.array([u])), [value], equal_nan=True)

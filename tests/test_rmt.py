@@ -1,17 +1,18 @@
 import json
 import math
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 from scipy.stats import kstest
 
-from lsi_lab import cli, errors, rmt
+from lsi_lab import cli, errors, mollify, rmt
 from lsi_lab.measure import build_measure
 from lsi_lab.rmt import (
     ExperimentConfig,
@@ -43,7 +44,9 @@ from oracles import charpoly_eigenvalues, semicircle_cdf
 
 # ---------------------------------------------------------------------------
 # the frozen draw oracle: one Generator per trial and role, as the library
-# drew before its block sampler
+# drew before its block sampler; the quantiles are the library's own
+# (``law.transform`` and ``mollify.ndtri``), so these tests pin the stream
+# layout, and tests/test_mollify.py holds ndtri to scipy and mpmath
 # ---------------------------------------------------------------------------
 
 def _frozen_uniforms(key, role, count):
@@ -58,7 +61,7 @@ def _frozen_wigner(n, law, key):
 
 
 def _frozen_mollify(y, delta, key):
-    g = ndtri(_frozen_uniforms(key, 2, y.upper.size))
+    g = mollify.ndtri(_frozen_uniforms(key, 2, y.upper.size))
     return SymmetricMatrix(y.n, y.upper + math.sqrt(delta) * g)
 
 
@@ -1345,3 +1348,52 @@ def test_rmt_trace_guard_exit_2_writes_nothing(monkeypatch, tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "eigenvalue sum disagrees with trace" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("f", ["identity", "arctan"])
+def test_rmt_overflowing_integral_is_a_numerical_error(f, tmp_path, capsys):
+    # entries near 1e308: the identity's mean of n diagonal entries, and
+    # arctan's trace guard (trace and Frobenius norm), leave the float range
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"law": {"kind": "gaussian", "mean": 1e308, "var": 1}, "f": f,
+                                  "n": [4], "eps": [0.5], "trials": 3, "seed": 1,
+                                  "delta": {"mode": "none"}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["rmt", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
+    assert err.rstrip().endswith("at n=4, batch 0, trial 0")
+    with pytest.raises(errors.NumericalOverflow):
+        concentration_experiment(config_from_dict(json.loads(config.read_text())), workers=1)
+
+
+# the seed-0 rmt jobs of the benchmark's spectra workload (perfbench/workloads.py)
+_SPECTRA_CONFIGS = {
+    "gaussian_rmt": {"law": "gaussian", "f": "identity", "n": [20, 50, 100], "eps": [0.3, 0.5],
+                     "trials": 2000, "seed": 42, "delta": {"mode": "none"}},
+    "two_point_rmt": {"law": "two_point", "f": "arctan", "n": [50], "eps": [0.3, 0.5],
+                      "trials": 500, "seed": 7,
+                      "delta": {"mode": "schedule", "table": [[1.0, 4.027193634296965],
+                                                              [0.5, 3.09836082891257],
+                                                              [0.25, 3.3951885224718805]]}},
+}
+
+
+@pytest.mark.parametrize("job", sorted(_SPECTRA_CONFIGS))
+def test_spectra_jobs_match_the_benchmark_record(job, tmp_path):
+    # the benchmark counts a cell off by more than 1e-9 relative as a wrong
+    # output; an ulp-level change of the draws must stay far inside that
+    record = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(record.read_text())[job]["cells"]
+    config, out = tmp_path / "c.json", tmp_path / "r.json"
+    config.write_text(json.dumps(_SPECTRA_CONFIGS[job]))
+    assert cli.main(["rmt", "--config", str(config), "--threads", "1", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["cells"]
+    assert len(got) == len(want)
+    for have, cell in zip(got, want):
+        for key, value in cell.items():
+            if isinstance(value, float):
+                assert abs(have[key] - value) <= 1e-9 * abs(value), (job, cell["n"], key)
+            else:
+                assert have[key] == value, (job, cell["n"], key)
