@@ -17,31 +17,29 @@ tail value at the window edge.  The integrand, a product of two cumulative
 quantities, is smooth on the window's scale: 256 points find the maxima a
 16,384-point scan finds.  One search, left of the median, serves both sides:
 D1 is D0 of the mirror image ``d.mirror`` at -m, so a measure symmetric
-about 0 and listed left to right gets D1 == D0.  Such a measure is its own
-mirror and is searched once: the median bisection's first midpoint is
-exactly 0, so the second search's inputs would equal the first's.  A
-measure whose translate to the centre c of its support is its own mirror
-(``Measure1D.centred``, built with the measure) is bracketed as that
-translate, so it too is searched once.  Among
-near-ties the point farthest from the median wins.  Every integral of 1/p
-comes from ``mollify.reciprocal_integral``, which holds the tolerance (the report's
-``quadrature_tol``) and the cuts: one batched call gives the integrals from
-a side's scan points to the median.  Each zoom level evaluates the integrand
-at 64 equally spaced points of its bracket with one vectorized tail mass and
-one batched call up to the nearest scan edge toward the median, joined to
-the scan's integral from that edge; the next bracket is the best point and
-its two neighbours.  After each level the vertices of two quartics, through
-the best point and the two points on each side and through the best point
-and the points two and four away, both place the maximum; when they agree
-to the search tolerance (1e-8, about sqrt(eps): values alone place a smooth
-maximum no finer), the integrand is evaluated at the first alone, and that
-vertex ends the zoom if its value is at least the best grid value.  Failing
-that, two parabolas' vertices, through the best point's neighbours and
-through the points two away, get the same test.  Otherwise the zoom stops at a
-bracket the search tolerance or 4 ulps of |x| wide, whichever is wider, and
-after a fixed number of levels.  Any other
-measure far from the origin is scanned as its translate next to the
-origin, so translation changes nothing but the reported positions.
+about 0 and listed left to right gets D1 == D0.  A measure whose translate
+to the centre c of its support is its own mirror (``Measure1D.centred``,
+built with the measure) is bracketed as that translate, whose median is
+exactly 0, so the second search's inputs would equal the first's: it is
+searched once.  Among near-ties the point farthest from the median wins.
+Every integral of 1/p comes from ``mollify.reciprocal_integral``, which
+holds the tolerance (the report's ``quadrature_tol``) and the cuts: one
+batched call gives the integrals from a side's scan points to the median.
+Each zoom level evaluates the integrand at 64 equally spaced points of its
+bracket with one vectorized tail mass and one batched call up to the
+nearest scan edge toward the median, joined to the scan's integral from
+that edge; the next bracket is the best point and its two neighbours.
+After a level whose best point has four grid points on each side, the
+vertices of two quartics, through the best point and the two points on
+each side and through the best point and the points two and four away,
+both place the maximum; when they agree to the search tolerance (1e-8,
+about sqrt(eps): values alone place a smooth maximum no finer), the
+integrand is evaluated at the first alone, and that vertex ends the zoom
+if its value is at least the best grid value.  Otherwise the levels go
+on, until the bracket is the search tolerance or 4 ulps of |x| wide,
+whichever is wider, or after a fixed number of levels.  Any other measure
+far from the origin is scanned as its translate next to the origin, so
+translation changes nothing but the reported positions.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
@@ -78,19 +76,6 @@ _REFINE_MAX_ITERS = 200
 _ZOOM_POINTS = 64
 
 
-def _vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> float:
-    """Vertex of the parabola through the grid points k - step, k, k + step
-    (Brent's parabolic step), or nan unless that parabola is concave and
-    its values finite.  ``k`` is the grid's best point, so the parabola is
-    concave unless all three values are equal."""
-    a, x, c = xs[k - step], xs[k], xs[k + step]
-    fa, fx, fc = vals[k - step], vals[k], vals[k + step]
-    r, q = (x - a) * (fx - fc), (x - c) * (fx - fa)
-    if not (np.isfinite(fa + fx + fc) and r - q > 0.0):
-        return math.nan
-    return float(x - 0.5 * ((x - a) * r - (x - c) * q) / (r - q))
-
-
 def _quartic_vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> float:
     """Vertex of the quartic through the grid points k - 2 step, ..., k + 2 step,
     or nan unless that quartic has a concave maximum there and its values are
@@ -116,39 +101,30 @@ def _quartic_vertex(xs: np.ndarray, vals: np.ndarray, k: int, step: int) -> floa
     return float(xs[k] + t * (xs[k + step] - xs[k]))
 
 
-# each vertex rule with the grid points it needs on each side of the best
-# point, for its two estimates: the quartic's first, then the parabola's
-_VERTICES = ((_quartic_vertex, 4), (_vertex, 2))
-
-
-def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              xtol: float) -> tuple[float, float]:
+def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """Maximum of the vectorized ``f`` on ``[lo, hi]`` by batched zoom with
-    a quartic or parabolic finish.
+    a quartic finish.
 
     Each level evaluates ``f`` once, at ``_ZOOM_POINTS`` equally spaced
     points of the bracket, and the next bracket is the best point and
-    its two neighbours.  Stops once the bracket is ``xtol`` wide, or 4
-    ulps of its larger end when that is wider (far from the origin float
-    spacing exceeds ``xtol``), and after ``_REFINE_MAX_ITERS`` levels in
-    any case.
+    its two neighbours.  Stops once the bracket is ``_SEARCH_TOL`` wide,
+    or 4 ulps of its larger end when that is wider (far from the origin
+    float spacing exceeds ``_SEARCH_TOL``), and after ``_REFINE_MAX_ITERS``
+    levels in any case.
 
     After a level whose best point has four grid points on each side, the
     vertex q1 of the quartic through the best point and the two on each
     side, and q2 of the quartic through the best point and the points two
     and four away, both place the maximum.  A quartic vertex's error
     scales as the spacing to the fourth, so q2's is about 16 times q1's,
-    and ``|q1 - q2| <= xtol`` bounds q1's.  Then ``f`` is evaluated at q1
-    alone, if q1 lies strictly inside the next bracket, and q1 is returned
-    when its value is at least the best grid value (a tie goes to the
-    vertex).  Failing that, or with only two grid points on each side, the
-    same test runs on the parabola's vertices v1, through the best point
-    and its neighbours, and v2, through the points two away, whose errors
-    scale as the spacing squared (Brent's parabolic step); then the levels
-    go on.  Without a vertex, returns the best grid (x, value) seen; among
-    equal values the first seen, smallest x first (for the bracket search,
-    which runs left of the median, the point farthest from it).  Either
-    way the value is one ``f`` gave at the returned x.
+    and ``|q1 - q2| <= _SEARCH_TOL`` bounds q1's.  Then ``f`` is evaluated
+    at q1 alone, if q1 lies strictly inside the next bracket, and q1 is
+    returned when its value is at least the best grid value (a tie goes to
+    the vertex).  Otherwise the levels go on.  Without a vertex, returns
+    the best grid (x, value) seen; among equal values the first seen,
+    smallest x first (for the bracket search, which runs left of the
+    median, the point farthest from it).  Either way the value is one
+    ``f`` gave at the returned x.
     """
     best_x, best_v = lo, NEG_INF
     for _ in range(_REFINE_MAX_ITERS):
@@ -158,16 +134,14 @@ def _zoom_max(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         if vals[k] > best_v:
             best_x, best_v = float(xs[k]), float(vals[k])
         lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, _ZOOM_POINTS - 1)])
-        if hi - lo <= max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+        if hi - lo <= max(_SEARCH_TOL, 4.0 * math.ulp(max(abs(lo), abs(hi)))):
             break
-        for vertex, reach in _VERTICES:
-            if not reach <= k <= _ZOOM_POINTS - 1 - reach:
-                continue
-            v1 = vertex(xs, vals, k, 1)
-            if lo < v1 < hi and abs(v1 - vertex(xs, vals, k, 2)) <= xtol:
-                value = float(f(np.array([v1]))[0])
+        if 4 <= k <= _ZOOM_POINTS - 5:
+            q1 = _quartic_vertex(xs, vals, k, 1)
+            if lo < q1 < hi and abs(q1 - _quartic_vertex(xs, vals, k, 2)) <= _SEARCH_TOL:
+                value = float(f(np.array([q1]))[0])
                 if value >= best_v:
-                    return v1, value
+                    return q1, value
     return best_x, best_v
 
 
@@ -247,7 +221,7 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         if lo >= hi:
             best.append((float(v[idx]), float(xs[idx])))
             continue
-        x_ref, v_ref = _zoom_max(objective, float(lo), float(hi), _SEARCH_TOL)
+        x_ref, v_ref = _zoom_max(objective, float(lo), float(hi))
         best.append((max(v_ref, float(v[idx])), x_ref))
 
     interior_val, interior_x = NEG_INF, xs[0]
@@ -287,33 +261,33 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
     The sup on each side is the larger of (i) the refined interior scan
     maximum and (ii) the analytic tail value delta^2/x^2 * (-log p) at
     the window edge (the integrand's x -> infinity equivalent, limit
-    delta/2).  The report notes which branch won.  When the median is 0
-    and the measure is its own mirror (symmetric about 0, listed left to
-    right), the right search would repeat the left one bit for bit, so D1
-    and x*_1 reuse it.
+    delta/2).  The report notes which branch won.
 
     A measure whose translate by the centre c = (a + b) / 2 of its support
-    is its own mirror (``d.base.centred``) is bracketed as that translate:
-    its median's first midpoint is 0, so it is searched once, and the
-    positions are moved back by c.  Any other measure far from the origin
-    is bracketed as its translate next to the origin, and the positions
-    are moved back: at |x| = 1e8 float spacing alone puts the median 1e-8
-    off, and the integrals of 1/p would resolve nothing finer than their
-    rounding noise.  D0, D1 or c_upper beyond the float range raises
-    ``NumericalOverflow``.
+    is its own mirror (``d.base.centred``) is bracketed as that translate,
+    and the positions are moved back by c.  The translate's median is 0,
+    so the right search would repeat the left one bit for bit: it is
+    searched once, and D1 and x*_1 reuse D0 and x*_0.  No other measure
+    is its own mirror, so every other one is searched on both sides, and
+    one far from the origin is bracketed as its translate next to the
+    origin, with the positions moved back: at |x| = 1e8 float spacing
+    alone puts the median 1e-8 off, and the integrals of 1/p would
+    resolve nothing finer than their rounding noise.  D0, D1 or c_upper
+    beyond the float range raises ``NumericalOverflow``.
     """
     a, b = d.support()
     window = (b - a) + 30.0 * d.sigma
-    if d.base.centred is not None:  # searched once, about the centre of its support
+    centred = d.base.centred
+    if centred is not None:  # searched once, about the centre of its support
         shift = 0.5 * (a + b)
-        d = MollifiedDensity(d.base.centred, d.delta)
+        d = MollifiedDensity(centred, d.delta)
     else:
         shift = _origin_shift(a, b, window)
         if shift != 0.0:
             d = MollifiedDensity(translate(d.base, -shift), d.delta)
     m = median(d)
     D0, x0, tail0 = _side_supremum(d, m, window, "D0")
-    if m == 0.0 and d.base.mirror == d.base:  # the right search's inputs are the left's
+    if centred is not None:  # its own mirror, median 0: the right search's inputs are the left's
         D1, x1, tail1 = D0, x0, tail0
     else:
         D1, x1, tail1 = _side_supremum(d.mirror, -m, window, "D1")
@@ -442,7 +416,7 @@ class ClosedFormDensity:
                 raise ValidationError(f"{self.name}: right tail does not decay")
         seeds = geometric_seeds(x, span * 2.0 ** -40, x, x + span)
         return log_adaptive_quad(lambda t: np.asarray(self.log_pdf(t), dtype=float),
-                                 x, x + span, rel_tol=1e-10, seed_points=seeds)
+                                 x, x + span, rel_tol=RECIPROCAL_TOL, seed_points=seeds)
 
     def median(self) -> float:
         return half_crossing(lambda x: 0.5 - math.exp(self.log_right_tail(x)),
@@ -454,7 +428,7 @@ class ClosedFormDensity:
             return NEG_INF
         seeds = geometric_seeds(hi, max((hi - lo) * 2.0 ** -40, 1e-14), lo, hi)
         return log_adaptive_quad(lambda t: -np.asarray(self.log_pdf(t), dtype=float),
-                                 lo, hi, rel_tol=1e-9, seed_points=seeds)
+                                 lo, hi, rel_tol=RECIPROCAL_TOL, seed_points=seeds)
 
 
 def exponential_convolution_density() -> ClosedFormDensity:

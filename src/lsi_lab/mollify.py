@@ -145,12 +145,7 @@ def _erfcx_nonnegative(a):
     cell = np.fmin(t, _ERFCX_CELLS - 1.0).astype(np.intp)  # y = 1 is in the last cell, nan too
     v = t - cell
     v -= 0.5
-    c = _ERFCX_ROWS.take(cell, axis=1)
-    acc = c[-1] * v
-    for row in c[-2:0:-1]:
-        acc += row
-        acc *= v
-    acc += c[0]
+    acc = _horner(_ERFCX_ROWS.take(cell, axis=1), v)
     acc *= t
     return acc
 
@@ -365,7 +360,7 @@ def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
     above.  Past it the quotients s_k = h_(k-1) / h_k come from it backward,
     s_(k-1) = z + k / s_k, started 80 / switch steps above k = n - 1 at the
     large-k expansion of s_k in w = sqrt(z^2/4 + k + 1/2), its terms fitted
-    to mpmath's parabolic cylinder functions.  The start's error shrinks
+    to mpmath's Weber functions (D_nu, U(a, z)).  The start's error shrinks
     about as exp(-2 z sqrt(k)) on the way down, so a lower switch point
     takes more steps.  Every h_k, k <= 7, is within 2e-14 relative; the
     forward recurrence at k = 2 just below z = 2.5 is the worst.
@@ -386,7 +381,8 @@ def _scaled_tail_integrals(z: np.ndarray, n: int) -> np.ndarray:
     if bwd.size:
         zb = flat[bwd]
         top = n - 1 + round(80.0 / switch)
-        w = np.sqrt(0.25 * zb * zb + (top + 0.5))
+        with np.errstate(over="ignore"):  # w = inf past z = 1e154: s is inf at the top only
+            w = np.sqrt(0.25 * zb * zb + (top + 0.5))
         u = 1.0 / w
         # s_k = z/2 + w + z / 8w^2 + 1 / 16w^3 - 5z^2 / 128w^5 - 9z / 128w^6 + ...
         s = 0.5 * zb + w + u * u * (0.125 * zb + u * (0.0625 - u * u * zb * (
@@ -428,7 +424,7 @@ def _endpoint_terms(d: MollifiedDensity, poly: LocalPoly,
                      for vals, hs, direction in ((at_c, h_c, -1.0), (poly.at_lo, h[:, 0], -1.0),
                                                  (at_c, h_c, 1.0), (poly.at_hi, h[:, 1], 1.0))]
                     ) * np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # z^2 = inf: the term underflows
         log_abs = (np.log(np.abs(sums)) + math.log(d.sigma)
                    - 0.5 * np.stack([z_c, z[0], z_c, z[1]]) ** 2)
     log_abs[:2, xs <= lo] = NEG_INF
@@ -452,7 +448,8 @@ def _log_kernel_integral(d: MollifiedDensity, poly: LocalPoly, xs: np.ndarray) -
     the rule takes the points where that error is not negligible.
     """
     lo, hi = poly.lo, poly.hi
-    use_rule = (hi - lo) * (np.abs(xs - np.clip(xs, lo, hi)) + d.sigma) < _WIDE_KERNEL * d.delta
+    with np.errstate(over="ignore"):  # an inf product is a kernel far narrower than the piece
+        use_rule = (hi - lo) * (np.abs(xs - np.clip(xs, lo, hi)) + d.sigma) < _WIDE_KERNEL * d.delta
     out = np.empty_like(xs)
     for rows, terms in ((~use_rule, _endpoint_terms), (use_rule, _node_terms)):
         if rows.any():
@@ -492,7 +489,8 @@ def _score(d: MollifiedDensity, xs: np.ndarray) -> np.ndarray:
             signs += [1.0, np.sign(p.lo)]
     log_num, sign = _logsumexp(np.vstack(logs), np.array(signs)[:, None])
     log_norm = _logsumexp(masses)[0]
-    score = (sign * np.exp(log_num - log_norm) - xs) / d.delta
+    with np.errstate(invalid="ignore"):  # -inf - -inf where every mass underflows: set below
+        score = (sign * np.exp(log_num - log_norm) - xs) / d.delta
     # where every mass underflows, the tilt sits on the support point nearest x
     lost = np.flatnonzero(log_norm == NEG_INF)
     near = np.clip(xs[lost, None], *np.array(support_components(m)).T)

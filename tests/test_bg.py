@@ -295,49 +295,52 @@ def test_point_mass_far_from_origin_returns(shift):
 
 
 def test_refinement_stops_at_float_spacing():
-    # the bracket is 1e-9 wide at 1e6, where float spacing is 1.16e-10, so
-    # the 1e-10 search tolerance alone could never be met
+    # the bracket is 1e-7 wide at 1e8, where float spacing is 1.49e-8, so
+    # the 1e-8 search tolerance alone could never be met; the first level's
+    # next bracket is within 4 ulps, which ends the zoom
     levels = []
 
     def f(xs):
         levels.append(xs)
-        return -(xs - 1e6) ** 2
+        return -(xs - 1e8) ** 2
 
-    x, _ = bg._zoom_max(f, 1e6 - 5e-10, 1e6 + 5e-10, 1e-10)
-    assert len(levels) <= bg._REFINE_MAX_ITERS
-    assert abs(x - 1e6) <= 5e-10
+    assert 4.0 * math.ulp(1e8) > bg._SEARCH_TOL
+    x, _ = bg._zoom_max(f, 1e8 - 5e-8, 1e8 + 5e-8)
+    assert [len(xs) for xs in levels] == [bg._ZOOM_POINTS]
+    assert abs(x - 1e8) <= math.ulp(1e8)
 
 
 def test_refinement_iteration_cap(monkeypatch):
-    # a cusp, whose two parabolic vertices never agree to 1e-10 in 5 levels,
-    # so no level ends in the parabolic finish
+    # a skewed kink, whose two quartic vertices do not agree to 1e-8 in 5
+    # levels, so no level ends in the quartic finish
     monkeypatch.setattr(bg, "_REFINE_MAX_ITERS", 5)
     levels = []
 
     def f(xs):
         levels.append(xs)
-        return -np.sqrt(np.abs(xs - 0.3))
+        return np.where(xs < 0.3, 5.0 * (xs - 0.3), 0.3 - xs)
 
-    bg._zoom_max(f, -1.0, 1.0, 1e-10)
+    bg._zoom_max(f, -1.0, 1.0)
     assert len(levels) == 5
 
 
-def zoom_calls(f, lo, hi, xtol):
+def zoom_calls(f, lo, hi):
     """(x, value, points per call of f) of one zoom."""
     sizes = []
 
     def counted(xs):
         sizes.append(len(xs))
         return f(xs)
-    x, v = bg._zoom_max(counted, lo, hi, xtol)
+    x, v = bg._zoom_max(counted, lo, hi)
     return x, v, sizes
 
 
-@pytest.mark.parametrize("centre,levels", [(0.1234, 1), (0.999, 2)])
+@pytest.mark.parametrize("centre,levels", [(0.1234, 1), (0.999, 3)])
 def test_a_parabola_ends_in_one_vertex_evaluation(centre, levels):
-    # the finish needs two grid points on each side of the best one: at
-    # 0.999 the first level's best point is its last, so a second level runs
-    x, v, sizes = zoom_calls(lambda xs: -(xs - centre) ** 2, -1.0, 1.0, 1e-10)
+    # the finish needs four grid points on each side of the best one: at
+    # 0.999 the first level's best point is its last and the second's is two
+    # from its end, so a third level runs
+    x, v, sizes = zoom_calls(lambda xs: -(xs - centre) ** 2, -1.0, 1.0)
     assert sizes == [bg._ZOOM_POINTS] * levels + [1]
     assert x == pytest.approx(centre, abs=1e-12)
     assert v == -(x - centre) ** 2
@@ -345,12 +348,10 @@ def test_a_parabola_ends_in_one_vertex_evaluation(centre, levels):
 
 @pytest.mark.parametrize("centre", [0.1234, -0.87, 0.87])
 def test_a_quartic_peak_ends_in_one_level_and_one_vertex_evaluation(centre):
-    # two parabolic vertices disagree by 1.6e-4 on the first level's grid,
-    # so the parabola alone needs a second level; the quartic's are exact.
-    # At -0.87 and 0.87 the best point is four points from an end (k = 4, 59),
-    # the quartic's reach
+    # the quartic's vertices are exact.  At -0.87 and 0.87 the best point is
+    # four points from an end (k = 4, 59), the quartic's reach
     f = lambda xs: -(xs - centre) ** 2 - (xs - centre) ** 4 / 4.0
-    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    x, v, sizes = zoom_calls(f, -1.0, 1.0)
     assert sizes == [bg._ZOOM_POINTS, 1]
     assert x == pytest.approx(centre, abs=1e-12)
     assert v == f(np.array([x]))[0]
@@ -360,33 +361,31 @@ def test_quartic_vertices_that_disagree_are_not_evaluated():
     # on the first level's grid the quartic's vertex is 1.1e-6 off this peak
     # and its two estimates disagree by 3.8e-5; a second level resolves it
     f = lambda xs: -np.cosh(10.0 * (xs - 0.1234))
-    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    x, v, sizes = zoom_calls(f, -1.0, 1.0)
     assert sizes == [bg._ZOOM_POINTS] * 2 + [1]
     assert x == pytest.approx(0.1234, abs=1e-11)
     assert v == f(np.array([x]))[0]
 
 
-@pytest.mark.parametrize("centre", [-0.9, 0.9])
-def test_a_best_point_near_a_level_end_falls_back_to_the_parabola(centre):
-    # the first level's best point is 3 points from its end (k = 3 or 60),
-    # one short of the quartic's reach: a parabola ends there, on its own
-    # vertex, and a quartic-shaped peak needs a second level
+@pytest.mark.parametrize("centre,reach", [(-0.93, 2), (0.93, 2), (-0.9, 3), (0.9, 3)])
+def test_a_best_point_near_a_level_end_takes_one_more_level(centre, reach):
+    # the first level's best point is 2 or 3 points from its end, short of
+    # the quartic's reach of 4: a second level runs, and its quartic vertex
+    # ends the zoom, on a parabola as on a quartic-shaped peak
     xs = np.linspace(-1.0, 1.0, bg._ZOOM_POINTS)
     parabola = lambda t: -(t - centre) ** 2
     k = int(np.argmax(parabola(xs)))
-    assert min(k, bg._ZOOM_POINTS - 1 - k) == 3
-    x, _, sizes = zoom_calls(parabola, -1.0, 1.0, bg._SEARCH_TOL)
-    assert sizes == [bg._ZOOM_POINTS, 1]
-    assert x == bg._vertex(xs, parabola(xs), k, 1)
-    quartic = lambda t: parabola(t) - (t - centre) ** 4 / 4.0
-    x, _, sizes = zoom_calls(quartic, -1.0, 1.0, bg._SEARCH_TOL)
-    assert sizes == [bg._ZOOM_POINTS] * 2 + [1]
-    assert x == pytest.approx(centre, abs=1e-12)
+    assert min(k, bg._ZOOM_POINTS - 1 - k) == reach
+    for f in (parabola, lambda t: parabola(t) - (t - centre) ** 4 / 4.0):
+        x, v, sizes = zoom_calls(f, -1.0, 1.0)
+        assert sizes == [bg._ZOOM_POINTS] * 2 + [1]
+        assert x == pytest.approx(centre, abs=1e-12)
+        assert v == f(np.array([x]))[0]
 
 
-def test_a_refused_quartic_vertex_falls_back_to_the_parabola():
+def test_a_refused_quartic_vertex_is_followed_by_another_level():
     # the first vertex evaluation, at the quartic's vertex, reads low and is
-    # refused; the parabola's vertex of the same level is evaluated next
+    # refused; the next level runs, and its own quartic vertex is accepted
     xs = np.linspace(-1.0, 1.0, bg._ZOOM_POINTS)
     vertices = []
 
@@ -394,11 +393,12 @@ def test_a_refused_quartic_vertex_falls_back_to_the_parabola():
         if len(t) == 1:
             vertices.append(t[0])
         return -(t - 0.1234) ** 2 - 1.0 * (len(vertices) == 1 and len(t) == 1)
-    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
-    assert sizes == [bg._ZOOM_POINTS, 1, 1]
+    x, v, sizes = zoom_calls(f, -1.0, 1.0)
+    assert sizes == [bg._ZOOM_POINTS, 1, bg._ZOOM_POINTS, 1]
     k = int(np.argmax(-(xs - 0.1234) ** 2))
     assert vertices[0] == bg._quartic_vertex(xs, -(xs - 0.1234) ** 2, k, 1)
-    assert x == vertices[1] == bg._vertex(xs, -(xs - 0.1234) ** 2, k, 1)
+    assert x == vertices[1] != vertices[0]
+    assert x == pytest.approx(0.1234, abs=1e-12)
     assert v == -(x - 0.1234) ** 2
 
 
@@ -408,8 +408,8 @@ def test_a_refused_quartic_vertex_falls_back_to_the_parabola():
     lambda xs: np.where(xs < 0.3, 5.0 * (xs - 0.3), 0.3 - xs),
 ], ids=["cusp", "skewed_cusp", "skewed_kink"])
 def test_a_peak_whose_vertices_disagree_falls_back_to_levels(f):
-    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
-    assert sizes[:4] == [bg._ZOOM_POINTS] * 4  # a parabola would need 2 calls
+    x, v, sizes = zoom_calls(f, -1.0, 1.0)
+    assert sizes[:4] == [bg._ZOOM_POINTS] * 4
     assert abs(x - 0.3) <= bg._SEARCH_TOL
     assert v == f(np.array([x]))[0]
 
@@ -423,7 +423,7 @@ def test_a_vertex_below_the_best_grid_value_is_not_returned():
         if len(xs) > 1:
             grid.append(xs)
         return -(xs - 0.1234) ** 2 - 1.0 * (len(xs) == 1)
-    x, v, sizes = zoom_calls(f, -1.0, 1.0, bg._SEARCH_TOL)
+    x, v, sizes = zoom_calls(f, -1.0, 1.0)
     assert 1 in sizes
     seen = np.concatenate(grid)
     assert x in seen and v == max(-(seen - 0.1234) ** 2)
@@ -435,13 +435,13 @@ def counted_zooms(monkeypatch):
     zooms = []
     inner = bg._zoom_max
 
-    def counted(f, lo, hi, xtol):
+    def counted(f, lo, hi):
         zooms.append(0)
 
         def call(xs):
             zooms[-1] += 1
             return f(xs)
-        return inner(call, lo, hi, xtol)
+        return inner(call, lo, hi)
     monkeypatch.setattr(bg, "_zoom_max", counted)
     return zooms
 
@@ -464,10 +464,8 @@ def counted_log_p_points(monkeypatch):
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.25, 0.1, 0.05, 0.025])
-def test_two_point_zoom_makes_at_most_three_integrand_calls(monkeypatch, delta):
-    # one 64-point level and one quartic vertex evaluation per candidate:
-    # five levels ran before the parabolic finish, and two levels and a
-    # parabolic vertex before the quartic one
+def test_two_point_zoom_makes_at_most_two_integrand_calls(monkeypatch, delta):
+    # one 64-point level and one quartic vertex evaluation per candidate
     zooms = counted_zooms(monkeypatch)
     compute_bg(MollifiedDensity(two_point(), delta))
     assert zooms and max(zooms) <= 2
@@ -524,9 +522,7 @@ def test_bracket_work_is_a_few_batched_calls(monkeypatch, m, delta):
 def test_bracket_log_p_points_stay_few(monkeypatch, m):
     # a 256-point scan and a zoom of one level and a quartic vertex: 4,846
     # points of log p per bracket at delta 1 for two-point and 4,966 for
-    # uniform, each searched once (5,806 and 6,886 with two levels and a
-    # parabolic vertex, 8,671 and 8,791 with five levels), where a
-    # 2048-point scan and two searches took some 73,000
+    # uniform, each searched once
     points = counted_log_p_points(monkeypatch)
     compute_bg(MollifiedDensity(m, 1.0))
     assert 0 < points[0] <= 5_500

@@ -272,6 +272,24 @@ def test_score_where_every_mass_underflows(m, xs):
     assert got[0] == math.inf and got[1] == -math.inf and math.isnan(got[2])
 
 
+def test_a_piece_1e300_wide_warns_of_nothing():
+    # kernel widths, z and z^2 leave the float range across this piece; the
+    # inf they give is the right value, and the score's nan rows (every mass
+    # underflows) are replaced, so none of them may warn
+    m = build_measure({"pieces": [{"lo": 0, "hi": 1e300, "coeffs": [1e-300]}]})
+    xs = np.array([-1e300, -1.0, 0.0, 0.5, 1e200, 1e300, 1.5e300])
+    for base, sign in ((m, 1.0), (m.mirror, -1.0)):
+        d = MollifiedDensity(base, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_p = log_density(d, sign * xs)
+            left, right = tail_mass(d, sign * xs, "left"), tail_mass(d, sign * xs, "right")
+            score = log_density_ratio_grad(d, sign * xs)
+            assert median(d) == sign * 5e299
+        assert np.all(np.isfinite(log_p[1:6])) and np.all(log_p[[0, 6]] == NEG_INF)
+        assert not np.any(np.isnan(left) | np.isnan(right) | np.isnan(score))
+
+
 # ---------------------------------------------------------------------------
 # tail masses
 # ---------------------------------------------------------------------------
