@@ -23,8 +23,9 @@ built with the measure) is bracketed as that translate, whose median is
 exactly 0, so the second search's inputs would equal the first's: it is
 searched once.  Among near-ties the point farthest from the median wins.
 Every integral of 1/p comes from ``mollify.reciprocal_integral``, which
-holds the tolerance (the report's ``quadrature_tol``) and the cuts: one
-batched call gives the integrals from a side's scan points to the median.
+holds the cuts (the tolerance, the report's ``quadrature_tol``, is
+``quadrature``'s): one batched call gives the integrals from a side's
+scan points to the median.
 Each zoom level evaluates the integrand at 64 equally spaced points of its
 bracket with one vectorized tail mass and one batched call up to the
 nearest scan edge toward the median, joined to the scan's integral from
@@ -43,7 +44,9 @@ translation changes nothing but the reported positions.
 
 Also here: the blow-up scan for gapped measures (log(D0+D1) grows like
 gap^2 / (8 delta)), the unboundedness detector for the exponential
-convolution counterexample, and the Herbst sub-Gaussian tail bound.
+convolution counterexample (the same integrand, from one batched tail and
+one batched integral of 1/p of a closed-form density), and the Herbst
+sub-Gaussian tail bound.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ import numpy as np
 from .errors import NoGap, NonPositiveConstant, NumericalOverflow, ValidationError, WrongSide
 from .measure import Measure1D, support_components, translate
 from .mollify import (
-    RECIPROCAL_TOL,
     MollifiedDensity,
     _check_side,
     half_crossing,
@@ -66,7 +68,7 @@ from .mollify import (
     reciprocal_integral,
     tail_mass,
 )
-from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad
+from .quadrature import LOG_REL_TOL, NEG_INF, geometric_seeds, log_adaptive_quad, log_integrals_to
 
 _SCAN_POINTS = 256
 _REFINE_CANDIDATES = 5
@@ -181,22 +183,23 @@ def bg_integrand(d: MollifiedDensity, m: float, x: float, side: str) -> float:
     return tail + math.log(-tail) + reciprocal_integral(d, x, m)
 
 
+def _log_integrand(tails: np.ndarray, to_median: np.ndarray) -> np.ndarray:
+    """log of tail log(1/tail) * (integral of 1/p to the median), from their logs."""
+    with np.errstate(invalid="ignore"):
+        return tails + np.log(-tails) + to_median
+
+
 def _side_supremum(d: MollifiedDensity, m: float, window: float,
                    name: str) -> tuple[float, float, bool]:
     """(sup value, argmax, tail_branch_won) left of the median ``m``: D0 of
     ``d``, or D1 of its mirror image.  Among near-ties the point farthest from
     the median wins.  Raises ``NumericalOverflow`` unless the sup is positive and finite.
     """
-    def integrand(pts: np.ndarray, to_median: np.ndarray) -> np.ndarray:
-        tails = tail_mass(d, pts, "left")
-        with np.errstate(invalid="ignore"):
-            return tails + np.log(-tails) + to_median
-
     # log integral of 1/p from each scan edge to the median (the median's own is -inf)
     edges = np.linspace(m - window, m, _SCAN_POINTS + 1)
     xs = edges[:-1]
     at_edge = reciprocal_integral(d, edges, m)
-    v = integrand(xs, at_edge[:-1])
+    v = _log_integrand(tail_mass(d, xs, "left"), at_edge[:-1])
     v = np.where(np.isfinite(v), v, NEG_INF)
 
     # local maxima of the grid values, best few refined by batched zoom
@@ -212,7 +215,8 @@ def _side_supremum(d: MollifiedDensity, m: float, window: float,
         j = int(np.searchsorted(edges, pts[-1]))
         between = edges[np.searchsorted(edges, pts[0]):j + 1]
         rec = reciprocal_integral(d, np.concatenate([pts, between]), edges[j])
-        return integrand(pts, np.logaddexp(rec[:len(pts)], at_edge[j]))
+        to_median = np.logaddexp(rec[:len(pts)], at_edge[j])
+        return _log_integrand(tail_mass(d, pts, "left"), to_median)
 
     best: list[tuple[float, float]] = []
     for idx in cand:
@@ -307,7 +311,7 @@ def compute_bg(d: MollifiedDensity) -> BGReport:
         c_upper=468.0 * total,
         tail_limit_estimate=d.delta / 2.0,
         search_window=(m - window + shift, m + window + shift),
-        quadrature_tol=RECIPROCAL_TOL,
+        quadrature_tol=LOG_REL_TOL,
         search_tol=_SEARCH_TOL,
         median=m + shift,
         d0_from_tail=tail0,
@@ -390,45 +394,52 @@ def blowup_scan(m: Measure1D, deltas: Sequence[float]) -> BlowupScan:
 # unboundedness detector for closed-form densities
 # ---------------------------------------------------------------------------
 
+def _log_integrals(log_f: Callable, x, end: float) -> float | np.ndarray:
+    """log of the integral of exp(log_f) from x, a float or an array on one
+    side of ``end``, to ``end``; points right of it as the mirror, u = -t.
+    Each cell from a sorted point to the next is cut at that point, from
+    2^-40 of its width up, where the detector's integrands keep their mass."""
+    xs = np.asarray(x, dtype=float)
+    if (xs > end).any():
+        if (xs < end).any():
+            raise WrongSide(f"points on both sides of {end}")
+        return _log_integrals(lambda u: log_f(-u), -xs, -end)
+    edges = np.append(np.sort(xs, axis=None), end)
+    cuts = [c for a, b in zip(edges[:-1], edges[1:])
+            for c in geometric_seeds(a, (b - a) * 2.0 ** -40, b)]
+    out = log_integrals_to(log_f, xs.ravel(), end, cuts)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
 @dataclass(frozen=True)
 class ClosedFormDensity:
     """A density given by an explicit log pdf, for the detector only.
 
     The right tail must be eventually monotone decreasing (true for the
     exponential convolution, the Gaussian, and the super-Gaussian used
-    here); tail integrals extend until the log pdf has dropped 160 units.
-    The median is ``half_crossing`` on 1/2 minus the right tail, within
-    ``median_bracket``, one point per level: each tail is a scalar
-    adaptive quadrature.
+    here).  Tails and integrals of 1/p take a float or an array of points.
+    Tails end at x + 2^k for the largest point x and the first k <= 26 where
+    the log pdf is 160 units below its largest value at x and the offsets
+    before.  The median is ``half_crossing`` on 1/2 minus the right tail,
+    within [-60, 60].
     """
 
     name: str
     log_pdf: Callable
-    median_bracket: tuple[float, float] = (-60.0, 60.0)
 
-    def log_right_tail(self, x: float) -> float:
-        peak = float(self.log_pdf(np.asarray(x, dtype=float)))
-        span = 1.0
-        while float(self.log_pdf(np.asarray(x + span, dtype=float))) > peak - 160.0:
-            peak = max(peak, float(self.log_pdf(np.asarray(x + span, dtype=float))))
-            span *= 2.0
-            if span > 1e8:
-                raise ValidationError(f"{self.name}: right tail does not decay")
-        seeds = geometric_seeds(x, span * 2.0 ** -40, x, x + span)
-        return log_adaptive_quad(lambda t: np.asarray(self.log_pdf(t), dtype=float),
-                                 x, x + span, rel_tol=RECIPROCAL_TOL, seed_points=seeds)
+    def log_right_tail(self, x) -> float | np.ndarray:
+        offsets = 2.0 ** np.arange(27)
+        vals = self.log_pdf(np.max(x) + np.append(0.0, offsets))
+        decayed = ~(vals[1:] > np.maximum.accumulate(vals[:-1]) - 160.0)
+        if not decayed.any():
+            raise ValidationError(f"{self.name}: right tail does not decay")
+        return _log_integrals(self.log_pdf, x, np.max(x) + offsets[np.argmax(decayed)])
 
     def median(self) -> float:
-        return half_crossing(lambda x: 0.5 - math.exp(self.log_right_tail(x)),
-                             *self.median_bracket)
+        return half_crossing(lambda x: 0.5 - np.exp(self.log_right_tail(x)), -60.0, 60.0)
 
-    def log_reciprocal_integral(self, m: float, x: float) -> float:
-        lo, hi = (m, x) if m <= x else (x, m)
-        if lo == hi:
-            return NEG_INF
-        seeds = geometric_seeds(hi, max((hi - lo) * 2.0 ** -40, 1e-14), lo, hi)
-        return log_adaptive_quad(lambda t: -np.asarray(self.log_pdf(t), dtype=float),
-                                 lo, hi, rel_tol=RECIPROCAL_TOL, seed_points=seeds)
+    def log_reciprocal_integral(self, m: float, x) -> float | np.ndarray:
+        return _log_integrals(lambda t: -self.log_pdf(t), x, m)
 
 
 def exponential_convolution_density() -> ClosedFormDensity:
@@ -455,9 +466,8 @@ def standard_gaussian_density() -> ClosedFormDensity:
 def super_gaussian_density() -> ClosedFormDensity:
     """Normalized density proportional to exp(-x^2/2 - x^4)."""
     raw = lambda t: -0.5 * np.square(np.asarray(t, dtype=float)) - np.asarray(t, dtype=float) ** 4
-    log_z = log_adaptive_quad(raw, -4.0, 4.0, rel_tol=1e-12)
-    return ClosedFormDensity("super_gaussian", lambda x: raw(x) - log_z,
-                             median_bracket=(-4.0, 4.0))
+    log_z = log_adaptive_quad(raw, -4.0, 4.0)
+    return ClosedFormDensity("super_gaussian", lambda x: raw(x) - log_z)
 
 
 @dataclass(frozen=True)
@@ -470,25 +480,25 @@ def unbounded_detector(
     density: ClosedFormDensity,
     window_growth: Sequence[float] = (10.0, 20.0, 40.0, 80.0),
 ) -> UnboundedVerdict:
-    """Evaluate the right-side integrand along a growing window.
+    """Evaluate the right-side integrand along a growing window of finite
+    points right of the median, with one tail and one 1/p call.
 
     Verdict is "unbounded" when every value at least doubles its
     predecessor (the supremum grows without bound, so no LSI); otherwise
     "bounded" (plateau or decay).
     """
-    xs = [float(x) for x in window_growth]
-    if len(xs) < 2 or any(b <= a for a, b in zip(xs[:-1], xs[1:])):
-        raise ValidationError("window growth schedule must be increasing, length >= 2")
+    xs = np.array([float(x) for x in window_growth])
+    if len(xs) < 2 or not np.isfinite(xs).all() or (np.diff(xs) <= 0.0).any():
+        raise ValidationError("window growth schedule must be finite, increasing, length >= 2")
     m = density.median()
-    witness: list[tuple[float, float]] = []
-    for x in xs:
-        rt = density.log_right_tail(x)
-        val = math.exp(rt + math.log(-rt) + density.log_reciprocal_integral(m, x))
-        witness.append((x, val))
-    grows = all(b >= 2.0 * a for (_, a), (_, b) in zip(witness[:-1], witness[1:]))
+    if not (xs > m).all():
+        raise WrongSide(f"window points must be right of the median m={m}")
+    tails = density.log_right_tail(xs)
+    vals = np.exp(_log_integrand(tails, density.log_reciprocal_integral(m, xs)))
+    grows = (vals[1:] >= 2.0 * vals[:-1]).all()
     return UnboundedVerdict(
         verdict="unbounded" if grows else "bounded",
-        witness=tuple(witness),
+        witness=tuple(zip(xs.tolist(), vals.tolist())),
     )
 
 

@@ -133,10 +133,7 @@ def _cmd_estimate(args) -> str:
 
 def _cmd_scan(args) -> str:
     measure = build_measure(_read_json(args.measure))
-    deltas = _parse_floats(args.deltas)
-    if len(deltas) < 2:
-        raise ValidationError("need >= 2 deltas for slope")
-    scan = bg.blowup_scan(measure, deltas)
+    scan = bg.blowup_scan(measure, _parse_floats(args.deltas))
     if args.format == "json":
         return _dump_json(scan)
     return _csv(_BG_COLUMNS, scan.reports) + (

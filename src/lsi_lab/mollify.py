@@ -52,14 +52,12 @@ import numpy as np
 
 from .errors import InsideSupport, NonPositiveDelta, NumericalOverflow, ValidationError, WrongSide
 from .measure import MAX_POLY_DEGREE, LocalPoly, Measure1D, support_components
-from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_cell_integrals
+from .quadrature import NEG_INF, geometric_seeds, log_adaptive_quad, log_integrals_to
 
 Side = Literal["left", "right"]
 
 _BLOCK = 4096  # points per kernel evaluation, which bounds the temporaries
 _WIDE_KERNEL = 4.0  # the rule takes kernels whose boundary layer exceeds width / 4
-# tolerance (in log) of every integral of 1/p, which governs the bracket
-RECIPROCAL_TOL = 1e-10
 
 
 # erfcx(x) = y f(y), y = 4 / (4 + x) in (0, 1] for x >= 0, after S. G. Johnson's
@@ -531,22 +529,25 @@ def tail_mass(d: MollifiedDensity, x, side: Side) -> float | np.ndarray:
     return _blockwise(lambda xs: _log_tail(d, xs), x)
 
 
-def half_crossing(excess: Callable, lo: float, hi: float, points: int = 1) -> float:
+# the 32 interior points of a median's bisection level, about its midpoint in
+# units of its half-width: each level after the first narrows the bracket 33-fold
+_MEDIAN_OFFSETS = np.arange(-31, 32, 2) / 33
+
+
+def half_crossing(excess: Callable, lo: float, hi: float) -> float:
     """Bisection for the point in [lo, hi] where a nondecreasing excess F - 1/2 crosses 0.
 
-    The first level tests the midpoint alone, with ``excess`` on a float.
-    Each later level tests ``points`` equally spaced interior points of the
-    bracket: the midpoint, on a float, when ``points`` is 1, else an array
-    in one call.  The points are laid out as mid + half * o with fixed
-    offsets o symmetric about 0, so the bracket's mirror image gets the
-    mirrored points bit for bit.  The next bracket is the two tested points
-    (or ends) around the crossing, where a nan excess counts as positive.
-    Stops at the tested point nearest the midpoint where |excess| <= 1e-13
-    (a tie to the smaller |excess|), or once no point lies strictly inside
-    the bracket, i.e. the bracket is one ulp wide; then it returns the
-    bracket's midpoint, which is one of its ends.
+    The first level tests the midpoint alone, with ``excess`` on a float;
+    each later level tests 32 equally spaced interior points of the bracket
+    in one call.  The points are laid out as mid + half * o with
+    fixed offsets o symmetric about 0, so the bracket's mirror image gets
+    the mirrored points bit for bit.  The next bracket is the two tested
+    points (or ends) around the crossing, where a nan excess counts as
+    positive.  Stops at the tested point nearest the midpoint where
+    |excess| <= 1e-13 (a tie to the smaller |excess|), or once no point
+    lies strictly inside the bracket, i.e. the bracket is one ulp wide;
+    then it returns the bracket's midpoint, which is one of its ends.
     """
-    offsets = (2.0 * np.arange(1, points + 1) - (points + 1)) / (points + 1)
     xs = np.array([0.5 * (lo + hi)])
     while True:
         xs = np.unique(xs[(lo < xs) & (xs < hi)])
@@ -561,13 +562,7 @@ def half_crossing(excess: Callable, lo: float, hi: float, points: int = 1) -> fl
         k = xs.size if below.all() else int(np.argmin(below))  # the first point not below
         lo = float(xs[k - 1]) if k > 0 else lo
         hi = float(xs[k]) if k < xs.size else hi
-        xs = (np.array([0.5 * (lo + hi)]) if points == 1
-              else 0.5 * (lo + hi) + 0.5 * (hi - lo) * offsets)
-
-
-# interior points per bisection level of the median: each level narrows its
-# bracket 33-fold for one tail_mass call
-_MEDIAN_POINTS = 32
+        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _MEDIAN_OFFSETS
 
 
 def median(d: MollifiedDensity) -> float:
@@ -587,15 +582,15 @@ def median(d: MollifiedDensity) -> float:
         return 0.0
     a, b = d.support()
     return half_crossing(lambda x: np.exp(tail_mass(d, x, "left")) - 0.5,
-                         a - 20.0 * d.sigma, b + 20.0 * d.sigma, _MEDIAN_POINTS)
+                         a - 20.0 * d.sigma, b + 20.0 * d.sigma)
 
 
 def reciprocal_integral(d: MollifiedDensity, x, m: float) -> float | np.ndarray:
     """log of the integral of 1/p from x to m, for a scalar x or at each point
     of an array x on one side of m (-inf where x == m).
 
-    A scalar is one interval.  An array is one batched ``log_cell_integrals``
-    over the cells between its sorted points and m, summed toward m.  Points
+    A scalar is one interval.  An array is one ``quadrature.log_integrals_to``
+    call, over the cells between its sorted points and m.  Points
     right of m are the mirror image's, from -x to -m, so a measure symmetric
     about 0 gets the same bits on both sides.  1/p grows like
     exp((x - a)^2 / 2 delta), far beyond double range, so the panels run in
@@ -612,19 +607,14 @@ def reciprocal_integral(d: MollifiedDensity, x, m: float) -> float | np.ndarray:
     # support geometrically away from it, over 1/p's boundary layer there
     a, b = d.support()
     cuts = support_gap_midpoints(d.base)
-    for end in (lo, m):
+    for end, other in ((lo, m), (m, lo)):
         distance = max(a - end, end - b)
         if distance > 0.0:
-            cuts += geometric_seeds(end, d.delta / (distance + d.sigma), lo, m)
+            cuts += geometric_seeds(end, d.delta / (distance + d.sigma), other)
     neg_log_p = lambda t: -log_density(d, t)
     if xs.ndim == 0:
-        return log_adaptive_quad(neg_log_p, lo, m, RECIPROCAL_TOL, cuts) if lo < m else NEG_INF
-    # the cell from each sorted point to the next (the last to m), summed toward m
-    order = np.argsort(xs, kind="stable")
-    cells = log_cell_integrals(neg_log_p, np.append(xs[order], m), RECIPROCAL_TOL, cuts)
-    out = np.empty_like(xs)
-    out[order] = np.logaddexp.accumulate(cells[::-1])[::-1]
-    return out
+        return log_adaptive_quad(neg_log_p, lo, m, cuts) if lo < m else NEG_INF
+    return log_integrals_to(neg_log_p, xs, m, cuts)
 
 
 def support_gap_midpoints(base: Measure1D) -> list[float]:

@@ -16,8 +16,9 @@ logarithm spans thousands of units (reciprocal mollified densities grow
 like exp((x-a)^2 / 2 delta)) never overflow.  Each refinement level is
 one ``log_f`` call over the live panels of every cell; the integrand
 bounds its own temporaries (``mollify`` evaluates in fixed blocks).
-``log_adaptive_quad`` is its one-cell case.  ``adaptive_quad``
-integrates signed integrands in linear space with the same panel rule.
+``log_adaptive_quad`` is its one-cell case and ``log_integrals_to`` its
+cumulative form, all at ``LOG_REL_TOL``.  ``adaptive_quad`` integrates
+signed integrands in linear space with the same panel rule.
 """
 from __future__ import annotations
 
@@ -47,6 +48,8 @@ _K15_WEIGHTS = np.concatenate([_K15_HALF, _K15_HALF[-2::-1]])
 _G7_WEIGHTS = np.concatenate([_G7_HALF, _G7_HALF[-2::-1]])
 
 NEG_INF = float("-inf")
+
+LOG_REL_TOL = 1e-10  # K15-G7 agreement (in log) of a log-space panel; every caller's tolerance
 
 # panels this far (in log) below the largest one of their integral cannot
 # move the total at double precision; they are accepted without refinement
@@ -93,22 +96,21 @@ def log_adaptive_quad(
     log_f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-10,
     seed_points: Sequence[float] | None = None,
 ) -> float:
     """``log(integral of exp(log_f))`` over ``[lo, hi]``, never overflowing.
 
     The one-cell case of ``log_cell_integrals``.  A log-space discrepancy
-    of ``rel_tol`` between a panel's K15 and G7 estimates is (to first
-    order) a relative error of ``rel_tol`` on the G7 value, and K15 is the
-    more accurate of the two.  ``seed_points`` force
-    an initial partition; they guard against the classic
+    of ``LOG_REL_TOL`` between a panel's K15 and G7 estimates is (to first
+    order) a relative error of ``LOG_REL_TOL`` on the G7 value, and K15 is
+    the more accurate of the two.  ``seed_points`` force an initial
+    partition; they guard against the classic
     adaptive-quadrature failure where a spike narrower than the first
     panel's node spacing goes unseen.
     """
     if lo > hi:
         raise ValueError("log_adaptive_quad requires lo <= hi")
-    return float(log_cell_integrals(log_f, [lo, hi], rel_tol, seed_points)[0])
+    return float(log_cell_integrals(log_f, [lo, hi], seed_points)[0])
 
 
 def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
@@ -133,14 +135,13 @@ def _log_panels(log_f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
 def log_cell_integrals(
     log_f: Callable[[np.ndarray], np.ndarray],
     edges: Sequence[float],
-    rel_tol: float = 1e-10,
     seed_points: Sequence[float] | None = None,
 ) -> np.ndarray:
     """``log(integral of exp(log_f))`` over every cell ``[edges[i], edges[i+1]]``.
 
     All live panels of a refinement level, over every cell, are evaluated
     with one ``log_f`` call at their Kronrod nodes.  A panel is accepted
-    with its K15 value when its K15 and G7 estimates agree to ``rel_tol``
+    with its K15 value when its K15 and G7 estimates agree to ``LOG_REL_TOL``
     (in log), and otherwise bisected, at most ``_MAX_DEPTH`` times; a panel
     more than ``_FLOOR_GAP`` below the largest of its cell is accepted as it
     stands.  Cells containing a ``seed_point`` are split there first.  A
@@ -169,7 +170,7 @@ def log_cell_integrals(
         # below the best of its cell cannot move the total (a +inf panel
         # makes its cell +inf, and passes this test too)
         with np.errstate(invalid="ignore"):
-            done = ((abs(kronrod - gauss) <= rel_tol) | (depth >= _MAX_DEPTH)
+            done = ((abs(kronrod - gauss) <= LOG_REL_TOL) | (depth >= _MAX_DEPTH)
                     | (b - a <= 4.0 * np.spacing(np.abs(mid)))
                     | (kronrod <= best[cell] - _FLOOR_GAP))
         done_cell.append(cell[done])
@@ -191,23 +192,25 @@ def log_cell_integrals(
     return np.where(finite, total, top)
 
 
-def geometric_seeds(center: float, scale: float, lo: float, hi: float) -> list[float]:
-    """Partition points clustering geometrically around ``center``.
+def log_integrals_to(log_f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, end: float,
+                     seed_points: Sequence[float] | None = None) -> np.ndarray:
+    """``log(integral of exp(log_f))`` from each point of the 1-D ``xs``, all at
+    or left of ``end``, to ``end``: one ``log_cell_integrals`` call over the
+    cells between the sorted points, summed back toward ``end``."""
+    order = np.argsort(xs, kind="stable")
+    cells = log_cell_integrals(log_f, np.append(xs[order], end), seed_points)
+    out = np.empty_like(xs)
+    out[order] = np.logaddexp.accumulate(cells[::-1])[::-1]
+    return out
 
-    Used to pre-split integrals whose mass sits in a boundary layer of
-    width ``scale`` around ``center`` (peaks of 1/p, Gaussian kernels far
-    from the support, ...).
-    """
-    if not (lo <= hi) or scale <= 0.0:
-        return []
-    pts: list[float] = []
-    span = hi - lo
-    step = scale
-    while step < span:
-        for p in (center - step, center + step):
-            if lo < p < hi:
-                pts.append(p)
+
+def geometric_seeds(start: float, scale: float, stop: float) -> list[float]:
+    """Cuts start +- scale 2^k, k = 0, 1, ..., toward ``stop``, steps shorter
+    than ``|stop - start|``, to pre-split an integral whose mass sits in a
+    boundary layer of width ``scale`` at ``start`` (1/p far from the
+    support, a decaying tail, ...); a cut rounded onto an end is a no-op."""
+    sign, pts, step = (1.0 if stop > start else -1.0), [], scale
+    while 0.0 < step < abs(stop - start):
+        pts.append(start + sign * step)
         step *= 2.0
-    if lo < center < hi:
-        pts.append(center)
     return pts

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from lsi_lab import bg, cli, errors, measure, mollify
+from lsi_lab import bg, cli, errors, measure, mollify, quadrature
 from lsi_lab.bg import (
     bg_integrand,
     blowup_scan,
@@ -268,7 +268,7 @@ def test_c_upper_overflow_is_a_typed_error():
 
 def test_quadrature_tol_is_the_reciprocal_integral_tolerance():
     r = compute_bg(MollifiedDensity(two_point(), 1.0))
-    assert r.quadrature_tol == mollify.RECIPROCAL_TOL == 1e-10
+    assert r.quadrature_tol == quadrature.LOG_REL_TOL == 1e-10
 
 
 def test_huge_delta_keeps_the_d0_over_delta_limit():
@@ -841,6 +841,68 @@ def test_detector_super_gaussian_decays():
 def test_detector_window_validation():
     with pytest.raises(errors.ValidationError):
         unbounded_detector(standard_gaussian_density(), window_growth=(10.0,))
+
+
+@pytest.mark.parametrize("window", [(10.0, math.inf), (math.nan, 20.0)])
+def test_detector_refuses_a_window_point_that_is_not_finite(window):
+    with pytest.raises(errors.ValidationError, match="finite"):
+        unbounded_detector(exponential_convolution_density(), window_growth=window)
+
+
+def test_detector_refuses_window_points_left_of_the_median():
+    # the exponential convolution's median is 0.876
+    with pytest.raises(errors.WrongSide, match="right of the median"):
+        unbounded_detector(exponential_convolution_density(), window_growth=(-5.0, 0.5))
+
+
+_DETECTOR_DENSITIES = [exponential_convolution_density, standard_gaussian_density,
+                       super_gaussian_density]
+
+
+@pytest.mark.parametrize("make", _DETECTOR_DENSITIES)
+def test_batched_detector_integrals_match_per_point_calls(make):
+    dens = make()
+    m = dens.median()
+    xs = np.array([2.0, 10.0, 20.0, 40.0, 80.0])
+    tails = dens.log_right_tail(xs)
+    recips = dens.log_reciprocal_integral(m, xs)
+    for x, tail, recip in zip(xs, tails, recips):
+        assert abs(tail - dens.log_right_tail(float(x))) <= 1e-10
+        assert abs(recip - dens.log_reciprocal_integral(m, float(x))) <= 1e-10
+
+
+@pytest.mark.parametrize("make", _DETECTOR_DENSITIES)
+def test_detector_median_meets_the_half_crossing_stop_rule(make):
+    dens = make()
+    m = dens.median()
+    assert abs(0.5 - math.exp(dens.log_right_tail(m))) <= 1e-13
+
+
+def test_detector_integrals_of_1_over_p_take_either_side_of_the_median():
+    dens = standard_gaussian_density()
+    right = dens.log_reciprocal_integral(0.0, np.array([3.0, 7.0]))
+    np.testing.assert_array_equal(dens.log_reciprocal_integral(0.0, np.array([-3.0, -7.0])),
+                                  right)
+    with pytest.raises(errors.WrongSide):
+        dens.log_reciprocal_integral(0.0, np.array([-3.0, 7.0]))
+
+
+def test_detector_makes_no_adaptive_quadrature_call(monkeypatch):
+    densities = [make() for make in _DETECTOR_DENSITIES]  # the super-Gaussian's normaliser is one
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the detector called log_adaptive_quad")
+
+    for module in (bg, mollify, quadrature):
+        monkeypatch.setattr(module, "log_adaptive_quad", forbidden)
+    assert [unbounded_detector(dens).verdict for dens in densities] == [
+        "unbounded", "bounded", "bounded"]
+
+
+def test_a_right_tail_that_does_not_decay_is_refused():
+    flat = bg.ClosedFormDensity("flat", lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    with pytest.raises(errors.ValidationError, match="flat: right tail does not decay"):
+        flat.log_right_tail(np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

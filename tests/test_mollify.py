@@ -380,33 +380,6 @@ def test_median_is_within_one_ulp_far_from_the_origin():
         assert abs(int(steps[best])) <= 1, (atoms, d.delta, got, xs[best])
 
 
-def _scalar_bisection(excess, lo, hi):
-    """One midpoint per level: the reference for ``half_crossing``'s default."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        e = excess(mid)
-        if abs(e) <= 1e-13:
-            return mid
-        lo, hi = (mid, hi) if e < 0.0 else (lo, mid)
-
-
-@pytest.mark.parametrize("root", [0.3, -7.25, 1.0 / 3.0, 1e8 + 0.5])
-def test_half_crossing_with_one_point_per_level_is_the_scalar_bisection(root):
-    # the detector's median keeps its midpoints, each passed as a float
-    visits = ([], [])
-
-    def excess(seen):
-        def f(x):
-            seen.append(x)
-            return 0.25 * math.tanh(x - root)
-        return f
-    want = _scalar_bisection(excess(visits[0]), root - 60.0, root + 60.0)
-    assert mollify.half_crossing(excess(visits[1]), root - 60.0, root + 60.0) == want
-    assert visits[0] == visits[1] and {type(x) for x in visits[1]} == {float}
-
-
 # oracle measures, (atoms, constant pieces, delta), one of them at 1e8 and one
 # at delta 1e-3
 _MEDIAN_CASES = {

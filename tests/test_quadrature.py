@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 from lsi_lab import quadrature
 from lsi_lab.measure import two_point
 from lsi_lab.mollify import MollifiedDensity, log_density
-from lsi_lab.quadrature import NEG_INF, log_adaptive_quad, log_cell_integrals
+from lsi_lab.quadrature import LOG_REL_TOL, NEG_INF, log_adaptive_quad, log_cell_integrals
 
 
 def neg_log_two_point(t, delta=0.05):
@@ -70,10 +70,10 @@ def _frozen_log_quad(log_f, lo, hi, rel_tol=1e-10, seed_points=None):
 
 def test_cells_match_the_per_cell_adaptive_rule():
     # panels are visited breadth-first instead of depth-first and summed in
-    # another order, so agreement is to a few rel_tol, not bitwise
+    # another order, so agreement is to a few LOG_REL_TOL, not bitwise
     edges = np.linspace(-3.0, 3.0, 601)
-    got = log_cell_integrals(neg_log_two_point, edges, rel_tol=1e-10, seed_points=[0.0])
-    want = [_frozen_log_quad(neg_log_two_point, a, b, rel_tol=1e-10,
+    got = log_cell_integrals(neg_log_two_point, edges, seed_points=[0.0])
+    want = [_frozen_log_quad(neg_log_two_point, a, b, rel_tol=LOG_REL_TOL,
                              seed_points=[0.0] if a < 0.0 < b else None)
             for a, b in zip(edges[:-1], edges[1:])]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -84,8 +84,8 @@ def test_one_cell_matches_the_frozen_scalar_rule(lo, hi, seeds):
     # reciprocal integrals of the two-point density: from -3 to the gap
     # midpoint 0, and across the gap, where only refinement finds the peak
     # of 1/p at 0 (a depth cap of one bisection misses it by 4e-8)
-    got = log_adaptive_quad(neg_log_two_point, lo, hi, rel_tol=1e-10, seed_points=seeds)
-    want = _frozen_log_quad(neg_log_two_point, lo, hi, rel_tol=1e-10, seed_points=seeds)
+    got = log_adaptive_quad(neg_log_two_point, lo, hi, seed_points=seeds)
+    want = _frozen_log_quad(neg_log_two_point, lo, hi, rel_tol=LOG_REL_TOL, seed_points=seeds)
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -179,7 +179,6 @@ def _mp_log_reciprocal_two_point(delta, lo, hi, breaks):
     (1.0, -100.0, 0.0, None),     # far out to the median, log 1/p near 4900
 ])
 def test_reciprocal_integrals_meet_their_tolerance(delta, lo, hi, seeds):
-    rel_tol = 1e-10
     # mpmath's partition clusters where 1/p has its mass: around the peak
     # at 0 across the gap, and near the lower end far out
     if seeds:
@@ -188,9 +187,8 @@ def test_reciprocal_integrals_meet_their_tolerance(delta, lo, hi, seeds):
     else:
         breaks = [lo + s for s in (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)]
     want = _mp_log_reciprocal_two_point(delta, lo, hi, breaks)
-    got = log_adaptive_quad(lambda t: neg_log_two_point(t, delta), lo, hi,
-                            rel_tol=rel_tol, seed_points=seeds)
-    assert abs(got - float(want)) <= rel_tol
+    got = log_adaptive_quad(lambda t: neg_log_two_point(t, delta), lo, hi, seed_points=seeds)
+    assert abs(got - float(want)) <= LOG_REL_TOL
 
 
 def test_unresolvable_integrand_stops_at_float_spacing():
